@@ -10,7 +10,6 @@ graphs with every expectation identity exposed as a testable operation.
 
 __version__ = "0.1.0"
 
-from ._kernels import available_backends, get_backend, set_backend
 from .covers import (
     Cover,
     cover_from_json_dict,

@@ -1,38 +1,21 @@
 """Numeric kernels for the randomized weight-update step and its statistics.
 
-Two interchangeable backends:
-
-* "numba": explicit loops compiled with @njit (default when numba imports).
-* "numpy": vectorized segmented reductions, no compilation.
-
-Select with the CORRCOLOR_BACKEND environment variable or `set_backend`.
-Both backends consume identical pre-drawn uniforms, so all boolean and
-integer outputs match exactly; float outputs agree to rounding (segment
-reductions may associate differently), which the kernel tests pin down.
-CORRCOLOR_THREADS (0 = auto) caps numba's thread pool.
+Vectorized numpy segmented reductions over CSR layouts, no compilation.
+All randomness comes in as pre-drawn uniforms, so the kernels are pure
+functions of their inputs; tests/test_kernels.py checks them against
+plain-Python loop oracles.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    numba = None
-    HAVE_NUMBA = False
+from .errors import InternalConsistencyError
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-
-def _segment_sum_np(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+def segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Per-segment sums of `values` under CSR pointer `ptr` (sequential order)."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     # A sentinel element keeps every reduceat index valid; it only joins the
     # final segment, where the additive identity leaves the sum unchanged.
     # Empty segments (reduceat returns the element at the start index) are
@@ -44,7 +27,8 @@ def _segment_sum_np(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return np.where(ptr[:-1] < ptr[1:], reduced, 0.0)
 
 
-def _segment_prod_np(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+def segment_prod(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
         return np.ones(ptr.shape[0] - 1, dtype=np.float64)
     padded = np.append(values, 1.0)
@@ -52,22 +36,43 @@ def _segment_prod_np(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return np.where(ptr[:-1] < ptr[1:], reduced, 1.0)
 
 
-def _mask_counts_np(ptr: np.ndarray, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _mask_counts(ptr: np.ndarray, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if idx.size == 0:
         return np.zeros(ptr.shape[0] - 1, dtype=np.int64)
-    counts = _segment_sum_np(mask[idx].astype(np.float64), ptr)
+    counts = segment_sum(mask[idx].astype(np.float64), ptr)
     return counts.astype(np.int64)
 
 
-def _reduct_core_np(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
+def mask_counts(ptr: np.ndarray, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-segment count of indices whose mask bit is set."""
+    return _mask_counts(ptr, idx, np.ascontiguousarray(mask))
+
+
+def reduct_core(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
+    """One weight-update pass over all colors.
+
+    Returns (p_prime, in_s, s_nbr_count, k_factor):
+      p_prime     updated weight per color (capped values stored as exactly p_hat)
+      in_s        sampled-set membership per color
+      s_nbr_count number of sampled matched neighbors per color
+      k_factor    survival product over non-capped matched neighbors
+    """
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    p_hat = float(p_hat)
+    alpha = float(alpha)
+    u_sample = np.ascontiguousarray(u_sample, dtype=np.float64)
+    u_promote = np.ascontiguousarray(u_promote, dtype=np.float64)
+
     in_b = p == p_hat
     in_s = (~in_b) & (u_sample < alpha * p)
-    s_count = _mask_counts_np(nbr_ptr, nbr_idx, in_s)
+    # The private helper, not the public name, so that a wrapper around
+    # `mask_counts` sees only the callers outside this module.
+    s_count = _mask_counts(nbr_ptr, nbr_idx, in_s)
     if nbr_idx.size:
         factors = np.where(in_b[nbr_idx], 1.0, 1.0 - alpha * p[nbr_idx])
     else:
         factors = np.empty(0, dtype=np.float64)
-    k_factor = _segment_prod_np(factors, nbr_ptr)
+    k_factor = segment_prod(factors, nbr_ptr)
     ratio = p / k_factor
     case4 = (~in_b) & (s_count > 0) & (ratio > p_hat)
     if np.any(case4 & (k_factor >= 1.0)):
@@ -84,181 +89,3 @@ def _reduct_core_np(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
         ),
     )
     return p_prime, in_s, s_count, k_factor
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _segment_sum_nb(values, ptr):  # pragma: no cover - exercised via dispatch
-        n = ptr.shape[0] - 1
-        out = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            acc = 0.0
-            for j in range(ptr[i], ptr[i + 1]):
-                acc += values[j]
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _segment_prod_nb(values, ptr):  # pragma: no cover
-        n = ptr.shape[0] - 1
-        out = np.ones(n, dtype=np.float64)
-        for i in range(n):
-            acc = 1.0
-            for j in range(ptr[i], ptr[i + 1]):
-                acc *= values[j]
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _mask_counts_nb(ptr, idx, mask):  # pragma: no cover
-        n = ptr.shape[0] - 1
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            cnt = 0
-            for j in range(ptr[i], ptr[i + 1]):
-                if mask[idx[j]]:
-                    cnt += 1
-            out[i] = cnt
-        return out
-
-    @numba.njit(cache=True)
-    def _reduct_core_nb(
-        p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote
-    ):  # pragma: no cover
-        nc = p.shape[0]
-        in_b = np.empty(nc, dtype=np.bool_)
-        in_s = np.empty(nc, dtype=np.bool_)
-        for x in range(nc):
-            in_b[x] = p[x] == p_hat
-            in_s[x] = (not in_b[x]) and (u_sample[x] < alpha * p[x])
-        p_prime = np.empty(nc, dtype=np.float64)
-        s_count = np.zeros(nc, dtype=np.int64)
-        k_factor = np.ones(nc, dtype=np.float64)
-        for x in range(nc):
-            cnt = 0
-            kx = 1.0
-            for j in range(nbr_ptr[x], nbr_ptr[x + 1]):
-                y = nbr_idx[j]
-                if in_s[y]:
-                    cnt += 1
-                if not in_b[y]:
-                    kx *= 1.0 - alpha * p[y]
-            s_count[x] = cnt
-            k_factor[x] = kx
-            if in_b[x]:
-                p_prime[x] = p_hat
-                continue
-            ratio = p[x] / kx
-            if cnt == 0:
-                p_prime[x] = ratio if ratio <= p_hat else p_hat
-            elif ratio <= p_hat:
-                p_prime[x] = 0.0
-            else:
-                if kx >= 1.0:
-                    raise InternalConsistencyError(
-                        "promotion branch reached with K(x) >= 1"
-                    )
-                q = (p[x] / p_hat - kx) / (1.0 - kx)
-                p_prime[x] = p_hat if u_promote[x] < q else 0.0
-        return p_prime, in_s, s_count, k_factor
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_IMPLS = {
-    "numpy": {
-        "segment_sum": _segment_sum_np,
-        "segment_prod": _segment_prod_np,
-        "mask_counts": _mask_counts_np,
-        "reduct_core": _reduct_core_np,
-    }
-}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "segment_sum": _segment_sum_nb,
-        "segment_prod": _segment_prod_nb,
-        "mask_counts": _mask_counts_nb,
-        "reduct_core": _reduct_core_nb,
-    }
-
-
-def _default_backend() -> str:
-    wanted = os.environ.get("CORRCOLOR_BACKEND", "").strip().lower()
-    if wanted:
-        if wanted not in ("numba", "numpy"):
-            raise DomainError(
-                f"CORRCOLOR_BACKEND must be 'numba' or 'numpy', got {wanted!r}"
-            )
-        if wanted == "numba" and not HAVE_NUMBA:
-            raise DomainError("CORRCOLOR_BACKEND=numba but numba is not importable")
-        return wanted
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_ACTIVE = _default_backend()
-
-if HAVE_NUMBA:
-    _threads = os.environ.get("CORRCOLOR_THREADS", "").strip()
-    if _threads and int(_threads) > 0:
-        numba.set_num_threads(
-            min(int(_threads), numba.config.NUMBA_NUM_THREADS)
-        )
-
-
-def get_backend() -> str:
-    return _ACTIVE
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime (used by tests and the benchmark)."""
-    global _ACTIVE
-    if name not in _IMPLS:
-        raise DomainError(f"unknown or unavailable backend {name!r}")
-    _ACTIVE = name
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_IMPLS))
-
-
-def segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per-segment sums of `values` under CSR pointer `ptr` (sequential order)."""
-    return _IMPLS[_ACTIVE]["segment_sum"](
-        np.ascontiguousarray(values, dtype=np.float64), ptr
-    )
-
-
-def segment_prod(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    return _IMPLS[_ACTIVE]["segment_prod"](
-        np.ascontiguousarray(values, dtype=np.float64), ptr
-    )
-
-
-def mask_counts(ptr: np.ndarray, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-segment count of indices whose mask bit is set."""
-    return _IMPLS[_ACTIVE]["mask_counts"](ptr, idx, np.ascontiguousarray(mask))
-
-
-def reduct_core(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
-    """One weight-update pass over all colors.
-
-    Returns (p_prime, in_s, s_nbr_count, k_factor):
-      p_prime     updated weight per color (capped values stored as exactly p_hat)
-      in_s        sampled-set membership per color
-      s_nbr_count number of sampled matched neighbors per color
-      k_factor    survival product over non-capped matched neighbors
-    """
-    return _IMPLS[_ACTIVE]["reduct_core"](
-        np.ascontiguousarray(p, dtype=np.float64),
-        float(p_hat),
-        float(alpha),
-        nbr_ptr,
-        nbr_idx,
-        np.ascontiguousarray(u_sample, dtype=np.float64),
-        np.ascontiguousarray(u_promote, dtype=np.float64),
-    )

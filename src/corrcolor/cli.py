@@ -26,7 +26,7 @@ from .covers import (
     random_cover,
     validate_cover,
 )
-from .errors import DomainError, MalformedInputError, SearchBudgetExceeded
+from .errors import CorrColorError, DomainError, MalformedInputError
 from .firstmoment import run_lb_experiment
 from .graphs import (
     gen_complete_bipartite,
@@ -392,10 +392,7 @@ def main(argv=None) -> int:
     except MalformedInputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except SearchBudgetExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except DomainError as exc:
+    except CorrColorError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

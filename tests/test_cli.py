@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corrcolor
 from corrcolor import (
+    InternalConsistencyError,
     cover_from_json_dict,
     cover_to_json_dict,
     gen_cycle,
@@ -353,3 +359,32 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "budget" in err
+
+    def test_internal_error_is_exit_1(self, monkeypatch, capsys, c6_files):
+        def broken(*args, **kwargs):
+            raise InternalConsistencyError("promotion branch reached with K(x) >= 1")
+
+        monkeypatch.setattr("corrcolor.cli.run_nibble", broken)
+        gpath, cpath = c6_files
+        code, _, err = run_cli(
+            capsys, "nibble", "--graph", gpath, "--cover", cpath, "--seed", "1"
+        )
+        assert code == 1
+        assert err == "error: promotion branch reached with K(x) >= 1\n"
+
+
+def test_help_ignores_stale_backend_variable():
+    # This variable once chose a kernel backend at import time, and an
+    # unavailable choice killed every command before argument parsing.
+    src = str(Path(corrcolor.__file__).resolve().parents[1])
+    env = dict(os.environ, CORRCOLOR_BACKEND="numba")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrcolor.cli", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
