@@ -1,10 +1,14 @@
 """Exact decision, counting, and greedy coloring over covers.
 
-The backtracking search uses forward checking (assigning a color deletes its
-matched partners from undecided neighbors) with minimum-remaining-values
-vertex selection and lowest-color-id tie-breaks, so results are
-deterministic for a fixed instance. A node budget separates "no coloring"
-from "gave up".
+The backtracking search uses forward checking: assigning a color deletes its
+matched partners from the domains of undecided neighbors, and the assignment
+stops as soon as one of those domains is wiped out (Haralick & Elliott 1980).
+The next vertex is chosen by minimum remaining values, ties going to the
+lowest vertex id, read from buckets of undecided vertices keyed by domain
+size; colors are tried in ascending id order, so results are deterministic
+for a fixed instance. The search runs on an explicit stack, so the vertex
+count is not limited by Python's recursion limit. A node budget separates
+"no coloring" from "gave up".
 """
 
 from __future__ import annotations
@@ -86,18 +90,26 @@ class SolveOutcome:
 
 
 def _prepared_domains(g: Graph, cover: Cover, restrict, vertices):
-    verts = sorted(vertices) if vertices is not None else list(range(g.n))
-    domains = {}
+    """The checked, sorted vertex set and each vertex's sorted domain."""
+    verts = sorted(set(vertices)) if vertices is not None else list(range(g.n))
+    for v in verts:
+        if v not in range(g.n):
+            raise DomainError(f"vertex {v} out of range")
+    restrict = restrict or {}
+    for v in restrict:
+        if v not in range(g.n):
+            raise DomainError(f"restriction names vertex {v}, out of range")
+    domains = []
     for v in verts:
         dom = set(cover.lists[v])
-        if restrict is not None and v in restrict and restrict[v] is not None:
+        if restrict.get(v) is not None:
             allowed = set(restrict[v])
             if not allowed <= dom:
                 raise DomainError(
                     f"restriction at vertex {v} contains non-list colors"
                 )
             dom = allowed
-        domains[v] = dom
+        domains.append(sorted(dom))
     return verts, domains
 
 
@@ -109,63 +121,104 @@ def _search(
     node_budget: int,
     count_all: bool,
 ) -> SolveOutcome:
+    if node_budget < 0:
+        raise DomainError(f"node budget must be non-negative, got {node_budget}")
     verts, domains = _prepared_domains(g, cover, restrict, vertices)
-    vert_set = set(verts)
+    if any(not dom for dom in domains):
+        return SolveOutcome("not-colorable", None, 0, 0)
+
+    # Vertices become local indices 0..n-1 in id order, and colors become bit
+    # positions in their vertex's domain, in ascending id order.
+    # conflicts[i][a] lists (j, bit) for each neighbor color that color a of
+    # vertex i rules out.
+    index = {v: i for i, v in enumerate(verts)}
+    position = [{x: a for a, x in enumerate(dom)} for dom in domains]
     partners = cover.partners
-    undecided = set(verts)
-    chosen: Coloring = {}
+    conflicts = []
+    for v, dom in zip(verts, domains):
+        nbrs = [(index[u], u) for u in g.adjacency[v] if u != v and u in index]
+        rows = []
+        for x in dom:
+            row = []
+            for j, u in nbrs:
+                a = position[j].get(partners[x].get(u))
+                if a is not None:
+                    row.append((j, 1 << a))
+            rows.append(row)
+        conflicts.append(rows)
+
+    # A decided vertex's mask is 0 (saved in its frame), so assignments skip it.
+    mask = [(1 << len(dom)) - 1 for dom in domains]
+    size = [len(dom) for dom in domains]
+    buckets = [set() for _ in range(max(size, default=0) + 1)]
+    for i, s in enumerate(size):
+        buckets[s].add(i)
+    n_free = len(verts)
     nodes = 0
     count = 0
     first: Coloring | None = None
+    stack = []  # frames [vertex, color positions, next index, removed, mask]
 
-    def assign(v: int, x: int):
-        removed = []
-        for u in g.adjacency[v]:
-            if u in undecided and u != v:
-                y = partners[x].get(u)
-                if y is not None and y in domains[u]:
-                    domains[u].discard(y)
-                    removed.append((u, y))
-        return removed
-
-    def undo(removed):
-        for u, y in removed:
-            domains[u].add(y)
-
-    def recurse() -> bool:
-        nonlocal nodes, count, first
-        if not undecided:
+    while True:
+        # Each pass first handles the node just reached: a leaf, or a new
+        # frame for the MRV vertex.
+        if n_free == 0:
             count += 1
             if first is None:
-                first = dict(chosen)
-            return not count_all
-        v = min(undecided, key=lambda u: (len(domains[u]), u))
-        if not domains[v]:
-            return False
-        undecided.discard(v)
-        try:
-            for x in sorted(domains[v]):
-                nodes += 1
-                if nodes > node_budget:
-                    raise SearchBudgetExceeded(nodes, node_budget)
-                chosen[v] = x
-                removed = assign(v, x)
-                done = recurse()
-                undo(removed)
-                del chosen[v]
-                if done:
-                    return True
-            return False
-        finally:
-            undecided.add(v)
+                first = {verts[i]: domains[i][cs[k - 1]] for i, cs, k, _, _ in stack}
+            if not count_all:
+                break
+        else:
+            # Bucket 0 stays empty here: an assignment that wipes out a
+            # domain is undone before the search goes deeper.
+            s = 1
+            while not buckets[s]:
+                s += 1
+            v = min(buckets[s])
+            buckets[s].remove(v)
+            n_free -= 1
+            m = mask[v]
+            mask[v] = 0
+            colors = [a for a in range(len(domains[v])) if m >> a & 1]
+            stack.append([v, colors, 0, (), m])
+        # Then undo the top frame's last color and try its next one, popping
+        # exhausted frames, until an assignment leaves no domain empty.
+        while stack:
+            frame = stack[-1]
+            v, colors, k, removed, m = frame
+            for j, bit in removed:
+                mask[j] |= bit
+                s = size[j]
+                buckets[s].remove(j)
+                size[j] = s + 1
+                buckets[s + 1].add(j)
+            if k == len(colors):
+                stack.pop()
+                mask[v] = m
+                buckets[size[v]].add(v)
+                n_free += 1
+                continue
+            frame[2] = k + 1
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceeded(nodes, node_budget)
+            removed = frame[3] = []
+            for j, bit in conflicts[v][colors[k]]:
+                mj = mask[j]
+                if mj & bit:
+                    mask[j] = mj ^ bit
+                    s = size[j]
+                    buckets[s].remove(j)
+                    size[j] = s - 1
+                    buckets[s - 1].add(j)
+                    removed.append((j, bit))
+                    if s == 1:
+                        break
+            else:
+                break
+        else:
+            break
 
-    # The vertex set must not reference anything outside itself via `vertices`.
-    for v in verts:
-        if not (0 <= v < g.n):
-            raise DomainError(f"vertex {v} out of range")
-    if vert_set and min(len(domains[v]) for v in verts) == 0:
-        return SolveOutcome("not-colorable", None, 0, 0)
-    recurse()
     if count > 0:
         return SolveOutcome("colorable", first, count if count_all else None, nodes)
     return SolveOutcome("not-colorable", None, 0 if count_all else None, nodes)
@@ -182,7 +235,9 @@ def solve_exact(
 
     `restrict` optionally narrows the allowed colors per vertex (must be
     subsets of the lists); `vertices` optionally solves the induced
-    subproblem on that vertex set only.
+    subproblem on that vertex set only. Vertices or restriction keys outside
+    the graph, restrictions that leave the lists and a negative budget raise
+    DomainError; running out of budget raises SearchBudgetExceeded.
     """
     out = _search(g, cover, restrict, vertices, node_budget, count_all=False)
     return out.coloring

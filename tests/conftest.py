@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's own search and kernel
-code paths: transversal enumeration by brute force, triangle detection by
-triple scan, and exact mass recomputation with fsum over shuffled orders.
+code paths: transversal enumeration by brute force, a plain recursive
+backtracking search over dicts and sets, triangle detection by triple scan,
+and exact mass recomputation with fsum over shuffled orders.
 """
 
 from __future__ import annotations
@@ -39,6 +40,67 @@ def brute_force_colorings(g: Graph, cover: Cover, allowed=None) -> list[dict]:
         if ok:
             out.append({i: x for i, x in enumerate(combo)})
     return out
+
+
+def reference_search(g: Graph, cover: Cover, restrict=None, vertices=None, count=False):
+    """The exact search as a plain recursion: (status, coloring, count, nodes).
+
+    Forward checking, minimum-remaining-values vertex choice with the lowest
+    vertex id on ties, colors in ascending id order, and one node per color
+    tried, reported the way `solve_report` reports them. The recursion is as
+    deep as the vertex set, so this is for small instances only.
+    """
+    partner = {}  # (color, neighbor vertex) -> matched color there
+    for (a, b), pairs in cover.matchings.items():
+        for x, y in pairs:
+            partner[x, b] = y
+            partner[y, a] = x
+    verts = sorted(set(vertices)) if vertices is not None else list(range(g.n))
+    domains = {v: set(cover.lists[v]) for v in verts}
+    for v, allowed in (restrict or {}).items():
+        if v in domains and allowed is not None:
+            domains[v] = set(allowed)
+    if any(not dom for dom in domains.values()):
+        return "not-colorable", None, 0, 0
+    undecided = set(verts)
+    chosen = {}
+    first = None
+    n_found = nodes = 0
+
+    def recurse() -> bool:
+        nonlocal first, n_found, nodes
+        if not undecided:
+            n_found += 1
+            first = first or dict(chosen)
+            return not count
+        v = min(undecided, key=lambda u: (len(domains[u]), u))
+        if not domains[v]:
+            return False
+        undecided.remove(v)
+        done = False
+        for x in sorted(domains[v]):
+            nodes += 1
+            chosen[v] = x
+            removed = [
+                (u, partner[x, u])
+                for u in g.adjacency[v]
+                if u in undecided and partner.get((x, u)) in domains[u]
+            ]
+            for u, y in removed:
+                domains[u].remove(y)
+            done = recurse()
+            for u, y in removed:
+                domains[u].add(y)
+            del chosen[v]
+            if done:
+                break
+        undecided.add(v)
+        return done
+
+    recurse()
+    if n_found:
+        return "colorable", first, n_found if count else None, nodes
+    return "not-colorable", None, 0 if count else None, nodes
 
 
 def brute_force_triangle_free(g: Graph) -> bool:

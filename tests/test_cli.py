@@ -115,6 +115,29 @@ class TestValidateAndSolve:
                 doc["coloring"][str(v)] == cover.lists[v][0] for v in range(6)
             )
 
+    def test_solve_restrict_unknown_vertex_is_exit_1(self, tmp_path, capsys, c6_files):
+        gpath, cpath = c6_files
+        rpath = write(tmp_path, "r.json", {"9": [1]})
+        code, out, err = run_cli(
+            capsys, "solve", "--graph", gpath, "--cover", cpath, "--restrict", rpath
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_solve_long_cycle(self, tmp_path, capsys):
+        # deeper than Python's default recursion limit
+        gpath = str(tmp_path / "g.json")
+        cpath = str(tmp_path / "c.json")
+        assert main(["gen-graph", "cycle", "--n", "1200", "--out", gpath]) == 0
+        assert main(
+            ["gen-cover", "--graph", gpath, "--k", "3", "--seed", "2", "--out", cpath]
+        ) == 0
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "solve", "--graph", gpath, "--cover", cpath)
+        assert code == 0
+        assert json.loads(out)["status"] == "colorable"
+
     def test_lift_subcommand(self, tmp_path, capsys):
         gpath = write(tmp_path, "g.json", {"n": 2, "edges": [[0, 1]]})
         lpath = write(tmp_path, "l.json", [[1, 2], [2, 3]])

@@ -22,8 +22,9 @@ from corrcolor import (
     solve_report,
 )
 from corrcolor.rng import derive_int_seed, derive_rng
+from corrcolor.solver import DEFAULT_NODE_BUDGET, _search
 
-from .conftest import brute_force_colorings, random_graph
+from .conftest import brute_force_colorings, random_graph, reference_search
 
 
 class TestValidity:
@@ -139,6 +140,78 @@ class TestSolveExact:
         cover = random_cover(g, 3, seed=1)
         with pytest.raises(SearchBudgetExceeded):
             count_colorings(g, cover, node_budget=3)
+
+    def test_vertex_out_of_range(self):
+        g = gen_cycle(6)
+        cover = random_cover(g, 3, seed=1)
+        with pytest.raises(DomainError, match="out of range"):
+            solve_exact(g, cover, vertices=[g.n])
+
+    def test_restrict_key_out_of_range(self):
+        g = gen_cycle(6)
+        cover = random_cover(g, 3, seed=1)
+        with pytest.raises(DomainError, match="vertex 9"):
+            solve_exact(g, cover, restrict={9: [1]})
+
+    def test_negative_budget(self):
+        g = gen_cycle(6)
+        cover = random_cover(g, 3, seed=1)
+        with pytest.raises(DomainError, match="non-negative"):
+            solve_exact(g, cover, node_budget=-5)
+
+    def test_long_cycle_has_no_depth_limit(self):
+        # One vertex per search level: a recursive search overflows here.
+        g = gen_cycle(20_000)
+        cover = random_cover(g, 3, seed=1)
+        coloring = solve_exact(g, cover)
+        assert check_coloring(g, cover, coloring) is None
+        out = solve_report(g, cover)
+        assert out.coloring == coloring
+        assert out.nodes_explored == 20_000
+
+
+def _reference_case(seed):
+    """A small seeded instance with optional restriction and vertex subset."""
+    rng = derive_rng(seed, "reference-case")
+    n, p = int(rng.integers(3, 10)), float(rng.random())
+    g = random_graph(derive_int_seed(seed, "g"), n, p)
+    k = 1 + seed % 4
+    mode = ("perfect", "bernoulli")[seed // 4 % 2]
+    cover = random_cover(g, k, seed=seed, mode=mode)
+    restrict = None
+    if seed // 8 % 2:
+        restrict = {
+            v: [x for x in cover.lists[v] if rng.random() < 0.7]
+            for v in range(g.n)
+            if rng.random() < 0.5
+        }
+    vertices = None
+    if seed // 16 % 2:
+        vertices = [v for v in range(g.n) if rng.random() < 0.75]
+    return g, cover, restrict, vertices, bool(seed // 32 % 2)
+
+
+def _items(coloring):
+    return None if coloring is None else list(coloring.items())
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_matches_reference_search(seed):
+    g, cover, restrict, vertices, count = _reference_case(seed)
+    status, coloring, n, nodes = reference_search(g, cover, restrict, vertices, count)
+
+    def search(budget):
+        return _search(g, cover, restrict, vertices, budget, count_all=count)
+
+    out = search(DEFAULT_NODE_BUDGET)
+    # the first coloring must also match in assignment (insertion) order
+    got = (out.status, _items(out.coloring), out.count, out.nodes_explored)
+    assert got == (status, _items(coloring), n, nodes)
+    if nodes > 0:
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search(nodes - 1)
+        assert exc.value.nodes_explored == nodes
+        assert search(nodes) == out
 
 
 class TestCount:
