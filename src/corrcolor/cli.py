@@ -173,6 +173,26 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _parse_restrict(doc) -> dict[int, list[int]]:
+    """A restriction document {"v": [color ids]} as {v: [ids]}."""
+    if not isinstance(doc, dict):
+        raise MalformedInputError("restrict document must map vertex -> color ids")
+    restrict = {}
+    for key, xs in doc.items():
+        try:
+            v = int(key)
+        except ValueError:
+            raise MalformedInputError(f"restrict key {key!r} is not a vertex id") from None
+        if not isinstance(xs, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in xs
+        ):
+            raise MalformedInputError(
+                f"restrict entry for vertex {key} must be an array of color ids"
+            )
+        restrict[v] = xs
+    return restrict
+
+
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     cover = _load_cover(args.cover)
@@ -183,9 +203,7 @@ def _cmd_solve(args) -> int:
     inputs = [args.graph, args.cover]
     if args.restrict:
         doc = _load_json(args.restrict)
-        if not isinstance(doc, dict):
-            raise MalformedInputError("restrict document must map vertex -> color ids")
-        restrict = {int(v): [int(x) for x in xs] for v, xs in doc.items()}
+        restrict = _parse_restrict(doc)
         inputs.append(args.restrict)
     outcome = solve_report(
         g, cover, restrict=restrict, count=args.count, node_budget=args.node_budget

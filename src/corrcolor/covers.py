@@ -3,19 +3,76 @@
 A cover assigns every vertex a list of globally unique color ids and every
 graph edge a matching between the two endpoint lists. Color ids are dense
 integers 0..N-1, assigned vertex-block-contiguously by all generators here.
-Covers are immutable after construction; generation is pure in (inputs, seed).
+
+A `Cover` stores only flat int64 arrays, and they are the source of truth:
+the color lists in CSR form over vertices, and the matched pairs in CSR form
+over the matched vertex pairs. Everything else is derived from them on first
+use and cached: the color count, each color's owner, the matched-color
+adjacency, the `arrays` bundle for the kernels, and the tuple/dict views
+`lists`, `matchings`, `color_neighbors` and `partners`. Covers are immutable
+after construction; generation is pure in (inputs, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import DomainError, MalformedInputError
 from .graphs import Graph
 from .rng import derive_rng
+
+
+def _ptr(counts) -> np.ndarray:
+    """CSR pointer array for segments of the given sizes."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _sizes_of(ptr: np.ndarray) -> np.ndarray:
+    """Segment sizes of a CSR array with pointer `ptr`."""
+    return ptr[1:] - ptr[:-1]
+
+
+def _segment_ids(ptr: np.ndarray) -> np.ndarray:
+    """Segment index of every entry of a CSR array with pointer `ptr`."""
+    return np.repeat(np.arange(ptr.size - 1, dtype=np.int64), _sizes_of(ptr))
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Concatenation of the index ranges [start, start + size)."""
+    ptr = _ptr(sizes)
+    return np.repeat(starts - ptr[:-1], sizes) + np.arange(ptr[-1], dtype=np.int64)
+
+
+def _split(flat: list, ptr: np.ndarray) -> tuple[tuple, ...]:
+    """A flat list cut into tuples at the CSR pointer `ptr`."""
+    it = iter(flat)
+    return tuple(tuple(islice(it, size)) for size in _sizes_of(ptr).tolist())
+
+
+def _in_order(*cols: np.ndarray, strict: bool = False) -> bool:
+    """True if the rows of the columns are in lexicographic order."""
+    if cols[0].size < 2:
+        return True
+    ok = None
+    for col in reversed(cols):
+        after, before = col[1:], col[:-1]
+        if ok is None:
+            ok = after > before if strict else after >= before
+        else:
+            ok = (after > before) | ((after == before) & ok)
+    return bool(ok.all())
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +82,8 @@ class CoverArrays:
     vlist_ptr/vlist_colors: colors grouped by owner vertex (CSR over vertices).
     nbr_ptr/nbr_idx: matched-color adjacency (CSR over colors, ids ascending).
     edge_ptr/pair_x/pair_y: matched pairs grouped by graph edge, x on the
-    lower-endpoint side; edge_keys/edge_u/edge_v give the edge order.
+    lower-endpoint side; edge_u/edge_v give the edge order. The cover's own
+    arrays are shared, not copied.
     """
 
     n_colors: int
@@ -34,126 +92,85 @@ class CoverArrays:
     vlist_colors: np.ndarray
     nbr_ptr: np.ndarray
     nbr_idx: np.ndarray
-    edge_keys: tuple[tuple[int, int], ...]
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_ptr: np.ndarray
     pair_x: np.ndarray
     pair_y: np.ndarray
 
+    @cached_property
+    def edge_keys(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.edge_u.tolist(), self.edge_v.tolist()))
 
-@dataclass(frozen=True, eq=True)
+
+@dataclass(frozen=True, eq=False)
 class Cover:
-    """The pair (lists, matchings); derived lookups are cached.
+    """A cover as read-only int64 arrays; derived lookups are cached.
 
-    `lists[v]` is the sorted tuple of color ids of vertex v. `matchings` maps
-    a canonical graph edge (u, v) with u < v to matched pairs (x, y) where
-    x belongs to u's list and y to v's. Constructors do not validate; use
-    `validate_cover` to check the cover conditions as data.
+    The colors of vertex v are vlist_colors[vlist_ptr[v]:vlist_ptr[v + 1]],
+    ascending. edge_u/edge_v list the matched vertex pairs (u <= v), sorted
+    and distinct; a pair with an empty matching is kept. The pairs (x, y) of
+    edge e are pair_x/pair_y[edge_ptr[e]:edge_ptr[e + 1]], sorted, with x on
+    u's side and y on v's. The constructors below produce this canonical
+    form and do not validate; use `validate_cover` to check the cover
+    conditions as data.
     """
 
-    lists: tuple[tuple[int, ...], ...]
-    matchings: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(hash=False)
+    vlist_ptr: np.ndarray
+    vlist_colors: np.ndarray
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_ptr: np.ndarray
+    pair_x: np.ndarray
+    pair_y: np.ndarray
+
+    def __post_init__(self):
+        for name in _STORED:
+            arr = getattr(self, name)
+            if not (
+                isinstance(arr, np.ndarray)
+                and arr.dtype == np.int64
+                and arr.ndim == 1
+                and not arr.flags.writeable
+            ):
+                arr = _freeze(np.array(arr, dtype=np.int64))
+                if arr.ndim != 1:
+                    raise DomainError(f"cover array {name} must be one-dimensional")
+                object.__setattr__(self, name, arr)
+        for ptr, n_entries in (
+            (self.vlist_ptr, self.vlist_colors.size),
+            (self.edge_ptr, self.pair_x.size),
+        ):
+            if (
+                ptr.size == 0
+                or ptr[0] != 0
+                or ptr[-1] != n_entries
+                or (_sizes_of(ptr) < 0).any()
+            ):
+                raise DomainError("cover arrays do not form consistent CSR segments")
+        if not (
+            self.edge_ptr.size == self.edge_u.size + 1 == self.edge_v.size + 1
+            and self.pair_y.size == self.pair_x.size
+        ):
+            raise DomainError("cover arrays disagree in length")
+
+    def __eq__(self, other):
+        if not isinstance(other, Cover):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _STORED
+        )
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name).tobytes() for name in _STORED))
 
     @property
     def n_vertices(self) -> int:
-        return len(self.lists)
-
-    @cached_property
-    def n_colors(self) -> int:
-        top = -1
-        for lst in self.lists:
-            for x in lst:
-                if x > top:
-                    top = x
-        return top + 1
-
-    @cached_property
-    def owner(self) -> np.ndarray:
-        """Color id -> owner vertex (first list containing it wins)."""
-        own = np.full(self.n_colors, -1, dtype=np.int64)
-        for v, lst in enumerate(self.lists):
-            for x in lst:
-                if own[x] < 0:
-                    own[x] = v
-        return own
-
-    @cached_property
-    def color_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Color id -> sorted matched color ids, mirrored from all matchings."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n_colors)]
-        for pairs in self.matchings.values():
-            for x, y in pairs:
-                nbrs[x].add(y)
-                nbrs[y].add(x)
-        return tuple(tuple(sorted(s)) for s in nbrs)
-
-    @cached_property
-    def partners(self) -> tuple[dict[int, int], ...]:
-        """Color id -> {neighbor vertex: matched color there}.
-
-        Well-defined only for covers satisfying the matching condition.
-        """
-        own = self.owner
-        out: list[dict[int, int]] = [dict() for _ in range(self.n_colors)]
-        for x in range(self.n_colors):
-            for y in self.color_neighbors[x]:
-                out[x][int(own[y])] = y
-        return tuple(out)
-
-    @cached_property
-    def arrays(self) -> CoverArrays:
-        nc = self.n_colors
-        list_sizes = np.array([len(lst) for lst in self.lists], dtype=np.int64)
-        vlist_ptr = np.zeros(len(self.lists) + 1, dtype=np.int64)
-        np.cumsum(list_sizes, out=vlist_ptr[1:])
-        vlist_colors = np.fromiter(
-            (x for lst in self.lists for x in lst), dtype=np.int64, count=int(vlist_ptr[-1])
-        )
-        degs = np.array([len(a) for a in self.color_neighbors], dtype=np.int64)
-        nbr_ptr = np.zeros(nc + 1, dtype=np.int64)
-        np.cumsum(degs, out=nbr_ptr[1:])
-        nbr_idx = np.fromiter(
-            (y for a in self.color_neighbors for y in a),
-            dtype=np.int64,
-            count=int(nbr_ptr[-1]),
-        )
-        edge_keys = tuple(sorted(self.matchings))
-        edge_u = np.array([u for u, _ in edge_keys], dtype=np.int64)
-        edge_v = np.array([v for _, v in edge_keys], dtype=np.int64)
-        pair_counts = np.array(
-            [len(self.matchings[e]) for e in edge_keys], dtype=np.int64
-        )
-        edge_ptr = np.zeros(len(edge_keys) + 1, dtype=np.int64)
-        np.cumsum(pair_counts, out=edge_ptr[1:])
-        pair_x = np.fromiter(
-            (x for e in edge_keys for x, _ in self.matchings[e]),
-            dtype=np.int64,
-            count=int(edge_ptr[-1]),
-        )
-        pair_y = np.fromiter(
-            (y for e in edge_keys for _, y in self.matchings[e]),
-            dtype=np.int64,
-            count=int(edge_ptr[-1]),
-        )
-        return CoverArrays(
-            n_colors=nc,
-            owner=self.owner,
-            vlist_ptr=vlist_ptr,
-            vlist_colors=vlist_colors,
-            nbr_ptr=nbr_ptr,
-            nbr_idx=nbr_idx,
-            edge_keys=edge_keys,
-            edge_u=edge_u,
-            edge_v=edge_v,
-            edge_ptr=edge_ptr,
-            pair_x=pair_x,
-            pair_y=pair_y,
-        )
+        return self.vlist_ptr.size - 1
 
     @property
     def k_per_vertex(self) -> tuple[int, ...]:
-        return tuple(len(lst) for lst in self.lists)
+        return tuple(_sizes_of(self.vlist_ptr).tolist())
 
     def uniform_list_size(self) -> int:
         """The common list size k, or raise if lists differ in size."""
@@ -162,75 +179,368 @@ class Cover:
             raise DomainError(f"list sizes are not uniform: {sorted(sizes)}")
         return sizes.pop()
 
+    @cached_property
+    def n_colors(self) -> int:
+        """One more than the largest color id in any list (0 if there is none)."""
+        if self.vlist_colors.size == 0:
+            return 0
+        return max(int(self.vlist_colors.max()) + 1, 0)
 
-def _canon_pairs(pairs) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((int(x), int(y)) for x, y in pairs))
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Color id -> owner vertex (first list containing it wins, -1 if none)."""
+        n = self.n_vertices
+        own = np.full(self.n_colors, n, dtype=np.int64)
+        listed = self.vlist_colors >= 0
+        np.minimum.at(
+            own, self.vlist_colors[listed], _segment_ids(self.vlist_ptr)[listed]
+        )
+        own[own == n] = -1
+        return _freeze(own)
+
+    @cached_property
+    def color_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matched-color adjacency (nbr_ptr, nbr_idx), CSR over color ids.
+
+        The neighbors of x are nbr_idx[nbr_ptr[x]:nbr_ptr[x + 1]]: every color
+        matched with x on some edge, ascending and without repeats.
+        """
+        nc = self.n_colors
+        src = np.concatenate([self.pair_x, self.pair_y])
+        dst = np.concatenate([self.pair_y, self.pair_x])
+        outside = (src < 0) | (src >= nc)
+        if outside.any():
+            raise DomainError(
+                f"matched color {int(src[outside][0])} is not a list color id"
+                f" in 0..{nc - 1}"
+            )
+        key = np.sort(src * nc + dst)
+        if key.size:
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+            nbr_ptr = _ptr(np.bincount(key // nc, minlength=nc))
+            nbr_idx = key % nc
+        else:
+            nbr_ptr, nbr_idx = np.zeros(nc + 1, dtype=np.int64), key
+        return _freeze(nbr_ptr), _freeze(nbr_idx)
+
+    @cached_property
+    def arrays(self) -> CoverArrays:
+        nbr_ptr, nbr_idx = self.color_adjacency
+        return CoverArrays(
+            n_colors=self.n_colors,
+            owner=self.owner,
+            vlist_ptr=self.vlist_ptr,
+            vlist_colors=self.vlist_colors,
+            nbr_ptr=nbr_ptr,
+            nbr_idx=nbr_idx,
+            edge_u=self.edge_u,
+            edge_v=self.edge_v,
+            edge_ptr=self.edge_ptr,
+            pair_x=self.pair_x,
+            pair_y=self.pair_y,
+        )
+
+    @cached_property
+    def _color_ints(self) -> list[int]:
+        """One int object per color id, shared by the views to save memory."""
+        return list(range(self.n_colors))
+
+    def _ints(self, ids: np.ndarray) -> list[int]:
+        """ids.tolist(), with each id of a list color as its shared int object."""
+        table = self._color_ints
+        if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
+            return ids.tolist()
+        return list(map(table.__getitem__, ids.tolist()))
+
+    @cached_property
+    def lists(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex -> sorted tuple of its color ids."""
+        return _split(self._ints(self.vlist_colors), self.vlist_ptr)
+
+    @cached_property
+    def matchings(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """Canonical vertex pair (u, v) -> sorted matched pairs (x, y)."""
+        pairs = zip(self._ints(self.pair_x), self._ints(self.pair_y))
+        keys = zip(self.edge_u.tolist(), self.edge_v.tolist())
+        sizes = _sizes_of(self.edge_ptr).tolist()
+        return {key: tuple(islice(pairs, size)) for key, size in zip(keys, sizes)}
+
+    @cached_property
+    def color_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Color id -> sorted matched color ids, mirrored from all matchings."""
+        nbr_ptr, nbr_idx = self.color_adjacency
+        return _split(self._ints(nbr_idx), nbr_ptr)
+
+    @cached_property
+    def partners(self) -> tuple[dict[int, int], ...]:
+        """Color id -> {neighbor vertex: matched color there}.
+
+        Well-defined only for covers satisfying the matching condition.
+        """
+        nbr_ptr, nbr_idx = self.color_adjacency
+        it = zip(self.owner[nbr_idx].tolist(), self._ints(nbr_idx))
+        return tuple(dict(islice(it, size)) for size in _sizes_of(nbr_ptr).tolist())
+
+
+# The arrays a Cover stores, in field order.
+_STORED = tuple(f.name for f in fields(Cover))
+
+
+# ---------------------------------------------------------------------------
+# construction
+
+
+def _int_array(values: list, what: str) -> np.ndarray:
+    """A flat list of integers as int64, or MalformedInputError."""
+    if not values:
+        return np.zeros(0, dtype=np.int64)
+    try:
+        arr = np.array(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"{what} must be integers: {exc}") from exc
+    if (
+        arr.ndim != 1
+        or arr.dtype.kind not in "iu"
+        or (arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max)
+    ):
+        raise MalformedInputError(f"{what} must be integers in the int64 range")
+    return arr.astype(np.int64, copy=False)
+
+
+def _sizes(groups: list, what: str) -> list[int]:
+    """Lengths of list-like groups; strings and mappings are not lists."""
+    try:
+        if any(isinstance(gr, (str, bytes, dict)) for gr in groups):
+            raise TypeError
+        return [len(gr) for gr in groups]
+    except TypeError:
+        raise MalformedInputError(f"each {what} must be a list") from None
+
+
+def _cover_from_raw(lists, key_u: list, key_v: list, groups: list) -> Cover:
+    """The canonical Cover of raw lists, matching keys and their pair lists.
+
+    Sorts each list and each matching, swaps the sides of a key given as
+    (v, u) with u < v, and keeps the last of several keys naming the same
+    vertex pair. Anything that is not integer data of the right shape raises
+    MalformedInputError.
+    """
+    lists = list(lists)
+    list_sizes = _sizes(lists, "color list")
+    colors = _int_array(list(chain.from_iterable(lists)), "color ids")
+    vlist_ptr = _ptr(list_sizes)
+    vid = _segment_ids(vlist_ptr)
+    if not _in_order(vid, colors):
+        colors = colors[np.lexsort((colors, vid))]
+
+    edge_u = _int_array(key_u, "matching keys")
+    edge_v = _int_array(key_v, "matching keys")
+    edge_ptr = _ptr(_sizes(groups, "matching"))
+    pairs = list(chain.from_iterable(groups))
+    try:
+        pair_len = np.fromiter(map(len, pairs), dtype=np.int64, count=len(pairs))
+    except TypeError:
+        raise MalformedInputError("each matched pair must be a list [x, y]") from None
+    if (pair_len != 2).any():
+        raise MalformedInputError(
+            f"a matched pair must have 2 entries, got {int(pair_len[pair_len != 2][0])}"
+        )
+    flat = _int_array(list(chain.from_iterable(pairs)), "matched color ids")
+    x, y = flat.reshape(-1, 2).T.copy()
+
+    swap = edge_u > edge_v
+    if swap.any():
+        edge_u, edge_v = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
+        flip = swap[_segment_ids(edge_ptr)]
+        x, y = np.where(flip, y, x), np.where(flip, x, y)
+    if not _in_order(edge_u, edge_v, strict=True):
+        order = np.lexsort((np.arange(edge_u.size), edge_v, edge_u))
+        su, sv = edge_u[order], edge_v[order]
+        last = np.ones(order.size, dtype=bool)
+        last[:-1] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+        kept = order[last]
+        sizes = _sizes_of(edge_ptr)[kept]
+        take = _ranges(edge_ptr[kept], sizes)
+        edge_u, edge_v, x, y = edge_u[kept], edge_v[kept], x[take], y[take]
+        edge_ptr = _ptr(sizes)
+    pe = _segment_ids(edge_ptr)
+    if not _in_order(pe, x, y):
+        order = np.lexsort((y, x, pe))
+        x, y = x[order], y[order]
+    return _frozen_cover(vlist_ptr, colors, edge_u, edge_v, edge_ptr, x, y)
+
+
+def _frozen_cover(*arrays: np.ndarray) -> Cover:
+    """A Cover that takes over freshly built int64 arrays without copying them."""
+    return Cover(*map(_freeze, arrays))
 
 
 def make_cover(lists, matchings) -> Cover:
-    """Canonicalize raw lists/matchings into a Cover (no validation)."""
-    canon_lists = tuple(tuple(sorted(int(x) for x in lst)) for lst in lists)
-    canon_match = {}
-    for (u, v), pairs in matchings.items():
-        u, v = int(u), int(v)
-        if u > v:
-            u, v = v, u
-            pairs = [(y, x) for x, y in pairs]
-        canon_match[(u, v)] = _canon_pairs(pairs)
-    return Cover(lists=canon_lists, matchings=canon_match)
+    """Canonicalize raw lists/matchings into a Cover (no validation).
+
+    `matchings` maps vertex pairs (u, v) to pairs (x, y) with x at u and y at
+    v; a key (v, u) with v > u is turned round, and of several keys naming
+    the same vertex pair the last one wins.
+    """
+    keys = list(matchings)
+    try:
+        key_u = [u for u, _ in keys]
+        key_v = [v for _, v in keys]
+    except (TypeError, ValueError):
+        raise MalformedInputError("matching keys must be vertex pairs (u, v)") from None
+    return _cover_from_raw(lists, key_u, key_v, list(matchings.values()))
+
+
+def _codes(values: np.ndarray, universe: np.ndarray) -> tuple[np.ndarray, int]:
+    """Codes in 0..size-1 for the values found in `universe`, -1 for the others.
+
+    Equal values get equal codes. The code is the offset from the smallest
+    id when the universe spans a range not much wider than its size, else
+    the rank among its distinct ids.
+    """
+    if universe.size == 0:
+        return np.full(values.shape, -1, dtype=np.int64), 1
+    lo, hi = int(universe.min()), int(universe.max())
+    if hi - lo < 4 * universe.size + 1024:
+        present = np.zeros(hi - lo + 1, dtype=bool)
+        present[universe - lo] = True
+        inside = (values >= lo) & (values <= hi)
+        code = np.where(inside, values - lo, 0)
+        return np.where(inside & present[code], code, -1), hi - lo + 1
+    distinct = np.sort(universe)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    pos = np.minimum(np.searchsorted(distinct, values), distinct.size - 1)
+    return np.where(distinct[pos] == values, pos, -1), distinct.size
+
+
+def _first_seen(seg: np.ndarray, code: np.ndarray, size: int) -> np.ndarray:
+    """For each entry, the index of the first entry with the same (seg, code)."""
+    key = seg * size + code
+    idx = np.arange(key.size, dtype=np.int64)
+    srt = np.sort(key)
+    if not (srt[1:] == srt[:-1]).any():
+        return idx
+    order = np.argsort(key, kind="stable")
+    srt = key[order]
+    start = np.concatenate(([True], srt[1:] != srt[:-1]))
+    first = np.empty_like(idx)
+    first[order] = order[start][np.cumsum(start) - 1]
+    return first
 
 
 def validate_cover(g: Graph, cover: Cover) -> list[str]:
     """Check the two cover conditions plus list disjointness.
 
     Returns a list of human-readable violations; empty means the cover is
-    valid. Violations are data, not exceptions.
+    valid. Violations are data, not exceptions. List problems come first, in
+    list order; then the problems of each matching, in (u, v) order.
     """
-    problems = []
     if cover.n_vertices != g.n:
-        problems.append(
-            f"cover has {cover.n_vertices} lists but graph has {g.n} vertices"
-        )
-        return problems
-    seen: dict[int, int] = {}
-    for v, lst in enumerate(cover.lists):
-        for x in lst:
-            if x < 0:
-                problems.append(f"negative color id {x} at vertex {v}")
-            elif x in seen:
-                problems.append(
-                    f"lists not disjoint: color {x} in lists of {seen[x]} and {v}"
-                )
-            else:
-                seen[x] = v
-    for (u, v), pairs in cover.matchings.items():
-        if not (0 <= u < g.n and 0 <= v < g.n and u != v):
+        return [f"cover has {cover.n_vertices} lists but graph has {g.n} vertices"]
+    problems = []
+    colors = cover.vlist_colors
+    vid = _segment_ids(cover.vlist_ptr)
+    slot = np.arange(colors.size, dtype=np.int64)
+    code, size = _codes(colors, colors)
+    first = np.full(size, colors.size, dtype=np.int64)
+    np.minimum.at(first, code, slot)
+    for i in np.flatnonzero((colors < 0) | (first[code] != slot)).tolist():
+        x, v = int(colors[i]), int(vid[i])
+        if x < 0:
+            problems.append(f"negative color id {x} at vertex {v}")
+        else:
+            problems.append(
+                f"lists not disjoint: color {x} in lists of {int(vid[first[code[i]]])}"
+                f" and {v}"
+            )
+
+    eu, ev = cover.edge_u, cover.edge_v
+    bad_key = (eu < 0) | (ev >= g.n) | (eu == ev)
+    ptr, idx = g.csr
+    graph_keys = _segment_ids(ptr) * g.n + idx
+    non_edge = ~bad_key & ~np.isin(eu * g.n + ev, graph_keys)
+
+    # A pair leaves the lists unless x is in u's list and y in v's. The
+    # first list holding a color is checked directly; a color held by
+    # several lists (already reported above) is looked up exactly.
+    pe = _segment_ids(cover.edge_ptr)
+    px, py = cover.pair_x, cover.pair_y
+    holder = np.append(vid, -1)[np.append(first, colors.size)]
+    shared = np.bincount(code, minlength=size) > 1
+    held = {(int(a), int(b)) for a, b in zip(vid[shared[code]], colors[shared[code]])}
+
+    def in_lists(verts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        c, _ = _codes(xs, colors)
+        ok = holder[c] == verts
+        for j in np.flatnonzero(~ok & (c >= 0) & shared[c]).tolist():
+            ok[j] = (int(verts[j]), int(xs[j])) in held
+        return ok
+
+    on_pair = ~bad_key[pe]
+    leaves = on_pair & ~(in_lists(eu[pe], px) & in_lists(ev[pe], py))
+    pos = np.arange(px.size, dtype=np.int64)
+    x_again = _first_seen(pe, *_codes(px, px)) != pos
+    y_again = _first_seen(pe, *_codes(py, py)) != pos
+    reused = on_pair & (x_again | y_again)
+    flagged = np.flatnonzero(leaves | reused)
+    flagged_edges = np.flatnonzero(
+        bad_key | non_edge | (np.bincount(pe[flagged], minlength=eu.size) > 0)
+    )
+    for e in flagged_edges.tolist():
+        u, v = int(eu[e]), int(ev[e])
+        if bad_key[e]:
             problems.append(f"matching key ({u},{v}) is not a vertex pair")
             continue
-        if not g.has_edge(u, v):
+        if non_edge[e]:
             problems.append(
                 f"matched pair on ({u},{v}) but that is not an edge of the graph"
             )
-        used_u: set[int] = set()
-        used_v: set[int] = set()
-        lu, lv = set(cover.lists[u]), set(cover.lists[v])
-        for x, y in pairs:
-            if x not in lu or y not in lv:
+        lo, hi = np.searchsorted(flagged, cover.edge_ptr[e : e + 2])
+        for j in flagged[lo:hi].tolist():
+            x, y = int(px[j]), int(py[j])
+            if leaves[j]:
                 problems.append(
                     f"pair ({x},{y}) on edge ({u},{v}) leaves the endpoint lists"
                 )
-            if x in used_u or y in used_v:
+            if reused[j]:
                 problems.append(
                     f"matching condition violated on edge ({u},{v}):"
                     f" color reused by pair ({x},{y})"
                 )
-            used_u.add(x)
-            used_v.add(y)
     return problems
 
 
-def _fresh_lists(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(range(v * k, (v + 1) * k)) for v in range(g.n))
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints (u, v) of the graph's canonical edges, as two int64 arrays."""
+    return np.array(g.edges, dtype=np.int64).reshape(-1, 2).T.copy()
+
+
+def _fresh_cover(
+    g: Graph, k: int, sigma: np.ndarray, keep: np.ndarray | None = None
+) -> Cover:
+    """Fresh k-lists (vertex v owns v*k .. v*k+k-1) with permutation matchings.
+
+    On the e-th edge (u, v), color i of u is matched with color sigma[e, i]
+    of v, for each i with keep[e, i] (all i when keep is None).
+    """
+    edge_u, edge_v = _edge_arrays(g)
+    pair_x = edge_u[:, None] * k + np.arange(k, dtype=np.int64)
+    pair_y = edge_v[:, None] * k + sigma
+    if keep is None:
+        edge_ptr = np.arange(g.m + 1, dtype=np.int64) * k
+        pair_x, pair_y = pair_x.ravel(), pair_y.ravel()
+    else:
+        edge_ptr = _ptr(keep.sum(axis=1))
+        pair_x, pair_y = pair_x[keep], pair_y[keep]
+    return _frozen_cover(
+        np.arange(g.n + 1, dtype=np.int64) * k,
+        np.arange(g.n * k, dtype=np.int64),
+        edge_u,
+        edge_v,
+        edge_ptr,
+        pair_x,
+        pair_y,
+    )
 
 
 def lift_from_lists(g: Graph, label_lists) -> Cover:
@@ -244,23 +554,34 @@ def lift_from_lists(g: Graph, label_lists) -> Cover:
     per_vertex = [sorted(set(lst)) for lst in label_lists]
     if any(len(lst) == 0 for lst in per_vertex):
         raise DomainError("every vertex needs a nonempty label list")
-    offsets = [0]
-    for lst in per_vertex:
-        offsets.append(offsets[-1] + len(lst))
-    label_to_id = [
-        {lab: offsets[v] + i for i, lab in enumerate(lst)}
-        for v, lst in enumerate(per_vertex)
-    ]
-    lists = tuple(tuple(range(offsets[v], offsets[v + 1])) for v in range(g.n))
-    matchings = {}
-    for u, v in g.edges:
-        pairs = [
-            (label_to_id[u][lab], label_to_id[v][lab])
-            for lab in per_vertex[u]
-            if lab in label_to_id[v]
-        ]
-        matchings[(u, v)] = _canon_pairs(pairs)
-    return Cover(lists=lists, matchings=matchings)
+    label_code: dict = {}
+    codes = np.array(
+        [label_code.setdefault(lab, len(label_code)) for lst in per_vertex for lab in lst],
+        dtype=np.int64,
+    )
+    vlist_ptr = _ptr([len(lst) for lst in per_vertex])
+    n_colors = int(vlist_ptr[-1])
+    # Color c is the pair (vertex, label); look up the color of (v, label(x))
+    # for every color x of u on every edge (u, v).
+    color_key = _segment_ids(vlist_ptr) * len(label_code) + codes
+    order = np.argsort(color_key)
+    sorted_key = color_key[order]
+    edge_u, edge_v = _edge_arrays(g)
+    sizes = _sizes_of(vlist_ptr)[edge_u]
+    pe = np.repeat(np.arange(g.m, dtype=np.int64), sizes)
+    x = _ranges(vlist_ptr[edge_u], sizes)
+    want = edge_v[pe] * len(label_code) + codes[x]
+    pos = np.minimum(np.searchsorted(sorted_key, want), n_colors - 1)
+    found = sorted_key[pos] == want
+    return _frozen_cover(
+        vlist_ptr,
+        np.arange(n_colors, dtype=np.int64),
+        edge_u,
+        edge_v,
+        _ptr(np.bincount(pe[found], minlength=g.m)),
+        x[found],
+        order[pos[found]],
+    )
 
 
 def random_cover(
@@ -279,16 +600,15 @@ def random_cover(
     if mode == "bernoulli" and not (0.0 <= q <= 1.0):
         raise DomainError(f"bernoulli keep-probability must be in [0,1], got {q}")
     rng = derive_rng(seed, "random-cover", mode)
-    lists = _fresh_lists(g, k)
-    matchings = {}
-    for u, v in g.edges:
-        perm = rng.permutation(k)
-        pairs = [(u * k + i, v * k + int(perm[i])) for i in range(k)]
-        if mode == "bernoulli":
-            keep = rng.random(k) < q
-            pairs = [p for p, kp in zip(pairs, keep) if kp]
-        matchings[(u, v)] = _canon_pairs(pairs)
-    return Cover(lists=lists, matchings=matchings)
+    # One permutation per edge, then (bernoulli) one keep draw, edge by edge:
+    # this order is the random stream that fixes every generated cover.
+    sigma = np.empty((g.m, k), dtype=np.int64)
+    keep = np.empty((g.m, k), dtype=bool) if mode == "bernoulli" else None
+    for e in range(g.m):
+        sigma[e] = rng.permutation(k)
+        if keep is not None:
+            keep[e] = rng.random(k) < q
+    return _fresh_cover(g, k, sigma, keep)
 
 
 def cover_from_permutations(g: Graph, k: int, perms) -> Cover:
@@ -298,16 +618,15 @@ def cover_from_permutations(g: Graph, k: int, perms) -> Cover:
     matching color i of u with color sigma[i] of v. Missing edges get the
     identity permutation.
     """
-    lists = _fresh_lists(g, k)
-    matchings = {}
-    for u, v in g.edges:
-        sigma = perms.get((u, v), tuple(range(k)))
-        if sorted(sigma) != list(range(k)):
-            raise DomainError(f"not a permutation of 0..{k-1} on edge ({u},{v}): {sigma}")
-        matchings[(u, v)] = _canon_pairs(
-            (u * k + i, v * k + int(sigma[i])) for i in range(k)
-        )
-    return Cover(lists=lists, matchings=matchings)
+    sigma = np.tile(np.arange(k, dtype=np.int64), (g.m, 1))
+    for e, edge in enumerate(g.edges):
+        if edge in perms:
+            s = perms[edge]
+            if sorted(s) != list(range(k)):
+                u, v = edge
+                raise DomainError(f"not a permutation of 0..{k-1} on edge ({u},{v}): {s}")
+            sigma[e] = [int(i) for i in s]
+    return _fresh_cover(g, k, sigma)
 
 
 def shifted_cycle_cover(m: int, k: int = 2) -> Cover:
@@ -333,12 +652,16 @@ def shifted_cycle_cover(m: int, k: int = 2) -> Cover:
 
 
 def cover_to_json_dict(cover: Cover) -> dict:
+    sizes = _sizes_of(cover.vlist_ptr).tolist()
+    colors = iter(cover.vlist_colors.tolist())
+    pairs = iter(np.column_stack([cover.pair_x, cover.pair_y]).tolist())
+    keys = zip(cover.edge_u.tolist(), cover.edge_v.tolist())
     return {
-        "k_per_vertex": list(cover.k_per_vertex),
-        "lists": [list(lst) for lst in cover.lists],
+        "k_per_vertex": sizes,
+        "lists": [list(islice(colors, size)) for size in sizes],
         "matchings": {
-            f"{u},{v}": [[x, y] for x, y in pairs]
-            for (u, v), pairs in sorted(cover.matchings.items())
+            f"{u},{v}": list(islice(pairs, size))
+            for (u, v), size in zip(keys, _sizes_of(cover.edge_ptr).tolist())
         },
     }
 
@@ -346,19 +669,21 @@ def cover_to_json_dict(cover: Cover) -> dict:
 def cover_from_json_dict(doc) -> Cover:
     if not isinstance(doc, dict) or "lists" not in doc or "matchings" not in doc:
         raise MalformedInputError('cover document needs keys "lists" and "matchings"')
-    try:
-        lists = [list(map(int, lst)) for lst in doc["lists"]]
-        matchings = {}
-        for key, pairs in doc["matchings"].items():
-            u_str, v_str = key.split(",")
-            matchings[(int(u_str), int(v_str))] = [(int(x), int(y)) for x, y in pairs]
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise MalformedInputError(f"bad cover document: {exc}") from exc
-    if "k_per_vertex" in doc:
-        declared = [int(x) for x in doc["k_per_vertex"]]
-        actual = [len(lst) for lst in lists]
-        if declared != actual:
+    lists, matchings = doc["lists"], doc["matchings"]
+    if not isinstance(lists, list) or not isinstance(matchings, dict):
+        raise MalformedInputError('"lists" must be an array and "matchings" an object')
+    key_u, key_v = [], []
+    for key in matchings:
+        parts = key.split(",") if isinstance(key, str) else ()
+        try:
+            u, v = (int(part) for part in parts)
+        except ValueError:
             raise MalformedInputError(
-                "k_per_vertex disagrees with list lengths"
-            )
-    return make_cover(lists, matchings)
+                f'matching key {key!r} is not of the form "u,v"'
+            ) from None
+        key_u.append(u)
+        key_v.append(v)
+    cover = _cover_from_raw(lists, key_u, key_v, list(matchings.values()))
+    if "k_per_vertex" in doc and doc["k_per_vertex"] != list(cover.k_per_vertex):
+        raise MalformedInputError("k_per_vertex disagrees with list lengths")
+    return cover

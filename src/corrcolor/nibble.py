@@ -228,9 +228,10 @@ def reduct_step(
     )
     removed_mask = state.alive & (sampled_per_vertex > 0) & (hit_sampled_per_vertex == 0)
     removed = tuple(int(v) for v in np.flatnonzero(removed_mask))
-    forced = {
-        v: tuple(int(x) for x in cover.lists[v] if in_s[x]) for v in removed
-    }
+    forced = {}
+    for v in removed:
+        colors = arrs.vlist_colors[arrs.vlist_ptr[v] : arrs.vlist_ptr[v + 1]]
+        forced[v] = tuple(colors[in_s[colors]].tolist())
     record = ReductRecord(removed=removed, forced=forced)
 
     post_alive = state.alive & ~removed_mask
@@ -445,26 +446,22 @@ def final_color(
         raise DomainError(
             "inclusion probability exceeds 1; delta is not a valid niceness slack"
         )
-    alive_verts = state.alive_vertices()
-    lists = state.cover.lists
+    n_alive = state.n_alive
+    colors = arrs.vlist_colors
     for attempt in range(1, max_retries + 1):
         rng = derive_rng(seed, "final-color", attempt)
         included = rng.random(arrs.n_colors) < probs
         blocked = kernels.mask_counts(arrs.nbr_ptr, arrs.nbr_idx, included) > 0
         survivor = included & ~blocked
-        chosen: dict[int, int] = {}
-        for v in alive_verts:
-            pick = -1
-            for x in lists[v]:
-                if survivor[x]:
-                    pick = x
-                    break
-            if pick < 0:
-                chosen = {}
-                break
-            chosen[int(v)] = int(pick)
-        if chosen or alive_verts.size == 0:
-            return chosen, attempt
+        # Survivors are live colors, so the round succeeds when the number of
+        # vertices holding one is the number of live vertices.
+        slots = np.flatnonzero(survivor[colors])
+        holders = np.searchsorted(arrs.vlist_ptr, slots, side="right") - 1
+        lowest = np.ones(slots.size, dtype=bool)
+        lowest[1:] = holders[1:] != holders[:-1]
+        if int(lowest.sum()) == n_alive:
+            picks = colors[slots[lowest]].tolist()
+            return dict(zip(holders[lowest].tolist(), picks)), attempt
     return None, max_retries
 
 
@@ -644,7 +641,7 @@ def run_nibble(
         raise DomainError("lists must be nonempty")
 
     if g.m == 0:
-        coloring = {v: cover.lists[v][0] for v in range(g.n)}
+        coloring = dict(enumerate(cover.vlist_colors[cover.vlist_ptr[:-1]].tolist()))
         return NibbleResult(
             status="success",
             coloring=coloring,

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .covers import Cover
 from .errors import DomainError, MalformedInputError, SearchBudgetExceeded
 from .graphs import Graph
@@ -29,24 +31,54 @@ def check_coloring(
 ) -> str | None:
     """First violated coloring condition, or None if the coloring is valid.
 
+    Vertices are checked in ascending order for a missing color or a color
+    off their list; then every matched pair is checked, and the clash at the
+    lowest vertex (then lowest partner color) is reported. The check reads
+    the cover's arrays, so it is meant for covers that pass `validate_cover`.
     Raises MalformedInputError when a chosen id is not a color of the cover.
     """
-    verts = sorted(vertices) if vertices is not None else range(g.n)
-    vert_set = set(verts)
+    verts = sorted(vertices) if vertices is not None else list(range(g.n))
+    for v in verts[:1] + verts[-1:]:
+        if not 0 <= v < g.n:
+            raise DomainError(f"vertex {v} out of range")
+    ids = []
     for v in verts:
         if v not in coloring:
-            return f"vertex {v} has no color"
-        x = coloring[v]
-        if not (0 <= x < cover.n_colors) or cover.owner[x] < 0:
+            break
+        ids.append(coloring[v])
+    xs = np.array(ids) if ids else np.zeros(0, dtype=np.int64)
+    if xs.dtype.kind not in "iu":
+        raise MalformedInputError(f"chosen ids must be integer color ids, got {ids}")
+    xs = xs.astype(np.int64)
+    vs = np.array(verts[: len(ids)], dtype=np.int64)
+    known = (xs >= 0) & (xs < cover.n_colors)
+    own = np.append(cover.owner, -1)[np.where(known, xs, -1)]
+    suspect = np.flatnonzero((own < 0) | (own != vs))
+    for i in suspect.tolist():
+        v, x = int(vs[i]), int(xs[i])
+        if own[i] < 0:
             raise MalformedInputError(f"chosen id {x} is not a color of the cover")
-        if x not in cover.lists[v]:
+        # a color listed at several vertices (an invalid cover) is looked up
+        if x not in cover.vlist_colors[cover.vlist_ptr[v] : cover.vlist_ptr[v + 1]]:
             return f"color {x} at vertex {v} is not in that vertex's list"
-    for v in verts:
-        x = coloring[v]
-        for u, y in cover.partners[x].items():
-            if u in vert_set and u in coloring and coloring[u] == y:
-                return f"matched colors chosen on edge ({min(u,v)},{max(u,v)})"
-    return None
+    if len(ids) < len(verts):
+        return f"vertex {verts[len(ids)]} has no color"
+
+    # chooser[x + 1] is the vertex that chose color x, -1 if none; ids
+    # outside 0..n_colors-1 (only in invalid covers) read the -1 at either end.
+    chooser = np.full(cover.n_colors + 2, -1, dtype=np.int64)
+    chooser[xs + 1] = vs
+    px, py = cover.pair_x, cover.pair_y
+    at_x = chooser.take(px + 1, mode="clip")
+    at_y = chooser.take(py + 1, mode="clip")
+    clash = np.flatnonzero((at_x >= 0) & (at_y >= 0))
+    if clash.size == 0:
+        return None
+    # Each clash is seen from both ends: (vertex, partner's color, partner).
+    seen = [(int(at_x[j]), int(py[j]), int(at_y[j])) for j in clash.tolist()]
+    seen += [(int(at_y[j]), int(px[j]), int(at_x[j])) for j in clash.tolist()]
+    v, _, u = min(seen)
+    return f"matched colors chosen on edge ({min(u, v)},{max(u, v)})"
 
 
 def is_valid_coloring(g: Graph, cover: Cover, coloring: Coloring, vertices=None) -> bool:
@@ -125,7 +157,7 @@ def _search(
         raise DomainError(f"node budget must be non-negative, got {node_budget}")
     verts, domains = _prepared_domains(g, cover, restrict, vertices)
     if any(not dom for dom in domains):
-        return SolveOutcome("not-colorable", None, 0, 0)
+        return SolveOutcome("not-colorable", None, 0 if count_all else None, 0)
 
     # Vertices become local indices 0..n-1 in id order, and colors become bit
     # positions in their vertex's domain, in ascending id order.

@@ -3,18 +3,24 @@
 The oracles here deliberately avoid the package's own search and kernel
 code paths: transversal enumeration by brute force, a plain recursive
 backtracking search over dicts and sets, triangle detection by triple scan,
-and exact mass recomputation with fsum over shuffled orders.
+exact mass recomputation with fsum over shuffled orders, and the cover
+views, arrays, validation and coloring check derived by plain Python loops
+from raw lists and matchings, without `corrcolor.covers`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import TYPE_CHECKING
 
 import pytest
 
-from corrcolor import Cover, Graph, build_graph, random_cover
+from corrcolor import Graph, build_graph
 from corrcolor.rng import derive_int_seed, derive_rng
+
+if TYPE_CHECKING:
+    from corrcolor import Cover
 
 
 def brute_force_colorings(g: Graph, cover: Cover, allowed=None) -> list[dict]:
@@ -61,7 +67,7 @@ def reference_search(g: Graph, cover: Cover, restrict=None, vertices=None, count
         if v in domains and allowed is not None:
             domains[v] = set(allowed)
     if any(not dom for dom in domains.values()):
-        return "not-colorable", None, 0, 0
+        return "not-colorable", None, 0 if count else None, 0
     undecided = set(verts)
     chosen = {}
     first = None
@@ -101,6 +107,140 @@ def reference_search(g: Graph, cover: Cover, restrict=None, vertices=None, count
     if n_found:
         return "colorable", first, n_found if count else None, nodes
     return "not-colorable", None, 0 if count else None, nodes
+
+
+def reference_cover_views(raw_lists, raw_matchings) -> dict:
+    """Every view of the cover of raw lists and matchings, by plain loops.
+
+    Lists are sorted; a matching key (v, u) with v > u is turned round, its
+    pairs sorted, and of two keys naming the same vertex pair the later
+    wins. `owner` maps each id 0..n_colors-1 to the first list holding it
+    (-1 if none; negative ids have no owner). `color_neighbors`, `partners`
+    and the adjacency arrays are None when a matched id is not in
+    0..n_colors-1. The array fields are lists of ints in the layout of
+    `Cover.arrays`.
+    """
+    lists = tuple(tuple(sorted(int(x) for x in lst)) for lst in raw_lists)
+    matchings = {}
+    for (u, v), pairs in raw_matchings.items():
+        u, v = int(u), int(v)
+        if u > v:
+            u, v = v, u
+            pairs = [(y, x) for x, y in pairs]
+        matchings[(u, v)] = tuple(sorted((int(x), int(y)) for x, y in pairs))
+    n_colors = max([x + 1 for lst in lists for x in lst] + [0])
+    owner = [-1] * n_colors
+    for v, lst in enumerate(lists):
+        for x in lst:
+            if x >= 0 and owner[x] < 0:
+                owner[x] = v
+    edge_keys = sorted(matchings)
+    out = {
+        "lists": lists,
+        "matchings": matchings,
+        "n_colors": n_colors,
+        "owner": owner,
+        "vlist_ptr": list(itertools.accumulate((len(lst) for lst in lists), initial=0)),
+        "vlist_colors": [x for lst in lists for x in lst],
+        "edge_keys": tuple(edge_keys),
+        "edge_u": [u for u, _ in edge_keys],
+        "edge_v": [v for _, v in edge_keys],
+        "edge_ptr": list(
+            itertools.accumulate((len(matchings[e]) for e in edge_keys), initial=0)
+        ),
+        "pair_x": [x for e in edge_keys for x, _ in matchings[e]],
+        "pair_y": [y for e in edge_keys for _, y in matchings[e]],
+        "color_neighbors": None,
+        "partners": None,
+        "nbr_ptr": None,
+        "nbr_idx": None,
+    }
+    ids = [x for pairs in matchings.values() for pair in pairs for x in pair]
+    if all(0 <= x < n_colors for x in ids):
+        nbrs = [set() for _ in range(n_colors)]
+        for pairs in matchings.values():
+            for x, y in pairs:
+                nbrs[x].add(y)
+                nbrs[y].add(x)
+        neighbors = tuple(tuple(sorted(s)) for s in nbrs)
+        partners = []
+        for x in range(n_colors):
+            partners.append({})
+            for y in neighbors[x]:
+                partners[x][owner[y]] = y
+        out["color_neighbors"] = neighbors
+        out["partners"] = tuple(partners)
+        out["nbr_ptr"] = list(itertools.accumulate(map(len, neighbors), initial=0))
+        out["nbr_idx"] = [y for a in neighbors for y in a]
+    return out
+
+
+def reference_validate(g: Graph, lists, matchings) -> list[str]:
+    """The cover conditions checked by plain loops over canonical views.
+
+    Lists first, in list order; then each matching in (u, v) order.
+    """
+    problems = []
+    if len(lists) != g.n:
+        return [f"cover has {len(lists)} lists but graph has {g.n} vertices"]
+    seen: dict[int, int] = {}
+    for v, lst in enumerate(lists):
+        for x in lst:
+            if x < 0:
+                problems.append(f"negative color id {x} at vertex {v}")
+            elif x in seen:
+                problems.append(
+                    f"lists not disjoint: color {x} in lists of {seen[x]} and {v}"
+                )
+            else:
+                seen[x] = v
+    for (u, v), pairs in sorted(matchings.items()):
+        if not (0 <= u < g.n and 0 <= v < g.n and u != v):
+            problems.append(f"matching key ({u},{v}) is not a vertex pair")
+            continue
+        if not g.has_edge(u, v):
+            problems.append(
+                f"matched pair on ({u},{v}) but that is not an edge of the graph"
+            )
+        used_u: set[int] = set()
+        used_v: set[int] = set()
+        lu, lv = set(lists[u]), set(lists[v])
+        for x, y in pairs:
+            if x not in lu or y not in lv:
+                problems.append(
+                    f"pair ({x},{y}) on edge ({u},{v}) leaves the endpoint lists"
+                )
+            if x in used_u or y in used_v:
+                problems.append(
+                    f"matching condition violated on edge ({u},{v}):"
+                    f" color reused by pair ({x},{y})"
+                )
+            used_u.add(x)
+            used_v.add(y)
+    return problems
+
+
+def reference_check_coloring(g: Graph, lists, matchings, coloring, vertices=None):
+    """First violated coloring condition by plain loops, or None.
+
+    Returns "malformed" where `check_coloring` must raise MalformedInputError.
+    """
+    views = reference_cover_views(lists, matchings)
+    owner, partners = views["owner"], views["partners"]
+    verts = sorted(vertices) if vertices is not None else range(g.n)
+    for v in verts:
+        if v not in coloring:
+            return f"vertex {v} has no color"
+        x = coloring[v]
+        if not (0 <= x < len(owner)) or owner[x] < 0:
+            return "malformed"
+        if x not in lists[v]:
+            return f"color {x} at vertex {v} is not in that vertex's list"
+    for v in verts:
+        for u, y in partners[coloring[v]].items():
+            if u in verts and coloring[u] == y:
+                return f"matched colors chosen on edge ({min(u, v)},{max(u, v)})"
+    return None
 
 
 def brute_force_triangle_free(g: Graph) -> bool:
@@ -153,5 +293,7 @@ def c4_equal_lift():
 
 @pytest.fixture
 def single_edge_cover():
+    from corrcolor import random_cover
+
     g = build_graph(2, [(0, 1)])
     return g, random_cover(g, 2, seed=7)

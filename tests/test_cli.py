@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -69,6 +70,47 @@ class TestGenerate:
         assert cover_from_json_dict(doc) == random_cover(gen_cycle(6), 3, seed=5)
 
 
+class TestByteIdentity:
+    """Outputs pinned to digests recorded before covers became arrays."""
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                ["--seed", "1"],
+                "465126222fd2f852a89e4715baa0185af1baf5d482d9b9a0668d3b81b8660c8c",
+            ),
+            (
+                ["--seed", "2"],
+                "0ffda721fb3598ee072f3caf739d2f370abecac28f7f9c2fef8b297e54f74e72",
+            ),
+            (
+                ["--seed", "3", "--mode", "bernoulli", "--q", "0.4"],
+                "2e558853ba07a9405f7426459506863c9a0f237491ee438f862af3cd879cb8fa",
+            ),
+        ],
+    )
+    def test_gen_cover_digest(self, tmp_path, capsys, flags, digest):
+        gpath, cpath = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+        assert main([
+            "gen-graph", "random-bipartite-regular", "--n-side", "8", "--d", "3",
+            "--seed", "4", "--out", gpath,
+        ]) == 0
+        argv = ["gen-cover", "--graph", gpath, "--k", "5", *flags, "--out", cpath]
+        assert main(argv) == 0
+        assert hashlib.sha256(Path(cpath).read_bytes()).hexdigest() == digest
+
+    def test_readme_nibble_digest(self):
+        g = corrcolor.gen_random_bipartite_regular(100, 12, seed=7)
+        cover = random_cover(g, 30, seed=8)
+        result = corrcolor.run_nibble(g, cover, corrcolor.relaxed_params(), seed=9)
+        payload = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert (result.status, result.steps) == ("success", 7)
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "a73eefda2ca8fa9274b1b660315c154c27ca74c2fe897b3e06d2b09d74af89bf"
+        )
+
+
 class TestValidateAndSolve:
     def test_validate_ok(self, capsys, c6_files):
         gpath, cpath = c6_files
@@ -124,6 +166,35 @@ class TestValidateAndSolve:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "restrict", [{"a": [1]}, {"0": 5}, {"0": ["1"]}, {"0": [1.5]}], ids=str
+    )
+    def test_solve_restrict_malformed_is_exit_2(self, tmp_path, capsys, c6_files, restrict):
+        gpath, cpath = c6_files
+        rpath = write(tmp_path, "r.json", restrict)
+        code, out, err = run_cli(
+            capsys, "solve", "--graph", gpath, "--cover", cpath, "--restrict", rpath
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_solve_decide_count_is_null_when_refuted_before_search(
+        self, tmp_path, capsys, c6_files
+    ):
+        gpath, cpath = c6_files
+        rpath = write(tmp_path, "r.json", {"0": []})
+        for flags, count in (([], None), (["--count"], 0)):
+            code, out, _ = run_cli(
+                capsys, "solve", "--graph", gpath, "--cover", cpath,
+                "--restrict", rpath, *flags,
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["status"], doc["count"], doc["nodes_explored"]) == (
+                "not-colorable", count, 0
+            )
 
     def test_solve_long_cycle(self, tmp_path, capsys):
         # deeper than Python's default recursion limit

@@ -1,5 +1,8 @@
+import dataclasses
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +23,15 @@ from corrcolor import (
     solve_exact,
     validate_cover,
 )
+from corrcolor.cli import main
+from corrcolor.rng import derive_int_seed, derive_rng
 
-from .conftest import brute_force_colorings, random_graph
+from .conftest import (
+    brute_force_colorings,
+    random_graph,
+    reference_cover_views,
+    reference_validate,
+)
 
 
 class TestLift:
@@ -229,3 +239,255 @@ def test_lift_always_validates(seed):
         for _ in range(g.n)
     ]
     assert validate_cover(g, lift_from_lists(g, lists)) == []
+
+
+# ---------------------------------------------------------------------------
+# the array-backed cover against plain-Python oracles
+
+ORACLE_SEEDS = range(240)
+CORRUPTIONS = (
+    "overlap", "negative", "off-list", "out-of-range", "reused", "non-edge",
+    "bad-key", "dup-key",
+)
+MESSAGES = (
+    "negative color id", "lists not disjoint", "leaves the endpoint lists",
+    "matching condition violated", "not an edge of the graph", "is not a vertex pair",
+)
+
+
+def _oracle_case(seed):
+    """A seeded raw cover: (graph, lists, matchings, corruptions applied).
+
+    Ids are dense blocks, blocks with gaps or sparse blocks by seed. Every
+    fifth case is left valid; the others get random corruptions. Lists and
+    pairs come in random order and some keys are given as (v, u).
+    """
+    rng = derive_rng(seed, "cover-oracle")
+    n = int(rng.integers(2, 8))
+    g = random_graph(derive_int_seed(seed, "graph"), n, 0.5)
+    k = int(rng.integers(1, 5))
+    stride = (k, k + 3, 3000)[seed % 3]
+    lists = [[v * stride + i for i in range(k)] for v in range(n)]
+
+    def some_pairs(u, v, size):
+        xs, ys = rng.permutation(lists[u]), rng.permutation(lists[v])
+        return [(int(x), int(y)) for x, y in zip(xs[:size], ys[:size])]
+
+    matchings = {}
+    for u, v in g.edges:
+        pairs = some_pairs(u, v, int(rng.integers(0, k + 1)))
+        if rng.random() < 0.3:
+            matchings[(v, u)] = [(y, x) for x, y in pairs]
+        else:
+            matchings[(u, v)] = pairs
+    applied = []
+    while seed % 5 and not applied:
+        for kind in CORRUPTIONS:
+            if rng.random() >= 0.3:
+                continue
+            keys = [key for key, pairs in matchings.items() if pairs]
+            a, b = (int(i) for i in rng.choice(n, 2, replace=False))
+            if kind == "overlap":
+                lists[b].append(int(rng.choice(lists[a] + lists[b])))
+            elif kind == "negative":
+                lists[a].append(-int(rng.integers(1, 5)))
+            elif kind == "off-list" and keys:
+                key = keys[int(rng.integers(len(keys)))]
+                # a color of another list, or (with gaps) an id in no list
+                x, y = matchings[key][0]
+                matchings[key][0] = (int(rng.choice(lists[a])) + (stride > k), y)
+            elif kind == "out-of-range" and keys:
+                key = keys[int(rng.integers(len(keys)))]
+                matchings[key].append((n * stride + 7, matchings[key][0][1]))
+            elif kind == "reused" and keys:
+                key = keys[int(rng.integers(len(keys)))]
+                x, _ = matchings[key][0]
+                matchings[key].append((x, matchings[key][-1][1]))
+            elif kind == "non-edge" and not g.has_edge(a, b):
+                matchings[(a, b)] = some_pairs(a, b, int(rng.integers(0, k + 1)))
+            elif kind == "bad-key":
+                choices = ((a, a), (a, n + int(rng.integers(0, 3))), (-1, a))
+                key = choices[int(rng.integers(3))]
+                matchings[key] = some_pairs(a, a, int(rng.integers(0, 2)))
+            elif kind == "dup-key" and matchings:
+                u, v = list(matchings)[int(rng.integers(len(matchings)))]
+                if (v, u) not in matchings:
+                    matchings[(v, u)] = some_pairs(v, u, int(rng.integers(0, k + 1)))
+            else:
+                continue
+            applied.append(kind)
+    for lst in lists:
+        rng.shuffle(lst)
+    keys = list(matchings)
+    shuffled = {}
+    for i in rng.permutation(len(keys)):
+        pairs = matchings[keys[i]]
+        shuffled[keys[i]] = [pairs[j] for j in rng.permutation(len(pairs))]
+    return g, lists, shuffled, applied
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_cover_matches_reference(seed):
+    g, raw_lists, raw_matchings, _ = _oracle_case(seed)
+    ref = reference_cover_views(raw_lists, raw_matchings)
+    cover = make_cover(raw_lists, raw_matchings)
+    assert cover.lists == ref["lists"]
+    assert cover.matchings == ref["matchings"]
+    assert list(cover.matchings) == list(ref["edge_keys"])
+    assert cover.n_colors == ref["n_colors"]
+    assert cover.owner.tolist() == ref["owner"]
+    assert validate_cover(g, cover) == reference_validate(
+        g, ref["lists"], ref["matchings"]
+    )
+    doc = {
+        "lists": raw_lists,
+        "matchings": {f"{u},{v}": pairs for (u, v), pairs in raw_matchings.items()},
+    }
+    assert cover_from_json_dict(json.loads(json.dumps(doc))) == cover
+    if ref["color_neighbors"] is None:
+        for view in ("color_neighbors", "partners", "arrays"):
+            with pytest.raises(DomainError, match="not a list color id"):
+                getattr(cover, view)
+        return
+    assert cover.color_neighbors == ref["color_neighbors"]
+    assert cover.partners == ref["partners"]
+    arrs = cover.arrays
+    assert arrs.n_colors == ref["n_colors"]
+    assert arrs.edge_keys == ref["edge_keys"]
+    for name in (
+        "owner", "vlist_ptr", "vlist_colors", "nbr_ptr", "nbr_idx",
+        "edge_u", "edge_v", "edge_ptr", "pair_x", "pair_y",
+    ):
+        assert getattr(arrs, name).dtype == np.int64
+        assert getattr(arrs, name).tolist() == ref[name], name
+
+
+def test_oracle_cases_reach_every_branch():
+    seen = Counter()
+    for seed in ORACLE_SEEDS:
+        g, raw_lists, raw_matchings, applied = _oracle_case(seed)
+        ref = reference_cover_views(raw_lists, raw_matchings)
+        problems = reference_validate(g, ref["lists"], ref["matchings"])
+        seen.update(applied)
+        seen["valid"] += not problems
+        seen["views undefined"] += ref["color_neighbors"] is None
+        seen["empty matching"] += any(not p for p in ref["matchings"].values())
+        ids = [x for lst in ref["lists"] for x in lst]
+        seen["sparse ids"] += max(ids) - min(ids) >= 4 * len(ids) + 1024
+        for text in problems:
+            seen.update(phrase for phrase in MESSAGES if phrase in text)
+    for key in CORRUPTIONS + MESSAGES + (
+        "valid", "views undefined", "empty matching", "sparse ids",
+    ):
+        assert seen[key] >= 10, (key, seen)
+
+
+def test_sparse_and_dense_ids_validate_alike():
+    g = gen_cycle(4)
+    for stride in (2, 10**9):
+        lists = [[v * stride, v * stride + 1] for v in range(4)]
+        bad = {(0, 1): [(0, stride), (0, stride + 1)], (1, 2): [(stride, 2 * stride + 5)]}
+        problems = validate_cover(g, make_cover(lists, bad))
+        assert problems == [
+            "matching condition violated on edge (0,1):"
+            f" color reused by pair (0,{stride + 1})",
+            f"pair ({stride},{2 * stride + 5}) on edge (1,2) leaves the endpoint lists",
+        ]
+
+
+# ---------------------------------------------------------------------------
+# malformed documents
+
+MALFORMED_COVERS = {
+    "pair-of-one": {"lists": [[0], [1]], "matchings": {"0,1": [[0]]}},
+    "pair-of-three": {"lists": [[0], [1]], "matchings": {"0,1": [[0, 1, 1]]}},
+    "pairs-of-three-and-one": {
+        "lists": [[0, 1], [2, 3]], "matchings": {"0,1": [[0, 2, 1], [3]]},
+    },
+    "float-id": {"lists": [[0.5], [1]], "matchings": {"0,1": []}},
+    "string-id": {"lists": [["0"], [1]], "matchings": {"0,1": []}},
+    "bool-ids": {"lists": [[True], [False]], "matchings": {"0,1": []}},
+    "float-pair-id": {"lists": [[0], [1]], "matchings": {"0,1": [[0, 1.0]]}},
+    "huge-id": {"lists": [[2**64], [1]], "matchings": {"0,1": []}},
+    "list-is-number": {"lists": [5, [1]], "matchings": {"0,1": []}},
+    "list-is-string": {"lists": ["01", [1]], "matchings": {"0,1": []}},
+    "lists-is-object": {"lists": {"0": [0]}, "matchings": {}},
+    "matching-is-number": {"lists": [[0], [1]], "matchings": {"0,1": 3}},
+    "pair-is-number": {"lists": [[0], [1]], "matchings": {"0,1": [7]}},
+    "key-without-comma": {"lists": [[0], [1]], "matchings": {"01": []}},
+    "key-with-two-commas": {"lists": [[0], [1]], "matchings": {"0,1,2": []}},
+    "key-not-integers": {"lists": [[0], [1]], "matchings": {"a,b": []}},
+    "key-float": {"lists": [[0], [1]], "matchings": {"0.5,1": []}},
+    "k-per-vertex-disagrees": {
+        "k_per_vertex": [2, 1], "lists": [[0], [1]], "matchings": {"0,1": []},
+    },
+    "k-per-vertex-not-array": {
+        "k_per_vertex": "1", "lists": [[0], [1]], "matchings": {"0,1": []},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_COVERS))
+def test_malformed_cover_is_rejected(name, tmp_path, capsys):
+    doc = MALFORMED_COVERS[name]
+    with pytest.raises(MalformedInputError):
+        cover_from_json_dict(doc)
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}), encoding="utf-8")
+    cpath.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", "--graph", str(gpath), "--cover", str(cpath)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# stored arrays, equality and laziness
+
+DERIVED = (
+    "n_colors", "owner", "color_adjacency", "arrays", "_color_ints",
+    "lists", "matchings", "color_neighbors", "partners",
+)
+
+
+def test_replace_gives_equal_cover_with_cold_caches():
+    g = random_graph(3, 8, 0.5)
+    cover = random_cover(g, 3, seed=1)
+    assert not set(DERIVED) & set(vars(cover))
+    for name in DERIVED:
+        getattr(cover, name)
+    fresh = dataclasses.replace(cover)
+    assert fresh == cover and hash(fresh) == hash(cover)
+    assert not set(DERIVED) & set(vars(fresh))
+    assert fresh.vlist_colors is cover.vlist_colors
+    assert fresh.lists == cover.lists and fresh.partners == cover.partners
+
+
+def test_arrays_share_the_stored_arrays_and_are_read_only():
+    cover = random_cover(gen_cycle(5), 3, seed=2)
+    arrs = cover.arrays
+    for name in (
+        "vlist_ptr", "vlist_colors", "edge_u", "edge_v", "edge_ptr", "pair_x", "pair_y",
+    ):
+        assert getattr(arrs, name) is getattr(cover, name)
+        with pytest.raises(ValueError):
+            getattr(cover, name)[0] = 1
+    with pytest.raises(ValueError):
+        arrs.owner[0] = 1
+
+
+def test_equality_follows_the_arrays():
+    g = gen_cycle(6)
+    assert random_cover(g, 3, seed=8) != random_cover(g, 3, seed=9)
+    assert random_cover(g, 3, seed=8) != "cover"
+    assert make_cover([[1, 0], [2]], {(1, 0): [(2, 1)]}) == make_cover(
+        [[0, 1], [2]], {(0, 1): [(1, 2)]}
+    )
+
+
+def test_inconsistent_arrays_rejected():
+    with pytest.raises(DomainError):
+        Cover([0, 2], [0], [], [], [0], [], [])
+    with pytest.raises(DomainError):
+        Cover([0, 1], [0], [0], [1], [0, 1], [0], [])

@@ -293,3 +293,12 @@ class TestHypothesesReport:
         assert rep["edge_mass_ok"]
         assert rep["entropy_ok"]
         assert rep["support_ok"]
+
+
+def test_run_builds_no_tuple_views():
+    g = gen_random_bipartite_regular(30, 6, seed=3)
+    cover = random_cover(g, 12, seed=4)
+    res = run_nibble(g, cover, relaxed_params(), seed=5)
+    assert res.ok
+    assert not {"lists", "matchings", "color_neighbors", "partners"} & set(vars(cover))
+

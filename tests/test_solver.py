@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,12 @@ from corrcolor import (
 from corrcolor.rng import derive_int_seed, derive_rng
 from corrcolor.solver import DEFAULT_NODE_BUDGET, _search
 
-from .conftest import brute_force_colorings, random_graph, reference_search
+from .conftest import (
+    brute_force_colorings,
+    random_graph,
+    reference_check_coloring,
+    reference_search,
+)
 
 
 class TestValidity:
@@ -170,6 +177,14 @@ class TestSolveExact:
         assert out.nodes_explored == 20_000
 
 
+def test_decide_count_is_none_when_a_domain_starts_empty():
+    g = gen_cycle(6)
+    cover = random_cover(g, 3, seed=1)
+    out = solve_report(g, cover, restrict={0: []})
+    assert (out.status, out.count, out.nodes_explored) == ("not-colorable", None, 0)
+    assert solve_report(g, cover, restrict={0: []}, count=True).count == 0
+
+
 def _reference_case(seed):
     """A small seeded instance with optional restriction and vertex subset."""
     rng = derive_rng(seed, "reference-case")
@@ -303,3 +318,48 @@ def test_greedy_never_returns_invalid(seed):
         assert is_valid_coloring(g, cover, coloring)
     else:
         assert coloring is None
+
+
+def _check_case(seed):
+    """A small valid cover and a coloring that is valid or has one flaw."""
+    rng = derive_rng(seed, "check-coloring-case")
+    g = random_graph(derive_int_seed(seed, "g"), int(rng.integers(2, 9)), 0.5)
+    k = int(rng.integers(1, 4))
+    if seed % 3:
+        cover = random_cover(g, k, seed=seed, mode=("perfect", "bernoulli")[seed % 2])
+    else:
+        labels = [rng.choice(4, size=k, replace=False) for _ in range(g.n)]
+        cover = lift_from_lists(g, labels)
+    coloring = {v: int(rng.choice(cover.lists[v])) for v in range(g.n)}
+    v = int(rng.integers(g.n))
+    flaw = seed // 3 % 4
+    if flaw == 1:
+        del coloring[v]
+    elif flaw == 2:
+        coloring[v] = int(rng.integers(cover.n_colors))
+    elif flaw == 3:
+        coloring[v] = cover.n_colors + int(rng.integers(0, 3))
+    vertices = None
+    if rng.random() < 0.3:
+        vertices = [u for u in range(g.n) if rng.random() < 0.7]
+    want = reference_check_coloring(g, cover.lists, cover.matchings, coloring, vertices)
+    return g, cover, coloring, vertices, want
+
+
+@pytest.mark.parametrize("seed", range(160))
+def test_check_coloring_matches_reference(seed):
+    g, cover, coloring, vertices, want = _check_case(seed)
+    if want == "malformed":
+        with pytest.raises(MalformedInputError):
+            check_coloring(g, cover, coloring, vertices)
+    else:
+        assert check_coloring(g, cover, coloring, vertices) == want
+
+
+def test_check_coloring_cases_reach_every_outcome():
+    outcomes = Counter()
+    for seed in range(160):
+        want = _check_case(seed)[-1]
+        outcomes[want if want in (None, "malformed") else want.split()[0]] += 1
+    for outcome in (None, "malformed", "vertex", "color", "matched"):
+        assert outcomes[outcome] >= 10, outcomes
