@@ -56,20 +56,6 @@ def _split(flat: list, ptr: np.ndarray) -> tuple[tuple, ...]:
     return tuple(tuple(islice(it, size)) for size in _sizes_of(ptr).tolist())
 
 
-def _in_order(*cols: np.ndarray, strict: bool = False) -> bool:
-    """True if the rows of the columns are in lexicographic order."""
-    if cols[0].size < 2:
-        return True
-    ok = None
-    for col in reversed(cols):
-        after, before = col[1:], col[:-1]
-        if ok is None:
-            ok = after > before if strict else after >= before
-        else:
-            ok = (after > before) | ((after == before) & ok)
-    return bool(ok.all())
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -114,6 +100,11 @@ class Cover:
     u's side and y on v's. The constructors below produce this canonical
     form and do not validate; use `validate_cover` to check the cover
     conditions as data.
+
+    The constructor takes one-dimensional int64 arrays and checks only that
+    their lengths form consistent CSR segments. It does not check the
+    canonical order: arrays out of order or with repeated vertex pairs give
+    wrong views.
     """
 
     vlist_ptr: np.ndarray
@@ -128,15 +119,11 @@ class Cover:
         for name in _STORED:
             arr = getattr(self, name)
             if not (
-                isinstance(arr, np.ndarray)
-                and arr.dtype == np.int64
-                and arr.ndim == 1
-                and not arr.flags.writeable
+                isinstance(arr, np.ndarray) and arr.dtype == np.int64 and arr.ndim == 1
             ):
-                arr = _freeze(np.array(arr, dtype=np.int64))
-                if arr.ndim != 1:
-                    raise DomainError(f"cover array {name} must be one-dimensional")
-                object.__setattr__(self, name, arr)
+                raise DomainError(f"cover array {name} must be a 1-D int64 array")
+            if arr.flags.writeable:
+                object.__setattr__(self, name, _freeze(arr.copy()))
         for ptr, n_entries in (
             (self.vlist_ptr, self.vlist_colors.size),
             (self.edge_ptr, self.pair_x.size),
@@ -199,11 +186,11 @@ class Cover:
         return _freeze(own)
 
     @cached_property
-    def color_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """Matched-color adjacency (nbr_ptr, nbr_idx), CSR over color ids.
+    def arrays(self) -> CoverArrays:
+        """The kernel bundle, with the matched-color adjacency built here.
 
-        The neighbors of x are nbr_idx[nbr_ptr[x]:nbr_ptr[x + 1]]: every color
-        matched with x on some edge, ascending and without repeats.
+        The neighbors of color x are nbr_idx[nbr_ptr[x]:nbr_ptr[x + 1]]: every
+        color matched with x on some edge, ascending and without repeats.
         """
         nc = self.n_colors
         src = np.concatenate([self.pair_x, self.pair_y])
@@ -221,18 +208,13 @@ class Cover:
             nbr_idx = key % nc
         else:
             nbr_ptr, nbr_idx = np.zeros(nc + 1, dtype=np.int64), key
-        return _freeze(nbr_ptr), _freeze(nbr_idx)
-
-    @cached_property
-    def arrays(self) -> CoverArrays:
-        nbr_ptr, nbr_idx = self.color_adjacency
         return CoverArrays(
-            n_colors=self.n_colors,
+            n_colors=nc,
             owner=self.owner,
             vlist_ptr=self.vlist_ptr,
             vlist_colors=self.vlist_colors,
-            nbr_ptr=nbr_ptr,
-            nbr_idx=nbr_idx,
+            nbr_ptr=_freeze(nbr_ptr),
+            nbr_idx=_freeze(nbr_idx),
             edge_u=self.edge_u,
             edge_v=self.edge_v,
             edge_ptr=self.edge_ptr,
@@ -268,8 +250,8 @@ class Cover:
     @cached_property
     def color_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Color id -> sorted matched color ids, mirrored from all matchings."""
-        nbr_ptr, nbr_idx = self.color_adjacency
-        return _split(self._ints(nbr_idx), nbr_ptr)
+        arrs = self.arrays
+        return _split(self._ints(arrs.nbr_idx), arrs.nbr_ptr)
 
     @cached_property
     def partners(self) -> tuple[dict[int, int], ...]:
@@ -277,9 +259,10 @@ class Cover:
 
         Well-defined only for covers satisfying the matching condition.
         """
-        nbr_ptr, nbr_idx = self.color_adjacency
-        it = zip(self.owner[nbr_idx].tolist(), self._ints(nbr_idx))
-        return tuple(dict(islice(it, size)) for size in _sizes_of(nbr_ptr).tolist())
+        arrs = self.arrays
+        it = zip(arrs.owner[arrs.nbr_idx].tolist(), self._ints(arrs.nbr_idx))
+        sizes = _sizes_of(arrs.nbr_ptr).tolist()
+        return tuple(dict(islice(it, size)) for size in sizes)
 
 
 # The arrays a Cover stores, in field order.
@@ -330,8 +313,7 @@ def _cover_from_raw(lists, key_u: list, key_v: list, groups: list) -> Cover:
     colors = _int_array(list(chain.from_iterable(lists)), "color ids")
     vlist_ptr = _ptr(list_sizes)
     vid = _segment_ids(vlist_ptr)
-    if not _in_order(vid, colors):
-        colors = colors[np.lexsort((colors, vid))]
+    colors = colors[np.lexsort((colors, vid))]
 
     edge_u = _int_array(key_u, "matching keys")
     edge_v = _int_array(key_v, "matching keys")
@@ -348,25 +330,20 @@ def _cover_from_raw(lists, key_u: list, key_v: list, groups: list) -> Cover:
     flat = _int_array(list(chain.from_iterable(pairs)), "matched color ids")
     x, y = flat.reshape(-1, 2).T.copy()
 
-    swap = edge_u > edge_v
-    if swap.any():
-        edge_u, edge_v = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
-        flip = swap[_segment_ids(edge_ptr)]
-        x, y = np.where(flip, y, x), np.where(flip, x, y)
-    if not _in_order(edge_u, edge_v, strict=True):
-        order = np.lexsort((np.arange(edge_u.size), edge_v, edge_u))
-        su, sv = edge_u[order], edge_v[order]
-        last = np.ones(order.size, dtype=bool)
-        last[:-1] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
-        kept = order[last]
-        sizes = _sizes_of(edge_ptr)[kept]
-        take = _ranges(edge_ptr[kept], sizes)
-        edge_u, edge_v, x, y = edge_u[kept], edge_v[kept], x[take], y[take]
-        edge_ptr = _ptr(sizes)
-    pe = _segment_ids(edge_ptr)
-    if not _in_order(pe, x, y):
-        order = np.lexsort((y, x, pe))
-        x, y = x[order], y[order]
+    flip = (edge_u > edge_v)[_segment_ids(edge_ptr)]
+    edge_u, edge_v = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
+    x, y = np.where(flip, y, x), np.where(flip, x, y)
+    order = np.lexsort((np.arange(edge_u.size), edge_v, edge_u))
+    su, sv = edge_u[order], edge_v[order]
+    last = np.ones(order.size, dtype=bool)
+    last[:-1] = (su[1:] != su[:-1]) | (sv[1:] != sv[:-1])
+    kept = order[last]
+    sizes = _sizes_of(edge_ptr)[kept]
+    take = _ranges(edge_ptr[kept], sizes)
+    edge_u, edge_v, x, y = edge_u[kept], edge_v[kept], x[take], y[take]
+    edge_ptr = _ptr(sizes)
+    order = np.lexsort((y, x, _segment_ids(edge_ptr)))
+    x, y = x[order], y[order]
     return _frozen_cover(vlist_ptr, colors, edge_u, edge_v, edge_ptr, x, y)
 
 
@@ -391,41 +368,18 @@ def make_cover(lists, matchings) -> Cover:
     return _cover_from_raw(lists, key_u, key_v, list(matchings.values()))
 
 
-def _codes(values: np.ndarray, universe: np.ndarray) -> tuple[np.ndarray, int]:
-    """Codes in 0..size-1 for the values found in `universe`, -1 for the others.
-
-    Equal values get equal codes. The code is the offset from the smallest
-    id when the universe spans a range not much wider than its size, else
-    the rank among its distinct ids.
-    """
-    if universe.size == 0:
-        return np.full(values.shape, -1, dtype=np.int64), 1
-    lo, hi = int(universe.min()), int(universe.max())
-    if hi - lo < 4 * universe.size + 1024:
-        present = np.zeros(hi - lo + 1, dtype=bool)
-        present[universe - lo] = True
-        inside = (values >= lo) & (values <= hi)
-        code = np.where(inside, values - lo, 0)
-        return np.where(inside & present[code], code, -1), hi - lo + 1
-    distinct = np.sort(universe)
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-    pos = np.minimum(np.searchsorted(distinct, values), distinct.size - 1)
-    return np.where(distinct[pos] == values, pos, -1), distinct.size
+def _codes(*arrays: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """Codes in 0..size-1 for the values of the arrays, equal for equal values."""
+    distinct, code = np.unique(np.concatenate(arrays), return_inverse=True)
+    return np.split(code, np.cumsum([arr.size for arr in arrays])[:-1]), distinct.size
 
 
-def _first_seen(seg: np.ndarray, code: np.ndarray, size: int) -> np.ndarray:
-    """For each entry, the index of the first entry with the same (seg, code)."""
+def _repeated(seg: np.ndarray, code: np.ndarray, size: int) -> np.ndarray:
+    """True for each entry whose code occurred at an earlier entry of its segment."""
     key = seg * size + code
-    idx = np.arange(key.size, dtype=np.int64)
-    srt = np.sort(key)
-    if not (srt[1:] == srt[:-1]).any():
-        return idx
-    order = np.argsort(key, kind="stable")
-    srt = key[order]
-    start = np.concatenate(([True], srt[1:] != srt[:-1]))
-    first = np.empty_like(idx)
-    first[order] = order[start][np.cumsum(start) - 1]
-    return first
+    again = np.ones(key.size, dtype=bool)
+    again[np.unique(key, return_index=True)[1]] = False
+    return again
 
 
 def validate_cover(g: Graph, cover: Cover) -> list[str]:
@@ -440,8 +394,10 @@ def validate_cover(g: Graph, cover: Cover) -> list[str]:
     problems = []
     colors = cover.vlist_colors
     vid = _segment_ids(cover.vlist_ptr)
+    pe = _segment_ids(cover.edge_ptr)
+    px, py = cover.pair_x, cover.pair_y
+    (code, code_x, code_y), size = _codes(colors, px, py)
     slot = np.arange(colors.size, dtype=np.int64)
-    code, size = _codes(colors, colors)
     first = np.full(size, colors.size, dtype=np.int64)
     np.minimum.at(first, code, slot)
     for i in np.flatnonzero((colors < 0) | (first[code] != slot)).tolist():
@@ -463,25 +419,19 @@ def validate_cover(g: Graph, cover: Cover) -> list[str]:
     # A pair leaves the lists unless x is in u's list and y in v's. The
     # first list holding a color is checked directly; a color held by
     # several lists (already reported above) is looked up exactly.
-    pe = _segment_ids(cover.edge_ptr)
-    px, py = cover.pair_x, cover.pair_y
-    holder = np.append(vid, -1)[np.append(first, colors.size)]
+    holder = np.append(vid, -1)[first]
     shared = np.bincount(code, minlength=size) > 1
     held = {(int(a), int(b)) for a, b in zip(vid[shared[code]], colors[shared[code]])}
 
-    def in_lists(verts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        c, _ = _codes(xs, colors)
+    def in_lists(verts: np.ndarray, xs: np.ndarray, c: np.ndarray) -> np.ndarray:
         ok = holder[c] == verts
-        for j in np.flatnonzero(~ok & (c >= 0) & shared[c]).tolist():
+        for j in np.flatnonzero(~ok & shared[c]).tolist():
             ok[j] = (int(verts[j]), int(xs[j])) in held
         return ok
 
     on_pair = ~bad_key[pe]
-    leaves = on_pair & ~(in_lists(eu[pe], px) & in_lists(ev[pe], py))
-    pos = np.arange(px.size, dtype=np.int64)
-    x_again = _first_seen(pe, *_codes(px, px)) != pos
-    y_again = _first_seen(pe, *_codes(py, py)) != pos
-    reused = on_pair & (x_again | y_again)
+    leaves = on_pair & ~(in_lists(eu[pe], px, code_x) & in_lists(ev[pe], py, code_y))
+    reused = on_pair & (_repeated(pe, code_x, size) | _repeated(pe, code_y, size))
     flagged = np.flatnonzero(leaves | reused)
     flagged_edges = np.flatnonzero(
         bad_key | non_edge | (np.bincount(pe[flagged], minlength=eu.size) > 0)

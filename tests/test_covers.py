@@ -373,11 +373,11 @@ def test_oracle_cases_reach_every_branch():
         seen["views undefined"] += ref["color_neighbors"] is None
         seen["empty matching"] += any(not p for p in ref["matchings"].values())
         ids = [x for lst in ref["lists"] for x in lst]
-        seen["sparse ids"] += max(ids) - min(ids) >= 4 * len(ids) + 1024
+        seen["ids with gaps"] += len(set(ids)) < max(ids) - min(ids) + 1
         for text in problems:
             seen.update(phrase for phrase in MESSAGES if phrase in text)
     for key in CORRUPTIONS + MESSAGES + (
-        "valid", "views undefined", "empty matching", "sparse ids",
+        "valid", "views undefined", "empty matching", "ids with gaps",
     ):
         assert seen[key] >= 10, (key, seen)
 
@@ -446,7 +446,7 @@ def test_malformed_cover_is_rejected(name, tmp_path, capsys):
 # stored arrays, equality and laziness
 
 DERIVED = (
-    "n_colors", "owner", "color_adjacency", "arrays", "_color_ints",
+    "n_colors", "owner", "arrays", "_color_ints",
     "lists", "matchings", "color_neighbors", "partners",
 )
 
@@ -486,8 +486,29 @@ def test_equality_follows_the_arrays():
     )
 
 
+def _i64(*values):
+    return np.array(values, dtype=np.int64)
+
+
 def test_inconsistent_arrays_rejected():
     with pytest.raises(DomainError):
-        Cover([0, 2], [0], [], [], [0], [], [])
+        Cover(_i64(0, 2), _i64(0), _i64(), _i64(), _i64(0), _i64(), _i64())
     with pytest.raises(DomainError):
-        Cover([0, 1], [0], [0], [1], [0, 1], [0], [])
+        Cover(_i64(0, 1), _i64(0), _i64(0), _i64(1), _i64(0, 1), _i64(0), _i64())
+
+
+@pytest.mark.parametrize(
+    "vlist_colors",
+    [[0], np.array([0.5]), np.array(["1"]), np.array([0], dtype=np.int32), _i64(0)[None]],
+)
+def test_cover_takes_only_flat_int64_arrays(vlist_colors):
+    with pytest.raises(DomainError, match="1-D int64"):
+        Cover(_i64(0, 1), vlist_colors, _i64(), _i64(), _i64(0), _i64(), _i64())
+
+
+def test_cover_freezes_a_copy_of_writeable_arrays():
+    colors = _i64(0)
+    cover = Cover(_i64(0, 1), colors, _i64(), _i64(), _i64(0), _i64(), _i64())
+    colors[0] = 5
+    assert cover.vlist_colors.tolist() == [0]
+    assert not cover.vlist_colors.flags.writeable
