@@ -76,7 +76,6 @@ from .solver import (
     greedy_color,
     is_valid_coloring,
     solve_exact,
-    solve_lists,
     solve_report,
 )
 from .weights import (

@@ -413,6 +413,10 @@ def main(argv=None) -> int:
     except CorrColorError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except Exception as exc:
+        # A fault of the program, not of the input: one line, its own code.
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

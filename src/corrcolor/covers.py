@@ -11,6 +11,10 @@ use and cached: the color count, each color's owner, the matched-color
 adjacency, the `arrays` bundle for the kernels, and the tuple/dict views
 `lists`, `matchings`, `color_neighbors` and `partners`. Covers are immutable
 after construction; generation is pure in (inputs, seed).
+
+The library reads covers only through the arrays. The views are read-only
+accessors for callers outside the library; no library code reads them, and
+they stay only because the benchmark code under `corrbench/` does.
 """
 
 from __future__ import annotations
@@ -105,6 +109,10 @@ class Cover:
     their lengths form consistent CSR segments. It does not check the
     canonical order: arrays out of order or with repeated vertex pairs give
     wrong views.
+
+    The views `lists`, `matchings`, `color_neighbors` and `partners` are
+    read-only accessors for callers; no library code reads them, and they
+    stay only because the benchmark code under `corrbench/` does.
     """
 
     vlist_ptr: np.ndarray

@@ -38,11 +38,6 @@ class Graph:
         return tuple(frozenset(a) for a in self.adjacency)
 
     @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Canonical (u, v) -> position in `edges`."""
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency as (indptr, indices) int64 arrays, neighbor lists sorted."""
         degs = np.array([len(a) for a in self.adjacency], dtype=np.int64)

@@ -279,8 +279,9 @@ def expected_pprime(state: ReductState, x: int, alpha: float | None = None) -> f
     if p[x] == p_hat:
         return p_hat
     capped = w.capped
+    arrs = state.cover.arrays
     k_x = 1.0
-    for y in state.cover.color_neighbors[x]:
+    for y in arrs.nbr_idx[arrs.nbr_ptr[x] : arrs.nbr_ptr[x + 1]].tolist():
         if not capped[y]:
             k_x *= 1.0 - alpha * p[y]
     ratio = p[x] / k_x
@@ -640,22 +641,31 @@ def run_nibble(
     if k < 1:
         raise DomainError("lists must be nonempty")
 
+    trajectory: list[TrajectoryRow] = []
+    total_final_attempts = 0
+    mode, istar, dmax = "edgeless", None, 0
+
+    def result(
+        status: str, steps: int, coloring=None, nice_delta=None, detail=None
+    ) -> NibbleResult:
+        return NibbleResult(
+            status=status,
+            coloring=coloring,
+            mode=mode,
+            istar=istar,
+            steps=steps,
+            trajectory=tuple(trajectory),
+            nice_delta=nice_delta,
+            final_attempts=total_final_attempts,
+            k=k,
+            max_deg=dmax,
+            seed=seed,
+            detail=detail,
+        )
+
     if g.m == 0:
         coloring = dict(enumerate(cover.vlist_colors[cover.vlist_ptr[:-1]].tolist()))
-        return NibbleResult(
-            status="success",
-            coloring=coloring,
-            mode="edgeless",
-            istar=None,
-            steps=0,
-            trajectory=(),
-            nice_delta=None,
-            final_attempts=0,
-            k=k,
-            max_deg=0,
-            seed=seed,
-            detail=None,
-        )
+        return result("success", 0, coloring)
 
     dmax = max_degree(g)
     if dmax < 2:
@@ -672,20 +682,13 @@ def run_nibble(
         g, cover, Weighting.uniform(cover, 1.0 / k, p_hat), max_deg=dmax, k=k
     )
 
-    istar: int | None
+    mode = "adaptive"
     if dmax >= 3:
         try:
             istar = compute_istar(dmax, params)
             mode = "schedule"
         except IstarInfeasibleError:
-            istar = None
-            mode = "adaptive"
-    else:
-        istar = None
-        mode = "adaptive"
-
-    trajectory: list[TrajectoryRow] = []
-    total_final_attempts = 0
+            pass
 
     def committed_step(state: ReductState, index: int):
         last = None
@@ -704,6 +707,17 @@ def run_nibble(
             detail += f"; last: {kind} at {where} ({value:.6g} vs {bound:.6g})"
         return detail
 
+    def extended(
+        state: ReductState, inner, steps: int, nice_delta, detail
+    ) -> NibbleResult:
+        coloring = extend_coloring(inner, state.history)
+        violation = check_coloring(g, cover, coloring)
+        if violation is not None:
+            raise InternalConsistencyError(
+                f"extended coloring is invalid ({violation}); this is a bug"
+            )
+        return result("success", steps, coloring, nice_delta, detail)
+
     def finish(state: ReductState, nice: NiceCheck, steps: int) -> NibbleResult:
         nonlocal total_final_attempts
         inner, attempts = final_color(
@@ -714,91 +728,31 @@ def run_nibble(
         )
         total_final_attempts += attempts
         if inner is None:
-            return NibbleResult(
-                status="final-color-exhausted",
-                coloring=None,
-                mode=mode,
-                istar=istar,
-                steps=steps,
-                trajectory=tuple(trajectory),
+            return result(
+                "final-color-exhausted",
+                steps,
                 nice_delta=nice.delta,
-                final_attempts=total_final_attempts,
-                k=k,
-                max_deg=dmax,
-                seed=seed,
                 detail=f"rounding failed {params.max_final_retries} times",
             )
-        coloring = extend_coloring(inner, state.history)
-        violation = check_coloring(g, cover, coloring)
-        if violation is not None:
-            raise InternalConsistencyError(
-                f"extended coloring is invalid ({violation}); this is a bug"
-            )
-        return NibbleResult(
-            status="success",
-            coloring=coloring,
-            mode=mode,
-            istar=istar,
-            steps=steps,
-            trajectory=tuple(trajectory),
-            nice_delta=nice.delta,
-            final_attempts=total_final_attempts,
-            k=k,
-            max_deg=dmax,
-            seed=seed,
-            detail=None,
-        )
+        return extended(state, inner, steps, nice.delta, None)
 
     def drained(state: ReductState, steps: int) -> NibbleResult:
-        coloring = extend_coloring({}, state.history)
-        violation = check_coloring(g, cover, coloring)
-        if violation is not None:
-            raise InternalConsistencyError(
-                f"extended coloring is invalid ({violation}); this is a bug"
-            )
-        return NibbleResult(
-            status="success",
-            coloring=coloring,
-            mode=mode,
-            istar=istar,
-            steps=steps,
-            trajectory=tuple(trajectory),
-            nice_delta=None,
-            final_attempts=total_final_attempts,
-            k=k,
-            max_deg=dmax,
-            seed=seed,
-            detail="all vertices drained into removal records",
-        )
-
-    def failure(status: str, steps: int, nice_delta, detail: str) -> NibbleResult:
-        return NibbleResult(
-            status=status,
-            coloring=None,
-            mode=mode,
-            istar=istar,
-            steps=steps,
-            trajectory=tuple(trajectory),
-            nice_delta=nice_delta,
-            final_attempts=total_final_attempts,
-            k=k,
-            max_deg=dmax,
-            seed=seed,
-            detail=detail,
+        return extended(
+            state, {}, steps, None, "all vertices drained into removal records"
         )
 
     if mode == "schedule":
         for i in range(istar):
             outcome = committed_step(state, i)
             if isinstance(outcome, str):
-                return failure("step-retries-exhausted", i, None, outcome)
+                return result("step-retries-exhausted", i, detail=outcome)
             state = outcome
         if state.n_alive == 0:
             return drained(state, istar)
         nice = check_nice(state)
         if not nice.ok:
-            return failure(
-                "not-nice", istar, None, f"after the scheduled steps: {nice.reason}"
+            return result(
+                "not-nice", istar, detail=f"after the scheduled steps: {nice.reason}"
             )
         return finish(state, nice, istar)
 
@@ -818,22 +772,18 @@ def run_nibble(
             return drained(state, steps_done)
         stuck = stuck_vertex(state)
         if stuck is not None:
-            return failure(
-                "not-nice",
-                steps_done,
-                None,
-                f"vertex {stuck} has no moderate color left and can never get one",
-            )
+            detail = f"vertex {stuck} has no moderate color left and can never get one"
+            return result("not-nice", steps_done, detail=detail)
         nice = check_nice(state)
         if nice.ok:
-            result = finish(state, nice, steps_done)
-            if result.status == "success":
-                return result
+            rounded = finish(state, nice, steps_done)
+            if rounded.status == "success":
+                return rounded
             # rounding budget spent this round; keep stepping, more vertices
             # will drain into the history
         outcome = committed_step(state, i)
         if isinstance(outcome, str):
-            return failure("step-retries-exhausted", steps_done, None, outcome)
+            return result("step-retries-exhausted", steps_done, detail=outcome)
         state = outcome
         steps_done += 1
     if state.n_alive == 0:
@@ -841,10 +791,6 @@ def run_nibble(
     nice = check_nice(state)
     if not nice.ok:
         hyp = check_reduct_hypotheses(state, params)
-        return failure(
-            "not-nice",
-            steps_done,
-            None,
-            f"after {steps_done} steps: {nice.reason}; entry conditions: {hyp}",
-        )
+        detail = f"after {steps_done} steps: {nice.reason}; entry conditions: {hyp}"
+        return result("not-nice", steps_done, detail=detail)
     return finish(state, nice, steps_done)

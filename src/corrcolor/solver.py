@@ -9,6 +9,11 @@ size; colors are tried in ascending id order, so results are deterministic
 for a fixed instance. The search runs on an explicit stack, so the vertex
 count is not limited by Python's recursion limit. A node budget separates
 "no coloring" from "gave up".
+
+Conflicts come from the cover's matched-color adjacency (`Cover.arrays`),
+not from the graph's edges, so the search and the greedy coloring expect a
+cover that passes `validate_cover`. The search refuses a color that is
+negative or listed at two vertices with DomainError.
 """
 
 from __future__ import annotations
@@ -98,18 +103,18 @@ def greedy_color(
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise DomainError("order must be a permutation of all vertices")
+    ptr, colors = cover.vlist_ptr.tolist(), cover.vlist_colors.tolist()
+    arrs = cover.arrays
+    nbr_ptr, nbr_idx = arrs.nbr_ptr.tolist(), arrs.nbr_idx.tolist()
+    forbidden = [False] * cover.n_colors
     chosen: Coloring = {}
     for v in order:
-        forbidden = set()
-        for u in g.adjacency[v]:
-            if u in chosen:
-                y = cover.partners[chosen[u]].get(v)
-                if y is not None:
-                    forbidden.add(y)
-        pick = next((x for x in cover.lists[v] if x not in forbidden), None)
+        pick = next((x for x in colors[ptr[v] : ptr[v + 1]] if not forbidden[x]), None)
         if pick is None:
             return None, v
         chosen[v] = pick
+        for y in nbr_idx[nbr_ptr[pick] : nbr_ptr[pick + 1]]:
+            forbidden[y] = True
     return chosen, None
 
 
@@ -131,9 +136,10 @@ def _prepared_domains(g: Graph, cover: Cover, restrict, vertices):
     for v in restrict:
         if v not in range(g.n):
             raise DomainError(f"restriction names vertex {v}, out of range")
+    ptr, colors = cover.vlist_ptr.tolist(), cover.vlist_colors.tolist()
     domains = []
     for v in verts:
-        dom = set(cover.lists[v])
+        dom = set(colors[ptr[v] : ptr[v + 1]])
         if restrict.get(v) is not None:
             allowed = set(restrict[v])
             if not allowed <= dom:
@@ -160,24 +166,37 @@ def _search(
         return SolveOutcome("not-colorable", None, 0 if count_all else None, 0)
 
     # Vertices become local indices 0..n-1 in id order, and colors become bit
-    # positions in their vertex's domain, in ascending id order.
-    # conflicts[i][a] lists (j, bit) for each neighbor color that color a of
-    # vertex i rules out.
-    index = {v: i for i, v in enumerate(verts)}
-    position = [{x: a for a, x in enumerate(dom)} for dom in domains]
-    partners = cover.partners
-    conflicts = []
-    for v, dom in zip(verts, domains):
-        nbrs = [(index[u], u) for u in g.adjacency[v] if u != v and u in index]
-        rows = []
-        for x in dom:
-            row = []
-            for j, u in nbrs:
-                a = position[j].get(partners[x].get(u))
-                if a is not None:
-                    row.append((j, 1 << a))
-            rows.append(row)
-        conflicts.append(rows)
+    # positions in their vertex's domain, in ascending id order; bit[y] is 0
+    # for a color in no domain. conflicts[i][a] lists (j, bit) for each
+    # neighbor color that color a of vertex i rules out.
+    arrs = cover.arrays
+    owner, nbr_ptr, nbr_idx = (
+        arrs.owner.tolist(), arrs.nbr_ptr.tolist(), arrs.nbr_idx.tolist()
+    )
+    local = [-1] * g.n
+    bit = [0] * cover.n_colors
+    for i, (v, dom) in enumerate(zip(verts, domains)):
+        local[v] = i
+        for a, x in enumerate(dom):
+            # A color in two lists would need two bits; refuse such a cover
+            # rather than miscount it.
+            if x < 0 or owner[x] != v:
+                raise DomainError(
+                    f"invalid cover: color {x} at vertex {v} is negative or in"
+                    " another list too"
+                )
+            bit[x] = 1 << a
+    conflicts = [
+        [
+            [
+                (local[owner[y]], bit[y])
+                for y in nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]]
+                if bit[y]
+            ]
+            for x in dom
+        ]
+        for dom in domains
+    ]
 
     # A decided vertex's mask is 0 (saved in its frame), so assignments skip it.
     mask = [(1 << len(dom)) - 1 for dom in domains]
@@ -297,29 +316,3 @@ def solve_report(
     """Decision or counting run with node accounting, for report emission."""
     return _search(g, cover, restrict, None, node_budget, count_all=count)
 
-
-def solve_lists(g: Graph, label_lists) -> list | None:
-    """Plain list-coloring backtracker over labels.
-
-    Independent of the cover machinery on purpose: it serves as the oracle
-    for the lift construction (same label on adjacent vertices conflicts).
-    Returns a per-vertex label assignment or None.
-    """
-    if len(label_lists) != g.n:
-        raise DomainError(f"expected {g.n} label lists, got {len(label_lists)}")
-    lists = [sorted(set(lst)) for lst in label_lists]
-    assignment: list = [None] * g.n
-
-    def recurse(v: int) -> bool:
-        if v == g.n:
-            return True
-        for lab in lists[v]:
-            if any(assignment[u] == lab for u in g.adjacency[v] if u < v):
-                continue
-            assignment[v] = lab
-            if recurse(v + 1):
-                return True
-            assignment[v] = None
-        return False
-
-    return list(assignment) if recurse(0) else None

@@ -144,22 +144,36 @@ class ReductState:
 # ---------------------------------------------------------------------------
 # masses and entropy
 
+def _list_colors(cover: Cover, v: int) -> list[int]:
+    """The colors of vertex v, ascending."""
+    ptr = cover.vlist_ptr
+    return cover.vlist_colors[ptr[v] : ptr[v + 1]].tolist()
+
+
+def _edge_pairs(cover: Cover, u: int, v: int) -> list[tuple[int, int]]:
+    """The matched pairs (x, y) of the vertex pair, x on the lower vertex's side."""
+    a, b = (u, v) if u < v else (v, u)
+    lo, hi = np.searchsorted(cover.edge_u, [a, a + 1])
+    e = lo + int(np.searchsorted(cover.edge_v[lo:hi], b))
+    if e == hi or cover.edge_v[e] != b:
+        raise DomainError(f"({u},{v}) carries no matching in this cover")
+    s, t = cover.edge_ptr[e : e + 2]
+    return list(zip(cover.pair_x[s:t].tolist(), cover.pair_y[s:t].tolist()))
+
+
 def vertex_mass(state: ReductState, v: int) -> float:
     """Sum of weights over the vertex's list."""
     state._require_alive(v)
     p = state.weighting.p
-    return float(sum(p[x] for x in state.cover.lists[v]))
+    return float(sum(p[x] for x in _list_colors(state.cover, v)))
 
 
 def edge_mass(state: ReductState, u: int, v: int) -> float:
     """Sum of weight products over the matched pairs of the edge."""
     state._require_alive(u)
     state._require_alive(v)
-    key = (u, v) if u < v else (v, u)
-    if key not in state.cover.matchings:
-        raise DomainError(f"({u},{v}) carries no matching in this cover")
     p = state.weighting.p
-    return float(sum(p[x] * p[y] for x, y in state.cover.matchings[key]))
+    return float(sum(p[x] * p[y] for x, y in _edge_pairs(state.cover, u, v)))
 
 
 def entropy(state: ReductState, v: int) -> float:
@@ -167,7 +181,7 @@ def entropy(state: ReductState, v: int) -> float:
     state._require_alive(v)
     p = state.weighting.p
     total = 0.0
-    for x in state.cover.lists[v]:
+    for x in _list_colors(state.cover, v):
         if p[x] > 0.0:
             total += -p[x] * math.log(p[x])
     return total
@@ -177,20 +191,16 @@ def moderate_mass(state: ReductState, v: int) -> float:
     state._require_alive(v)
     p = state.weighting.p
     mod = state.weighting.moderate
-    return float(sum(p[x] for x in state.cover.lists[v] if mod[x]))
+    return float(sum(p[x] for x in _list_colors(state.cover, v) if mod[x]))
 
 
 def moderate_edge_mass(state: ReductState, u: int, v: int) -> float:
     state._require_alive(u)
     state._require_alive(v)
-    key = (u, v) if u < v else (v, u)
-    if key not in state.cover.matchings:
-        raise DomainError(f"({u},{v}) carries no matching in this cover")
     p = state.weighting.p
     mod = state.weighting.moderate
-    return float(
-        sum(p[x] * p[y] for x, y in state.cover.matchings[key] if mod[x] and mod[y])
-    )
+    pairs = _edge_pairs(state.cover, u, v)
+    return float(sum(p[x] * p[y] for x, y in pairs if mod[x] and mod[y]))
 
 
 def entropy_terms(p: np.ndarray) -> np.ndarray:
@@ -312,6 +322,6 @@ def moderate_restrict(state: ReductState) -> dict[int, tuple[int, ...]]:
     """
     mod = state.weighting.moderate
     return {
-        int(v): tuple(x for x in state.cover.lists[v] if mod[x])
+        int(v): tuple(x for x in _list_colors(state.cover, v) if mod[x])
         for v in state.alive_vertices()
     }

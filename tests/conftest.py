@@ -2,10 +2,11 @@
 
 The oracles here deliberately avoid the package's own search and kernel
 code paths: transversal enumeration by brute force, a plain recursive
-backtracking search over dicts and sets, triangle detection by triple scan,
-exact mass recomputation with fsum over shuffled orders, and the cover
-views, arrays, validation and coloring check derived by plain Python loops
-from raw lists and matchings, without `corrcolor.covers`.
+backtracking search over dicts and sets, a list-coloring backtracker over
+labels, triangle detection by triple scan, exact mass recomputation with
+fsum over shuffled orders, and the cover views, arrays, validation and
+coloring check derived by plain Python loops from raw lists and matchings,
+without `corrcolor.covers`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import pytest
 
-from corrcolor import Graph, build_graph
+from corrcolor import DomainError, Graph, build_graph
 from corrcolor.rng import derive_int_seed, derive_rng
 
 if TYPE_CHECKING:
@@ -107,6 +108,34 @@ def reference_search(g: Graph, cover: Cover, restrict=None, vertices=None, count
     if n_found:
         return "colorable", first, n_found if count else None, nodes
     return "not-colorable", None, 0 if count else None, nodes
+
+
+def solve_lists(g: Graph, label_lists) -> list | None:
+    """Plain list-coloring backtracker over labels.
+
+    Independent of the cover machinery on purpose: it serves as the oracle
+    for the lift construction (same label on adjacent vertices conflicts).
+    Returns a per-vertex label assignment or None. The recursion is as deep
+    as the graph has vertices, so this is for small instances only.
+    """
+    if len(label_lists) != g.n:
+        raise DomainError(f"expected {g.n} label lists, got {len(label_lists)}")
+    lists = [sorted(set(lst)) for lst in label_lists]
+    assignment: list = [None] * g.n
+
+    def recurse(v: int) -> bool:
+        if v == g.n:
+            return True
+        for lab in lists[v]:
+            if any(assignment[u] == lab for u in g.adjacency[v] if u < v):
+                continue
+            assignment[v] = lab
+            if recurse(v + 1):
+                return True
+            assignment[v] = None
+        return False
+
+    return list(assignment) if recurse(0) else None
 
 
 def reference_cover_views(raw_lists, raw_matchings) -> dict:

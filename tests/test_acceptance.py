@@ -46,7 +46,6 @@ from corrcolor import (
     run_nibble,
     shifted_cycle_cover,
     solve_exact,
-    solve_lists,
     validate_cover,
 )
 from corrcolor.cli import main
@@ -60,7 +59,7 @@ from corrcolor.weights import (
     moderate_restrict,
 )
 
-from .conftest import random_triangle_free_graph
+from .conftest import random_triangle_free_graph, solve_lists
 
 
 def _report(cid, ok: bool, detail: str = ""):

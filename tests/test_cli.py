@@ -466,6 +466,33 @@ class TestErrorPaths:
         assert code == 1
         assert err == "error: promotion branch reached with K(x) >= 1\n"
 
+    def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys, c6_files):
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("corrcolor.cli.run_nibble", broken)
+        gpath, cpath = c6_files
+        code, _, err = run_cli(
+            capsys, "nibble", "--graph", gpath, "--cover", cpath, "--seed", "1"
+        )
+        assert code == 3
+        assert err == "error: internal: ValueError: boom\n"
+
+    def test_lb_overflow_is_exit_3(self, tmp_path, capsys):
+        # first_moment_bound(400, 400, 60) overflows a float; the report
+        # cannot be built, and the CLI says so in one line.
+        gpath = str(tmp_path / "g.json")
+        assert main(["gen-graph", "cycle", "--n", "400", "--out", gpath]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "lb-experiment", "--graph", gpath, "--k", "60",
+            "--trials", "1", "--node-budget", "10", "--seed", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal: OverflowError: ")
+        assert err.count("\n") == 1
+
 
 def test_help_ignores_stale_backend_variable():
     # This variable once chose a kernel backend at import time, and an

@@ -4,22 +4,34 @@ import math
 import pytest
 
 from corrcolor import (
+    Cover,
     DomainError,
     IstarInfeasibleError,
     build_graph,
     check_nice,
     check_reduct_hypotheses,
     compute_istar,
+    count_colorings,
+    edge_mass,
+    entropy,
+    expected_pprime,
     final_color,
     gen_complete_bipartite,
     gen_cycle,
     gen_random_bipartite_regular,
+    greedy_color,
     is_valid_coloring,
     lift_from_lists,
+    moderate_edge_mass,
+    moderate_mass,
+    moderate_restrict,
     paper_params,
     random_cover,
     relaxed_params,
+    run_lb_experiment,
     run_nibble,
+    solve_report,
+    vertex_mass,
 )
 from corrcolor.weights import ReductState, Weighting
 
@@ -177,6 +189,16 @@ class TestRunNibble:
         assert len(res.coloring) == g.n
         assert res.trajectory  # at least one step committed
 
+    def test_stepping_resumes_after_rounding_budget_is_spent(self):
+        # One rounding attempt per niceness pass: three passes fail, the
+        # run keeps stepping, and the fourth rounds; all four are counted.
+        g = gen_random_bipartite_regular(20, 6, seed=1)
+        cover = random_cover(g, 16, seed=3)
+        res = run_nibble(g, cover, relaxed_params(max_final_retries=1), seed=3)
+        assert res.ok and res.detail is None
+        assert res.final_attempts == 4
+        assert is_valid_coloring(g, cover, res.coloring)
+
     def test_trajectory_row_fields(self):
         g = gen_random_bipartite_regular(20, 6, seed=1)
         cover = random_cover(g, 16, seed=2)
@@ -295,10 +317,58 @@ class TestHypothesesReport:
         assert rep["support_ok"]
 
 
-def test_run_builds_no_tuple_views():
-    g = gen_random_bipartite_regular(30, 6, seed=3)
-    cover = random_cover(g, 12, seed=4)
+VIEWS = {"lists", "matchings", "color_neighbors", "partners"}
+
+
+def _state(g, cover):
+    return ReductState.initial(g, cover, Weighting.uniform(cover, 0.125, 0.5))
+
+
+def _nibble(g, cover):
     res = run_nibble(g, cover, relaxed_params(), seed=5)
     assert res.ok
-    assert not {"lists", "matchings", "color_neighbors", "partners"} & set(vars(cover))
+    return res
 
+
+def _lb_witness(g, cover):
+    _, witness = run_lb_experiment(g, 2, 20, seed=3)
+    assert witness is not None
+    return witness
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        pytest.param(_nibble, id="run_nibble"),
+        pytest.param(lambda g, c: solve_report(g, c), id="solve_report-decide"),
+        pytest.param(
+            lambda g, c: solve_report(g, c, count=True), id="solve_report-count"
+        ),
+        pytest.param(count_colorings, id="count_colorings"),
+        pytest.param(lambda g, c: greedy_color(g, c, range(g.n)), id="greedy_color"),
+        pytest.param(_lb_witness, id="lb_witness"),
+        pytest.param(lambda g, c: vertex_mass(_state(g, c), 0), id="vertex_mass"),
+        pytest.param(lambda g, c: edge_mass(_state(g, c), 1, 0), id="edge_mass"),
+        pytest.param(lambda g, c: entropy(_state(g, c), 0), id="entropy"),
+        pytest.param(lambda g, c: moderate_mass(_state(g, c), 0), id="moderate_mass"),
+        pytest.param(
+            lambda g, c: moderate_edge_mass(_state(g, c), 0, 1),
+            id="moderate_edge_mass",
+        ),
+        pytest.param(
+            lambda g, c: moderate_restrict(_state(g, c)), id="moderate_restrict"
+        ),
+        pytest.param(
+            lambda g, c: expected_pprime(_state(g, c), 0, alpha=0.5),
+            id="expected_pprime",
+        ),
+    ],
+)
+def test_run_builds_no_tuple_views(reader):
+    # The library reads covers through their arrays; the views are for callers.
+    g = gen_cycle(6)
+    cover = random_cover(g, 6, seed=4)
+    out = reader(g, cover)
+    assert not VIEWS & set(vars(cover))
+    if isinstance(out, Cover):
+        assert not VIEWS & set(vars(out))

@@ -16,12 +16,13 @@ from corrcolor import (
     greedy_color,
     is_valid_coloring,
     lift_from_lists,
+    make_cover,
     max_degree,
     random_cover,
     shifted_cycle_cover,
     solve_exact,
-    solve_lists,
     solve_report,
+    validate_cover,
 )
 from corrcolor.rng import derive_int_seed, derive_rng
 from corrcolor.solver import DEFAULT_NODE_BUDGET, _search
@@ -30,7 +31,9 @@ from .conftest import (
     brute_force_colorings,
     random_graph,
     reference_check_coloring,
+    reference_cover_views,
     reference_search,
+    solve_lists,
 )
 
 
@@ -81,6 +84,27 @@ class TestGreedy:
         assert stuck is None
         assert is_valid_coloring(g, cover, coloring)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_first_fit(self, seed):
+        rng = derive_rng(seed, "greedy-oracle")
+        g = random_graph(derive_int_seed(seed, "g"), int(rng.integers(2, 10)), 0.5)
+        mode = ("perfect", "bernoulli")[seed % 2]
+        cover = random_cover(g, int(rng.integers(1, 4)), seed=seed, mode=mode)
+        order = [int(v) for v in rng.permutation(g.n)]
+        views = reference_cover_views(cover.lists, cover.matchings)
+        lists, partners = views["lists"], views["partners"]
+        chosen, stuck = {}, None
+        for v in order:
+            forbidden = {
+                partners[chosen[u]].get(v) for u in g.adjacency[v] if u in chosen
+            }
+            pick = next((x for x in lists[v] if x not in forbidden), None)
+            if pick is None:
+                chosen, stuck = None, v
+                break
+            chosen[v] = pick
+        assert greedy_color(g, cover, order) == (chosen, stuck)
+
     def test_single_edge_k1_sticks_at_second_vertex(self):
         g = build_graph(2, [(0, 1)])
         cover = random_cover(g, 1, seed=0)
@@ -98,6 +122,27 @@ class TestGreedy:
         cover = random_cover(g, 3, seed=0)
         with pytest.raises(DomainError, match="permutation"):
             greedy_color(g, cover, [0, 1, 2])
+
+
+class TestInvalidCover:
+    def _shared(self):
+        # Color 1 is in the lists of vertices 0 and 1.
+        g = build_graph(3, [(0, 1), (1, 2)])
+        matchings = {(0, 1): [(0, 2)], (1, 2): [(1, 3)]}
+        return g, make_cover([[0, 1], [1, 2], [3, 4]], matchings)
+
+    @pytest.mark.parametrize("vertices", [None, [1, 2]])
+    def test_shared_color_is_refused(self, vertices):
+        g, cover = self._shared()
+        assert validate_cover(g, cover)
+        with pytest.raises(DomainError, match="invalid cover: color 1 at vertex 1"):
+            count_colorings(g, cover, vertices=vertices)
+
+    def test_negative_color_is_refused(self):
+        g = build_graph(2, [(0, 1)])
+        cover = make_cover([[-1, 0], [1]], {})
+        with pytest.raises(DomainError, match="color -1 at vertex 0"):
+            solve_exact(g, cover)
 
 
 class TestSolveExact:
