@@ -1,0 +1,76 @@
+"""Flat int64 array helpers shared by the graph and cover models.
+
+CSR pointers and index ranges, read-only freezing, and the integer rules
+the JSON readers apply to ids.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+
+import numpy as np
+
+from .errors import MalformedInputError
+
+
+def _ptr(counts) -> np.ndarray:
+    """CSR pointer array for segments of the given sizes."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _sizes_of(ptr: np.ndarray) -> np.ndarray:
+    """Segment sizes of a CSR array with pointer `ptr`."""
+    return ptr[1:] - ptr[:-1]
+
+
+def _segment_ids(ptr: np.ndarray) -> np.ndarray:
+    """Segment index of every entry of a CSR array with pointer `ptr`."""
+    return np.repeat(np.arange(ptr.size - 1, dtype=np.int64), _sizes_of(ptr))
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Concatenation of the index ranges [start, start + size)."""
+    ptr = _ptr(sizes)
+    return np.repeat(starts - ptr[:-1], sizes) + np.arange(ptr[-1], dtype=np.int64)
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _int_array(values: list, what: str) -> np.ndarray:
+    """A flat list of integers as int64, or MalformedInputError."""
+    if not values:
+        return np.zeros(0, dtype=np.int64)
+    try:
+        arr = np.array(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"{what} must be integer data: {exc}") from exc
+    if (
+        arr.ndim != 1
+        or arr.dtype.kind not in "iu"
+        or (arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max)
+    ):
+        raise MalformedInputError(f"{what} must be integer data in the int64 range")
+    return arr.astype(np.int64, copy=False)
+
+
+def _pair_array(pairs: list, what: str, ids: str) -> np.ndarray:
+    """A list of two-entry lists of integers as an (m, 2) int64 array.
+
+    Anything else raises MalformedInputError: `what` names one pair and
+    `ids` its entries in the message.
+    """
+    try:
+        pair_len = np.fromiter(map(len, pairs), dtype=np.int64, count=len(pairs))
+    except TypeError:
+        raise MalformedInputError(f"each {what} must be a list of 2 entries") from None
+    if (pair_len != 2).any():
+        raise MalformedInputError(
+            f"a {what} must have 2 entries, got {int(pair_len[pair_len != 2][0])}"
+        )
+    return _int_array(list(chain.from_iterable(pairs)), ids).reshape(-1, 2)

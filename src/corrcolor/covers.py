@@ -25,44 +25,28 @@ from itertools import chain, islice
 
 import numpy as np
 
+from ._arrays import (
+    _freeze,
+    _int_array,
+    _pair_array,
+    _ptr,
+    _ranges,
+    _segment_ids,
+    _sizes_of,
+)
 from .errors import DomainError, MalformedInputError
-from .graphs import Graph
+from .graphs import Graph, gen_cycle
 from .rng import derive_rng
 
-
-def _ptr(counts) -> np.ndarray:
-    """CSR pointer array for segments of the given sizes."""
-    counts = np.asarray(counts, dtype=np.int64)
-    ptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    return ptr
-
-
-def _sizes_of(ptr: np.ndarray) -> np.ndarray:
-    """Segment sizes of a CSR array with pointer `ptr`."""
-    return ptr[1:] - ptr[:-1]
-
-
-def _segment_ids(ptr: np.ndarray) -> np.ndarray:
-    """Segment index of every entry of a CSR array with pointer `ptr`."""
-    return np.repeat(np.arange(ptr.size - 1, dtype=np.int64), _sizes_of(ptr))
-
-
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Concatenation of the index ranges [start, start + size)."""
-    ptr = _ptr(sizes)
-    return np.repeat(starts - ptr[:-1], sizes) + np.arange(ptr[-1], dtype=np.int64)
+# The bound on n_colors: max(MAX_SPARSE_COLORS, SPARSE_COLOR_FACTOR * entries).
+MAX_SPARSE_COLORS = 1 << 20
+SPARSE_COLOR_FACTOR = 64
 
 
 def _split(flat: list, ptr: np.ndarray) -> tuple[tuple, ...]:
     """A flat list cut into tuples at the CSR pointer `ptr`."""
     it = iter(flat)
     return tuple(tuple(islice(it, size)) for size in _sizes_of(ptr).tolist())
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +160,23 @@ class Cover:
 
     @cached_property
     def n_colors(self) -> int:
-        """One more than the largest color id in any list (0 if there is none)."""
-        if self.vlist_colors.size == 0:
+        """One more than the largest color id in any list (0 if there is none).
+
+        Every per-color array is this long, so ids may be sparse only up to a
+        bound: n_colors above max(2**20, 64 * list entries) raises DomainError.
+        """
+        colors = self.vlist_colors
+        if colors.size == 0:
             return 0
-        return max(int(self.vlist_colors.max()) + 1, 0)
+        n_colors = max(int(colors.max()) + 1, 0)
+        bound = max(MAX_SPARSE_COLORS, SPARSE_COLOR_FACTOR * colors.size)
+        if n_colors > bound:
+            raise DomainError(
+                f"color id {n_colors - 1} is too sparse: per-color arrays would"
+                f" have {n_colors} entries for {colors.size} list entries"
+                f" (at most {bound})"
+            )
+        return n_colors
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -281,23 +278,6 @@ _STORED = tuple(f.name for f in fields(Cover))
 # construction
 
 
-def _int_array(values: list, what: str) -> np.ndarray:
-    """A flat list of integers as int64, or MalformedInputError."""
-    if not values:
-        return np.zeros(0, dtype=np.int64)
-    try:
-        arr = np.array(values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInputError(f"{what} must be integers: {exc}") from exc
-    if (
-        arr.ndim != 1
-        or arr.dtype.kind not in "iu"
-        or (arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max)
-    ):
-        raise MalformedInputError(f"{what} must be integers in the int64 range")
-    return arr.astype(np.int64, copy=False)
-
-
 def _sizes(groups: list, what: str) -> list[int]:
     """Lengths of list-like groups; strings and mappings are not lists."""
     try:
@@ -327,16 +307,7 @@ def _cover_from_raw(lists, key_u: list, key_v: list, groups: list) -> Cover:
     edge_v = _int_array(key_v, "matching keys")
     edge_ptr = _ptr(_sizes(groups, "matching"))
     pairs = list(chain.from_iterable(groups))
-    try:
-        pair_len = np.fromiter(map(len, pairs), dtype=np.int64, count=len(pairs))
-    except TypeError:
-        raise MalformedInputError("each matched pair must be a list [x, y]") from None
-    if (pair_len != 2).any():
-        raise MalformedInputError(
-            f"a matched pair must have 2 entries, got {int(pair_len[pair_len != 2][0])}"
-        )
-    flat = _int_array(list(chain.from_iterable(pairs)), "matched color ids")
-    x, y = flat.reshape(-1, 2).T.copy()
+    x, y = _pair_array(pairs, "matched pair", "matched color ids").T.copy()
 
     flip = (edge_u > edge_v)[_segment_ids(edge_ptr)]
     edge_u, edge_v = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
@@ -420,8 +391,7 @@ def validate_cover(g: Graph, cover: Cover) -> list[str]:
 
     eu, ev = cover.edge_u, cover.edge_v
     bad_key = (eu < 0) | (ev >= g.n) | (eu == ev)
-    ptr, idx = g.csr
-    graph_keys = _segment_ids(ptr) * g.n + idx
+    graph_keys = g.edges[:, 0] * g.n + g.edges[:, 1]
     non_edge = ~bad_key & ~np.isin(eu * g.n + ev, graph_keys)
 
     # A pair leaves the lists unless x is in u's list and y in v's. The
@@ -468,11 +438,6 @@ def validate_cover(g: Graph, cover: Cover) -> list[str]:
     return problems
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoints (u, v) of the graph's canonical edges, as two int64 arrays."""
-    return np.array(g.edges, dtype=np.int64).reshape(-1, 2).T.copy()
-
-
 def _fresh_cover(
     g: Graph, k: int, sigma: np.ndarray, keep: np.ndarray | None = None
 ) -> Cover:
@@ -481,7 +446,7 @@ def _fresh_cover(
     On the e-th edge (u, v), color i of u is matched with color sigma[e, i]
     of v, for each i with keep[e, i] (all i when keep is None).
     """
-    edge_u, edge_v = _edge_arrays(g)
+    edge_u, edge_v = g.edges.T.copy()
     pair_x = edge_u[:, None] * k + np.arange(k, dtype=np.int64)
     pair_y = edge_v[:, None] * k + sigma
     if keep is None:
@@ -524,7 +489,7 @@ def lift_from_lists(g: Graph, label_lists) -> Cover:
     color_key = _segment_ids(vlist_ptr) * len(label_code) + codes
     order = np.argsort(color_key)
     sorted_key = color_key[order]
-    edge_u, edge_v = _edge_arrays(g)
+    edge_u, edge_v = g.edges.T.copy()
     sizes = _sizes_of(vlist_ptr)[edge_u]
     pe = np.repeat(np.arange(g.m, dtype=np.int64), sizes)
     x = _ranges(vlist_ptr[edge_u], sizes)
@@ -577,7 +542,7 @@ def cover_from_permutations(g: Graph, k: int, perms) -> Cover:
     identity permutation.
     """
     sigma = np.tile(np.arange(k, dtype=np.int64), (g.m, 1))
-    for e, edge in enumerate(g.edges):
+    for e, edge in enumerate(map(tuple, g.edges.tolist())):
         if edge in perms:
             s = perms[edge]
             if sorted(s) != list(range(k)):
@@ -594,8 +559,6 @@ def shifted_cycle_cover(m: int, k: int = 2) -> Cover:
     admits no coloring; it witnesses that list size 2 is not enough for
     even cycles in the cover setting.
     """
-    from .graphs import gen_cycle
-
     if m % 2 != 0:
         raise DomainError(f"cycle length must be even, got {m}")
     if m < 4:
@@ -604,7 +567,7 @@ def shifted_cycle_cover(m: int, k: int = 2) -> Cover:
         raise DomainError("the shifted construction is defined for k=2")
     g = gen_cycle(m)
     swap_edge = (0, m - 1)
-    perms = {e: (0, 1) for e in g.edges}
+    perms = {e: (0, 1) for e in map(tuple, g.edges.tolist())}
     perms[swap_edge] = (1, 0)
     return cover_from_permutations(g, k, perms)
 

@@ -165,21 +165,16 @@ class StepStats:
     checks then restrict to survivors.
     """
 
-    pre_alive: np.ndarray
     post_alive: np.ndarray
     p_v: np.ndarray
     q_v: np.ndarray
     d_v: np.ndarray
     p_uv: np.ndarray
-    pre_edge: np.ndarray
     p_prime: np.ndarray
     sampled: np.ndarray
     removed: tuple[int, ...]
     s_size: int
-    w_size: int
     saturated_count: int
-    alpha: float
-    seed: int
 
 
 def _resolve_alpha(state: ReductState, alpha: float | None) -> float:
@@ -245,21 +240,16 @@ def reduct_step(
     else:
         saturated = 0
     stats = StepStats(
-        pre_alive=state.alive.copy(),
         post_alive=post_alive,
         p_v=vertex_mass_all(cover, p_prime),
         q_v=vertex_mass_all(cover, entropy_terms(p_prime)),
         d_v=kernels.mask_counts(*state.graph.csr, post_alive),
         p_uv=edge_mass_all(cover, p_prime),
-        pre_edge=state.live_edge_mask(),
         p_prime=p_prime,
         sampled=in_s,
         removed=removed,
         s_size=int(in_s.sum()),
-        w_size=int((in_s & ~hit).sum()),
         saturated_count=saturated,
-        alpha=alpha,
-        seed=seed,
     )
     return new_state, stats
 

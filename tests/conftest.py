@@ -4,9 +4,11 @@ The oracles here deliberately avoid the package's own search and kernel
 code paths: transversal enumeration by brute force, a plain recursive
 backtracking search over dicts and sets, a list-coloring backtracker over
 labels, triangle detection by triple scan, exact mass recomputation with
-fsum over shuffled orders, and the cover views, arrays, validation and
-coloring check derived by plain Python loops from raw lists and matchings,
-without `corrcolor.covers`.
+fsum over shuffled orders, graph building, and the cover views, arrays,
+validation and coloring check derived by plain Python loops from raw lists
+and matchings, without `corrcolor.covers`. The oracles read a graph only as
+its vertex count and `g.edges.tolist()`, and build their own edge sets and
+adjacency lists from that.
 """
 
 from __future__ import annotations
@@ -24,6 +26,40 @@ if TYPE_CHECKING:
     from corrcolor import Cover
 
 
+def edge_set(g: Graph) -> set[tuple[int, int]]:
+    """Every edge of g as (u, v) and as (v, u)."""
+    edges = g.edges.tolist()
+    return {(u, v) for u, v in edges} | {(v, u) for u, v in edges}
+
+
+def adjacency(g: Graph) -> list[list[int]]:
+    """Vertex -> ascending list of its neighbors."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [sorted(a) for a in nbrs]
+
+
+def reference_build_graph(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """The canonical edge rows of `build_graph(n, edges)`, by a plain loop.
+
+    Raises DomainError with the message `build_graph` gives for the first
+    bad edge in input order.
+    """
+    if n < 0:
+        raise DomainError(f"vertex count must be nonnegative, got {n}")
+    canon = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise DomainError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainError(f"edge ({u},{v}) out of range for n={n}")
+        canon.add((u, v) if u < v else (v, u))
+    return tuple(sorted(canon))
+
+
 def brute_force_colorings(g: Graph, cover: Cover, allowed=None) -> list[dict]:
     """All valid transversals by full enumeration (tiny instances only)."""
     conflicts = set()
@@ -38,9 +74,10 @@ def brute_force_colorings(g: Graph, cover: Cover, allowed=None) -> list[dict]:
             dom = [x for x in dom if x in allowed]
         domains.append(dom)
     out = []
+    edges = g.edges.tolist()
     for combo in itertools.product(*domains):
         ok = True
-        for u, v in g.edges:
+        for u, v in edges:
             if (combo[u], combo[v]) in conflicts:
                 ok = False
                 break
@@ -69,6 +106,7 @@ def reference_search(g: Graph, cover: Cover, restrict=None, vertices=None, count
             domains[v] = set(allowed)
     if any(not dom for dom in domains.values()):
         return "not-colorable", None, 0 if count else None, 0
+    nbrs = adjacency(g)
     undecided = set(verts)
     chosen = {}
     first = None
@@ -90,7 +128,7 @@ def reference_search(g: Graph, cover: Cover, restrict=None, vertices=None, count
             chosen[v] = x
             removed = [
                 (u, partner[x, u])
-                for u in g.adjacency[v]
+                for u in nbrs[v]
                 if u in undecided and partner.get((x, u)) in domains[u]
             ]
             for u, y in removed:
@@ -121,13 +159,14 @@ def solve_lists(g: Graph, label_lists) -> list | None:
     if len(label_lists) != g.n:
         raise DomainError(f"expected {g.n} label lists, got {len(label_lists)}")
     lists = [sorted(set(lst)) for lst in label_lists]
+    nbrs = adjacency(g)
     assignment: list = [None] * g.n
 
     def recurse(v: int) -> bool:
         if v == g.n:
             return True
         for lab in lists[v]:
-            if any(assignment[u] == lab for u in g.adjacency[v] if u < v):
+            if any(assignment[u] == lab for u in nbrs[v] if u < v):
                 continue
             assignment[v] = lab
             if recurse(v + 1):
@@ -212,6 +251,7 @@ def reference_validate(g: Graph, lists, matchings) -> list[str]:
     problems = []
     if len(lists) != g.n:
         return [f"cover has {len(lists)} lists but graph has {g.n} vertices"]
+    graph_edges = edge_set(g)
     seen: dict[int, int] = {}
     for v, lst in enumerate(lists):
         for x in lst:
@@ -227,7 +267,7 @@ def reference_validate(g: Graph, lists, matchings) -> list[str]:
         if not (0 <= u < g.n and 0 <= v < g.n and u != v):
             problems.append(f"matching key ({u},{v}) is not a vertex pair")
             continue
-        if not g.has_edge(u, v):
+        if (u, v) not in graph_edges:
             problems.append(
                 f"matched pair on ({u},{v}) but that is not an edge of the graph"
             )
@@ -273,8 +313,9 @@ def reference_check_coloring(g: Graph, lists, matchings, coloring, vertices=None
 
 
 def brute_force_triangle_free(g: Graph) -> bool:
+    edges = edge_set(g)
     for a, b, c in itertools.combinations(range(g.n), 3):
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
+        if (a, b) in edges and (b, c) in edges and (a, c) in edges:
             return False
     return True
 

@@ -59,7 +59,7 @@ from corrcolor.weights import (
     moderate_restrict,
 )
 
-from .conftest import random_triangle_free_graph, solve_lists
+from .conftest import adjacency, random_triangle_free_graph, solve_lists
 
 
 def _report(cid, ok: bool, detail: str = ""):
@@ -106,10 +106,10 @@ def test_criterion_2_even_cycle_separation():
         identity, swap = (0, 1), (1, 0)
         noncolorable = 0
         shift_combo_bad = False
-        shift_perms = {e: identity for e in g.edges}
+        shift_perms = {e: identity for e in map(tuple, g.edges.tolist())}
         shift_perms[(0, m - 1)] = swap
         for combo in itertools.product((identity, swap), repeat=m):
-            perms = dict(zip(g.edges, combo))
+            perms = dict(zip(map(tuple, g.edges.tolist()), combo))
             cover = cover_from_permutations(g, 2, perms)
             if count_colorings(g, cover) == 0:
                 noncolorable += 1
@@ -408,6 +408,7 @@ def test_criterion_11_end_to_end_nibble():
             max_deg=12,
             k=30,
         )
+        nbrs = adjacency(g)
         for step in range(params.max_steps):
             nice = check_nice(state)
             if nice.ok:
@@ -416,7 +417,7 @@ def test_criterion_11_end_to_end_nibble():
                     v = int(v)
                     incident = sum(
                         moderate_edge_mass(state, v, u)
-                        for u in g.adjacency[v]
+                        for u in nbrs[v]
                         if state.alive[u]
                     )
                     lhs = 2.0 * moderate_mass(state, v) / delta

@@ -438,6 +438,16 @@ class TestErrorPaths:
         assert code == 0
         assert len(json.loads(out)["lists"]) == 4
 
+    @pytest.mark.parametrize(
+        "text, line", [("p edge x 3\n", 1), ("p edge 3 2\ne 1 2\ne 1 z\n", 3)]
+    )
+    def test_dimacs_non_integer_field_is_exit_2(self, tmp_path, capsys, text, line):
+        path = tmp_path / "g.col"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "gen-cover", "--graph", str(path), "--k", "2")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
     def test_budget_exceeded_is_exit_1(self, tmp_path, capsys, c6_files):
         gpath, cpath = c6_files
         code, _, err = run_cli(

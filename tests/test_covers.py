@@ -12,6 +12,7 @@ from corrcolor import (
     DomainError,
     MalformedInputError,
     build_graph,
+    check_coloring,
     cover_from_json_dict,
     cover_from_permutations,
     cover_to_json_dict,
@@ -19,6 +20,8 @@ from corrcolor import (
     lift_from_lists,
     make_cover,
     random_cover,
+    relaxed_params,
+    run_nibble,
     shifted_cycle_cover,
     solve_exact,
     validate_cover,
@@ -28,6 +31,7 @@ from corrcolor.rng import derive_int_seed, derive_rng
 
 from .conftest import (
     brute_force_colorings,
+    edge_set,
     random_graph,
     reference_cover_views,
     reference_validate,
@@ -274,12 +278,13 @@ def _oracle_case(seed):
         return [(int(x), int(y)) for x, y in zip(xs[:size], ys[:size])]
 
     matchings = {}
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         pairs = some_pairs(u, v, int(rng.integers(0, k + 1)))
         if rng.random() < 0.3:
             matchings[(v, u)] = [(y, x) for x, y in pairs]
         else:
             matchings[(u, v)] = pairs
+    graph_edges = edge_set(g)
     applied = []
     while seed % 5 and not applied:
         for kind in CORRUPTIONS:
@@ -303,7 +308,7 @@ def _oracle_case(seed):
                 key = keys[int(rng.integers(len(keys)))]
                 x, _ = matchings[key][0]
                 matchings[key].append((x, matchings[key][-1][1]))
-            elif kind == "non-edge" and not g.has_edge(a, b):
+            elif kind == "non-edge" and (a, b) not in graph_edges:
                 matchings[(a, b)] = some_pairs(a, b, int(rng.integers(0, k + 1)))
             elif kind == "bad-key":
                 choices = ((a, a), (a, n + int(rng.integers(0, 3))), (-1, a))
@@ -393,6 +398,32 @@ def test_sparse_and_dense_ids_validate_alike():
             f" color reused by pair (0,{stride + 1})",
             f"pair ({stride},{2 * stride + 5}) on edge (1,2) leaves the endpoint lists",
         ]
+
+
+def test_too_sparse_color_ids_are_domain_errors():
+    # 4 list entries allow ids up to max(2**20, 64 * 4); these reach 3 * 10**6.
+    g = build_graph(2, [(0, 1)])
+    b = 3 * 10**6
+    cover = make_cover([[b, b + 1], [b + 2, b + 3]], {(0, 1): [(b, b + 2)]})
+    assert validate_cover(g, cover) == []
+    with pytest.raises(DomainError, match="color id 3000003 is too sparse"):
+        check_coloring(g, cover, {0: b, 1: b + 3})
+    c4 = gen_cycle(4)
+    lists = [[b + 3 * v + i for i in range(3)] for v in range(4)]
+    cover = make_cover(
+        lists, {(u, v): [(lists[u][0], lists[v][1])] for u, v in c4.edges.tolist()}
+    )
+    assert validate_cover(c4, cover) == []
+    with pytest.raises(DomainError, match="is too sparse"):
+        run_nibble(c4, cover, relaxed_params(), seed=1)
+
+
+def test_color_ids_up_to_the_bound_are_accepted():
+    g = build_graph(2, [(0, 1)])
+    top = 2**20 - 1
+    cover = make_cover([[0], [top]], {(0, 1): [(0, top)]})
+    assert cover.n_colors == 2**20
+    assert check_coloring(g, cover, {0: 0, 1: top}) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from corrcolor import (
 )
 from corrcolor.weights import ReductState, Weighting
 
-from .conftest import random_triangle_free_graph
+from .conftest import adjacency, random_triangle_free_graph
 
 
 def istar_lhs(max_deg, params, i):
@@ -258,7 +258,7 @@ class TestRunNibble:
         successes = 0
         for seed in range(8):
             g = random_triangle_free_graph(seed, 10, 0.25)
-            if g.m == 0 or max(len(a) for a in g.adjacency) < 2:
+            if g.m == 0 or max(len(a) for a in adjacency(g)) < 2:
                 continue
             cover = random_cover(g, 14, seed=seed)
             res = run_nibble(g, cover, relaxed_params(), seed=seed)

@@ -28,6 +28,7 @@ from corrcolor.rng import derive_int_seed, derive_rng
 from corrcolor.solver import DEFAULT_NODE_BUDGET, _search
 
 from .conftest import (
+    adjacency,
     brute_force_colorings,
     random_graph,
     reference_check_coloring,
@@ -93,10 +94,11 @@ class TestGreedy:
         order = [int(v) for v in rng.permutation(g.n)]
         views = reference_cover_views(cover.lists, cover.matchings)
         lists, partners = views["lists"], views["partners"]
+        nbrs = adjacency(g)
         chosen, stuck = {}, None
         for v in order:
             forbidden = {
-                partners[chosen[u]].get(v) for u in g.adjacency[v] if u in chosen
+                partners[chosen[u]].get(v) for u in nbrs[v] if u in chosen
             }
             pick = next((x for x in lists[v] if x not in forbidden), None)
             if pick is None:

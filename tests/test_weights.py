@@ -26,7 +26,7 @@ from corrcolor.weights import (
     vertex_mass_all,
 )
 
-from .conftest import fsum_by_color
+from .conftest import adjacency, fsum_by_color
 
 
 def uniform_state(g, cover, k, p_hat, max_deg=None):
@@ -271,8 +271,7 @@ class TestNiceness:
             nc = check_nice(st)
             assert nc.ok
             d = nc.delta
+            nbrs = adjacency(g)
             for v in range(g.n):
-                incident = sum(
-                    moderate_edge_mass(st, v, u) for u in g.adjacency[v]
-                )
+                incident = sum(moderate_edge_mass(st, v, u) for u in nbrs[v])
                 assert 2 * moderate_mass(st, v) / d >= 1 + (4 / d**2) * incident - 1e-12
