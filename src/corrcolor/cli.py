@@ -256,15 +256,14 @@ def _cmd_stats(args) -> int:
     w = _load_weighting(args.weights, cover.n_colors)
     state = ReductState.initial(g, cover, w)
     pm = moderate_values(w)
-    arrs = cover.arrays
-    edge_keys = [f"{u},{v}" for u, v in arrs.edge_keys]
+    keys = [f"{u},{v}" for u, v in zip(cover.edge_u.tolist(), cover.edge_v.tolist())]
     nice = check_nice(state)
     doc = {
         "p_v": [float(x) for x in vertex_mass_all(cover, w.p)],
         "Q_v": [float(x) for x in vertex_mass_all(cover, entropy_terms(w.p))],
         "p_m_v": [float(x) for x in vertex_mass_all(cover, pm)],
-        "p_uv": {key: float(x) for key, x in zip(edge_keys, edge_mass_all(cover, w.p))},
-        "p_m_uv": {key: float(x) for key, x in zip(edge_keys, edge_mass_all(cover, pm))},
+        "p_uv": {key: float(x) for key, x in zip(keys, edge_mass_all(cover, w.p))},
+        "p_m_uv": {key: float(x) for key, x in zip(keys, edge_mass_all(cover, pm))},
         "nice": nice.delta,
     }
     _write_result(doc, args, [args.graph, args.cover, args.weights])

@@ -6,15 +6,16 @@ integers 0..N-1, assigned vertex-block-contiguously by all generators here.
 
 A `Cover` stores only flat int64 arrays, and they are the source of truth:
 the color lists in CSR form over vertices, and the matched pairs in CSR form
-over the matched vertex pairs. Everything else is derived from them on first
-use and cached: the color count, each color's owner, the matched-color
-adjacency, the `arrays` bundle for the kernels, and the tuple/dict views
-`lists`, `matchings`, `color_neighbors` and `partners`. Covers are immutable
-after construction; generation is pure in (inputs, seed).
+over the matched vertex pairs. The library reads these arrays directly. Its
+one derived structure is `arrays`, the matched-color adjacency in CSR form
+over colors, as `Graph.csr` is a graph's; the color count and each color's
+owner are cached beside it. Covers are immutable after construction;
+generation is pure in (inputs, seed).
 
-The library reads covers only through the arrays. The views are read-only
-accessors for callers outside the library; no library code reads them, and
-they stay only because the benchmark code under `corrbench/` does.
+The tuple/dict views `lists`, `matchings`, `color_neighbors` and `partners`
+are read-only accessors for callers outside the library; no library code
+reads them, and they stay only because the benchmark code under
+`corrbench/` does.
 """
 
 from __future__ import annotations
@@ -50,36 +51,8 @@ def _split(flat: list, ptr: np.ndarray) -> tuple[tuple, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class CoverArrays:
-    """Flat views of a cover for the numeric kernels.
-
-    vlist_ptr/vlist_colors: colors grouped by owner vertex (CSR over vertices).
-    nbr_ptr/nbr_idx: matched-color adjacency (CSR over colors, ids ascending).
-    edge_ptr/pair_x/pair_y: matched pairs grouped by graph edge, x on the
-    lower-endpoint side; edge_u/edge_v give the edge order. The cover's own
-    arrays are shared, not copied.
-    """
-
-    n_colors: int
-    owner: np.ndarray
-    vlist_ptr: np.ndarray
-    vlist_colors: np.ndarray
-    nbr_ptr: np.ndarray
-    nbr_idx: np.ndarray
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    edge_ptr: np.ndarray
-    pair_x: np.ndarray
-    pair_y: np.ndarray
-
-    @cached_property
-    def edge_keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.edge_u.tolist(), self.edge_v.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
 class Cover:
-    """A cover as read-only int64 arrays; derived lookups are cached.
+    """A cover as read-only int64 arrays; `arrays` is its color adjacency.
 
     The colors of vertex v are vlist_colors[vlist_ptr[v]:vlist_ptr[v + 1]],
     ascending. edge_u/edge_v list the matched vertex pairs (u <= v), sorted
@@ -191,8 +164,8 @@ class Cover:
         return _freeze(own)
 
     @cached_property
-    def arrays(self) -> CoverArrays:
-        """The kernel bundle, with the matched-color adjacency built here.
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matched-color adjacency as read-only (nbr_ptr, nbr_idx) int64 arrays.
 
         The neighbors of color x are nbr_idx[nbr_ptr[x]:nbr_ptr[x + 1]]: every
         color matched with x on some edge, ascending and without repeats.
@@ -213,19 +186,7 @@ class Cover:
             nbr_idx = key % nc
         else:
             nbr_ptr, nbr_idx = np.zeros(nc + 1, dtype=np.int64), key
-        return CoverArrays(
-            n_colors=nc,
-            owner=self.owner,
-            vlist_ptr=self.vlist_ptr,
-            vlist_colors=self.vlist_colors,
-            nbr_ptr=_freeze(nbr_ptr),
-            nbr_idx=_freeze(nbr_idx),
-            edge_u=self.edge_u,
-            edge_v=self.edge_v,
-            edge_ptr=self.edge_ptr,
-            pair_x=self.pair_x,
-            pair_y=self.pair_y,
-        )
+        return _freeze(nbr_ptr), _freeze(nbr_idx)
 
     @cached_property
     def _color_ints(self) -> list[int]:
@@ -255,8 +216,8 @@ class Cover:
     @cached_property
     def color_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Color id -> sorted matched color ids, mirrored from all matchings."""
-        arrs = self.arrays
-        return _split(self._ints(arrs.nbr_idx), arrs.nbr_ptr)
+        nbr_ptr, nbr_idx = self.arrays
+        return _split(self._ints(nbr_idx), nbr_ptr)
 
     @cached_property
     def partners(self) -> tuple[dict[int, int], ...]:
@@ -264,9 +225,9 @@ class Cover:
 
         Well-defined only for covers satisfying the matching condition.
         """
-        arrs = self.arrays
-        it = zip(arrs.owner[arrs.nbr_idx].tolist(), self._ints(arrs.nbr_idx))
-        sizes = _sizes_of(arrs.nbr_ptr).tolist()
+        nbr_ptr, nbr_idx = self.arrays
+        it = zip(self.owner[nbr_idx].tolist(), self._ints(nbr_idx))
+        sizes = _sizes_of(nbr_ptr).tolist()
         return tuple(dict(islice(it, size)) for size in sizes)
 
 

@@ -11,7 +11,7 @@ number; a non-colorable cover is kept as a replayable certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .covers import Cover, random_cover
@@ -33,26 +33,41 @@ def alon_bound(d: float) -> float:
 
 
 class FirstMoment(NamedTuple):
-    bound: float
+    bound: float | None
     below_one: bool
+
+
+def _exp(x: float) -> float | None:
+    """e^x, or None when it exceeds the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return None
 
 
 def first_moment_bound(n: int, m: int, k: int) -> FirstMoment:
     """k^n e^{-m/k} as exp(n ln k - m/k), plus the k ln k < m/n test.
 
-    The predicate is equivalent to the bound being below one.
+    The predicate is equivalent to the bound being below one. The bound is
+    None when it exceeds the float range.
     """
     if n < 1 or m < 0 or k < 1:
         raise DomainError(f"need n >= 1, m >= 0, k >= 1; got n={n}, m={m}, k={k}")
-    bound = math.exp(n * math.log(k) - m / k)
-    return FirstMoment(bound=bound, below_one=k * math.log(k) < m / n)
+    return FirstMoment(_exp(n * math.log(k) - m / k), k * math.log(k) < m / n)
 
 
-def expected_colorings(n: int, m: int, k: int) -> float:
-    """Exact expected number of valid transversals: k^n (1 - 1/k)^m."""
+def expected_colorings(n: int, m: int, k: int) -> float | None:
+    """Exact expected number of valid transversals: k^n (1 - 1/k)^m.
+
+    Once k^n alone exceeds the float range, the product is taken in log
+    space, exp(n ln k + m ln(1 - 1/k)); None when it too exceeds the range.
+    """
     if n < 1 or m < 0 or k < 1:
         raise DomainError(f"need n >= 1, m >= 0, k >= 1; got n={n}, m={m}, k={k}")
-    return float(k) ** n * (1.0 - 1.0 / k) ** m
+    try:
+        return float(k) ** n * (1.0 - 1.0 / k) ** m
+    except OverflowError:
+        return _exp(n * math.log(k) + m * math.log1p(-1.0 / k))
 
 
 @dataclass(frozen=True)
@@ -65,9 +80,9 @@ class LowerBoundReport:
     k: int
     mode: str
     alon_bound: float | None
-    first_moment_bound: float
+    first_moment_bound: float | None
     bound_below_one: bool
-    expected_colorings_exact: float
+    expected_colorings_exact: float | None
     trials: int
     colorable_count: int
     noncolorable_count: int
@@ -79,25 +94,8 @@ class LowerBoundReport:
     per_trial_counts: tuple = field(repr=False, default=())
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "n": self.n,
-            "m": self.m,
-            "avg_degree": self.avg_degree,
-            "k": self.k,
-            "mode": self.mode,
-            "alon_bound": self.alon_bound,
-            "first_moment_bound": self.first_moment_bound,
-            "bound_below_one": self.bound_below_one,
-            "expected_colorings_exact": self.expected_colorings_exact,
-            "trials": self.trials,
-            "colorable_count": self.colorable_count,
-            "noncolorable_count": self.noncolorable_count,
-            "cap_exceeded_count": self.cap_exceeded_count,
-            "mean_colorings_empirical": self.mean_colorings_empirical,
-            "std_error_mean": self.std_error_mean,
-            "witness_trial": self.witness_trial,
-            "seed": self.seed,
-        }
+        doc = asdict(self)
+        del doc["per_trial_counts"]
         return doc
 
 

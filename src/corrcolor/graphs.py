@@ -85,6 +85,7 @@ def _canonical(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
 def build_graph(n: int, edges) -> Graph:
     """Validate, deduplicate, and canonicalize an edge list.
 
+    Endpoints that are not integers (1.7, "1") are rejected, not converted.
     Self-loops and out-of-range endpoints are rejected, the first bad edge
     in input order deciding the message; duplicate and reversed edges are
     merged silently. At most MAX_VERTICES vertices.
@@ -97,6 +98,10 @@ def build_graph(n: int, edges) -> Graph:
         pairs = np.array(edges, dtype=np.int64)
     except OverflowError:
         raise DomainError(f"an edge endpoint is out of range for n={n}") from None
+    except (TypeError, ValueError):
+        raise DomainError("edges must be vertex pairs (u, v) of integers") from None
+    if pairs.size and np.asarray(edges).dtype.kind not in "iub":
+        raise DomainError("edge endpoints must be integers")
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:

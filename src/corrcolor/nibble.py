@@ -70,7 +70,6 @@ class NibbleParams:
     shrink_factor: float = 2.0 / 3.0
     edge_mass_cap_factor: float = math.sqrt(2.0)
     niceness_target_factor: float = (3.0 / 5.0) ** 2 * 0.25 / math.sqrt(2.0)
-    saturation_exp: float = SATURATION_EXP
     tol_scale: float = 1.0
     max_retries_per_step: int = 20
     max_final_retries: int = 200
@@ -95,7 +94,6 @@ class NibbleParams:
             "dev_edge_exp",
             "dev_entropy_exp",
             "dev_degree_exp",
-            "saturation_exp",
         ):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise DomainError(f"{name} must lie strictly between 0 and 1")
@@ -208,30 +206,30 @@ def reduct_step(
     """
     alpha = _resolve_alpha(state, alpha)
     cover = state.cover
-    arrs = cover.arrays
+    vlist_ptr, vlist_colors = cover.vlist_ptr, cover.vlist_colors
     w = state.weighting
     rng = derive_rng(seed, "reduct-step")
-    u_sample = rng.random(arrs.n_colors)
-    u_promote = rng.random(arrs.n_colors)
+    u_sample = rng.random(cover.n_colors)
+    u_promote = rng.random(cover.n_colors)
     p_prime, in_s, s_count, _k_factor = kernels.reduct_core(
-        w.p, w.p_hat, alpha, arrs.nbr_ptr, arrs.nbr_idx, u_sample, u_promote
+        w.p, w.p_hat, alpha, *cover.arrays, u_sample, u_promote
     )
     hit = s_count > 0
-    sampled_per_vertex = kernels.mask_counts(arrs.vlist_ptr, arrs.vlist_colors, in_s)
+    sampled_per_vertex = kernels.mask_counts(vlist_ptr, vlist_colors, in_s)
     hit_sampled_per_vertex = kernels.mask_counts(
-        arrs.vlist_ptr, arrs.vlist_colors, in_s & hit
+        vlist_ptr, vlist_colors, in_s & hit
     )
     removed_mask = state.alive & (sampled_per_vertex > 0) & (hit_sampled_per_vertex == 0)
     removed = tuple(int(v) for v in np.flatnonzero(removed_mask))
     forced = {}
     for v in removed:
-        colors = arrs.vlist_colors[arrs.vlist_ptr[v] : arrs.vlist_ptr[v + 1]]
+        colors = vlist_colors[vlist_ptr[v] : vlist_ptr[v + 1]]
         forced[v] = tuple(colors[in_s[colors]].tolist())
     record = ReductRecord(removed=removed, forced=forced)
 
     post_alive = state.alive & ~removed_mask
     new_p = p_prime.copy()
-    new_p[removed_mask[arrs.owner]] = 0.0
+    new_p[removed_mask[cover.owner]] = 0.0
     new_state = state.with_step(Weighting(new_p, w.p_hat), post_alive, record)
 
     if state.max_deg is not None:
@@ -269,9 +267,9 @@ def expected_pprime(state: ReductState, x: int, alpha: float | None = None) -> f
     if p[x] == p_hat:
         return p_hat
     capped = w.capped
-    arrs = state.cover.arrays
+    nbr_ptr, nbr_idx = state.cover.arrays
     k_x = 1.0
-    for y in arrs.nbr_idx[arrs.nbr_ptr[x] : arrs.nbr_ptr[x + 1]].tolist():
+    for y in nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]].tolist():
         if not capped[y]:
             k_x *= 1.0 - alpha * p[y]
     ratio = p[x] / k_x
@@ -333,8 +331,7 @@ def check_reduct_targets(
         d_ceil = old_deg[v] * (1.0 - shrink) + tol_d
         if stats.d_v[v] > d_ceil:
             violations.append(("degree", v, float(stats.d_v[v]), float(d_ceil)))
-    arrs = cover.arrays
-    post_edge = stats.post_alive[arrs.edge_u] & stats.post_alive[arrs.edge_v]
+    post_edge = stats.post_alive[cover.edge_u] & stats.post_alive[cover.edge_v]
     for e in np.flatnonzero(post_edge):
         e = int(e)
         ceil_e = old_p_uv[e] + tol_e
@@ -430,7 +427,8 @@ def final_color(
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
     w = state.weighting
-    arrs = state.cover.arrays
+    cover = state.cover
+    nbr_ptr, nbr_idx = cover.arrays
     eligible = w.moderate & state.live_color_mask()
     probs = np.where(eligible, 2.0 * w.p / delta, 0.0)
     if probs.size and probs.max() > 1.0:
@@ -438,16 +436,16 @@ def final_color(
             "inclusion probability exceeds 1; delta is not a valid niceness slack"
         )
     n_alive = state.n_alive
-    colors = arrs.vlist_colors
+    colors = cover.vlist_colors
     for attempt in range(1, max_retries + 1):
         rng = derive_rng(seed, "final-color", attempt)
-        included = rng.random(arrs.n_colors) < probs
-        blocked = kernels.mask_counts(arrs.nbr_ptr, arrs.nbr_idx, included) > 0
+        included = rng.random(cover.n_colors) < probs
+        blocked = kernels.mask_counts(nbr_ptr, nbr_idx, included) > 0
         survivor = included & ~blocked
         # Survivors are live colors, so the round succeeds when the number of
         # vertices holding one is the number of live vertices.
         slots = np.flatnonzero(survivor[colors])
-        holders = np.searchsorted(arrs.vlist_ptr, slots, side="right") - 1
+        holders = np.searchsorted(cover.vlist_ptr, slots, side="right") - 1
         lowest = np.ones(slots.size, dtype=bool)
         lowest[1:] = holders[1:] != holders[:-1]
         if int(lowest.sum()) == n_alive:

@@ -10,9 +10,10 @@ for a fixed instance. The search runs on an explicit stack, so the vertex
 count is not limited by Python's recursion limit. A node budget separates
 "no coloring" from "gave up".
 
-Conflicts come from the cover's matched-color adjacency (`Cover.arrays`),
-not from the graph's edges, so the search and the greedy coloring expect a
-cover that passes `validate_cover`. The search refuses a color that is
+Conflicts come from the cover's matched-color adjacency, the
+(`nbr_ptr`, `nbr_idx`) pair in `Cover.arrays`, and domains from its list
+arrays, not from the graph's edges, so the search and the greedy coloring
+expect a cover that passes `validate_cover`. The search refuses a color that is
 negative or listed at two vertices with DomainError.
 """
 
@@ -104,8 +105,7 @@ def greedy_color(
     if sorted(order) != list(range(g.n)):
         raise DomainError("order must be a permutation of all vertices")
     ptr, colors = cover.vlist_ptr.tolist(), cover.vlist_colors.tolist()
-    arrs = cover.arrays
-    nbr_ptr, nbr_idx = arrs.nbr_ptr.tolist(), arrs.nbr_idx.tolist()
+    nbr_ptr, nbr_idx = (arr.tolist() for arr in cover.arrays)
     forbidden = [False] * cover.n_colors
     chosen: Coloring = {}
     for v in order:
@@ -169,10 +169,8 @@ def _search(
     # positions in their vertex's domain, in ascending id order; bit[y] is 0
     # for a color in no domain. conflicts[i][a] lists (j, bit) for each
     # neighbor color that color a of vertex i rules out.
-    arrs = cover.arrays
-    owner, nbr_ptr, nbr_idx = (
-        arrs.owner.tolist(), arrs.nbr_ptr.tolist(), arrs.nbr_idx.tolist()
-    )
+    nbr_ptr, nbr_idx = (arr.tolist() for arr in cover.arrays)
+    owner = cover.owner.tolist()
     local = [-1] * g.n
     bit = [0] * cover.n_colors
     for i, (v, dom) in enumerate(zip(verts, domains)):

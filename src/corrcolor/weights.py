@@ -117,11 +117,10 @@ class ReductState:
         return np.flatnonzero(self.alive)
 
     def live_color_mask(self) -> np.ndarray:
-        return self.alive[self.cover.arrays.owner]
+        return self.alive[self.cover.owner]
 
     def live_edge_mask(self) -> np.ndarray:
-        arrs = self.cover.arrays
-        return self.alive[arrs.edge_u] & self.alive[arrs.edge_v]
+        return self.alive[self.cover.edge_u] & self.alive[self.cover.edge_v]
 
     def current_degrees(self) -> np.ndarray:
         """Degree of each vertex within the surviving induced subgraph."""
@@ -213,14 +212,13 @@ def entropy_terms(p: np.ndarray) -> np.ndarray:
 
 def vertex_mass_all(cover: Cover, values: np.ndarray) -> np.ndarray:
     """Per-vertex sums of arbitrary per-color values."""
-    arrs = cover.arrays
-    return kernels.segment_sum(values[arrs.vlist_colors], arrs.vlist_ptr)
+    return kernels.segment_sum(values[cover.vlist_colors], cover.vlist_ptr)
 
 
 def edge_mass_all(cover: Cover, values: np.ndarray) -> np.ndarray:
     """Per-edge sums of value products over matched pairs (cover edge order)."""
-    arrs = cover.arrays
-    return kernels.segment_sum(values[arrs.pair_x] * values[arrs.pair_y], arrs.edge_ptr)
+    products = values[cover.pair_x] * values[cover.pair_y]
+    return kernels.segment_sum(products, cover.edge_ptr)
 
 
 def moderate_values(w: Weighting) -> np.ndarray:
@@ -229,10 +227,9 @@ def moderate_values(w: Weighting) -> np.ndarray:
 
 def incident_edge_mass_sums(cover: Cover, per_edge: np.ndarray, n: int) -> np.ndarray:
     """Per-vertex sums of a per-edge quantity over incident edges."""
-    arrs = cover.arrays
     acc = np.zeros(n, dtype=np.float64)
-    np.add.at(acc, arrs.edge_u, per_edge)
-    np.add.at(acc, arrs.edge_v, per_edge)
+    np.add.at(acc, cover.edge_u, per_edge)
+    np.add.at(acc, cover.edge_v, per_edge)
     return acc
 
 

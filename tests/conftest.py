@@ -185,8 +185,9 @@ def reference_cover_views(raw_lists, raw_matchings) -> dict:
     wins. `owner` maps each id 0..n_colors-1 to the first list holding it
     (-1 if none; negative ids have no owner). `color_neighbors`, `partners`
     and the adjacency arrays are None when a matched id is not in
-    0..n_colors-1. The array fields are lists of ints in the layout of
-    `Cover.arrays`.
+    0..n_colors-1. The array fields are lists of ints in the layout of the
+    cover's stored arrays, its `owner`, and `nbr_ptr`/`nbr_idx`, the pair
+    that `Cover.arrays` holds.
     """
     lists = tuple(tuple(sorted(int(x) for x in lst)) for lst in raw_lists)
     matchings = {}

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -72,6 +74,39 @@ class TestExpectedColorings:
 
     def test_edgeless(self):
         assert expected_colorings(3, 0, 4) == 64.0
+
+
+class TestBeyondTheFloatRange:
+    @pytest.mark.parametrize(
+        "n, m, k", [(4, 4, 2), (16, 64, 2), (173, 0, 60), (170, 200, 60), (300, 1, 10)]
+    )
+    def test_values_in_range_keep_the_float_expression(self, n, m, k):
+        assert first_moment_bound(n, m, k).bound == math.exp(n * math.log(k) - m / k)
+        assert expected_colorings(n, m, k) == float(k) ** n * (1.0 - 1.0 / k) ** m
+
+    def test_product_in_range_after_an_overflowing_power(self):
+        # 60^174 alone exceeds the float range; times (59/60)^200 it does not.
+        with pytest.raises(OverflowError):
+            60.0**174
+        exact = Fraction(60) ** 174 * Fraction(59, 60) ** 200
+        assert expected_colorings(174, 200, 60) == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, k", [(400, 400, 60), (2000, 30000, 60)])
+    def test_values_beyond_the_range_are_none(self, n, m, k):
+        assert n * math.log(k) - m / k > math.log(sys.float_info.max)
+        assert Fraction(k) ** n * Fraction(k - 1, k) ** m > sys.float_info.max
+        fm = first_moment_bound(n, m, k)
+        assert fm.bound is None
+        assert fm.below_one == (k * math.log(k) < m / n)
+        assert expected_colorings(n, m, k) is None
+
+    def test_large_experiment_reports(self):
+        g = gen_cycle(2000)
+        report, _ = run_lb_experiment(g, 60, trials=1, seed=1, node_budget=10)
+        doc = report.to_json_dict()
+        assert doc["first_moment_bound"] is None
+        assert doc["expected_colorings_exact"] is None
+        assert doc["cap_exceeded_count"] == 1
 
 
 class TestExperiment:

@@ -69,6 +69,15 @@ class TestBuildGraph:
         with pytest.raises(DomainError, match="exceeds"):
             build_graph(2**31, [])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1.7)], [(0, 1.0)], [("0", "1")], [(0, 1), (1, 2.5)], [("a", 1)]],
+    )
+    def test_non_integer_endpoint_rejected(self, edges):
+        # Refused, not truncated: (0, 1.7) once became the edge (0, 1).
+        with pytest.raises(DomainError, match="integers"):
+            build_graph(3, edges)
+
     def test_adjacency_symmetric(self):
         g = random_graph(3, 12, 0.4)
         ptr, idx = g.csr

@@ -94,20 +94,19 @@ class TestReductCoreAgreement:
     def _instance(self, seed):
         g = gen_complete_bipartite(4, 5)
         cover = random_cover(g, 6, seed=seed)
-        arrs = cover.arrays
         rng = derive_rng(seed, "core")
-        p = rng.uniform(0.0, 0.3, arrs.n_colors)
-        p[rng.random(arrs.n_colors) < 0.1] = 0.0
-        p[rng.random(arrs.n_colors) < 0.1] = 0.3
-        u1 = rng.random(arrs.n_colors)
-        u2 = rng.random(arrs.n_colors)
-        return arrs, p, u1, u2
+        p = rng.uniform(0.0, 0.3, cover.n_colors)
+        p[rng.random(cover.n_colors) < 0.1] = 0.0
+        p[rng.random(cover.n_colors) < 0.1] = 0.3
+        u1 = rng.random(cover.n_colors)
+        u2 = rng.random(cover.n_colors)
+        return cover.arrays, p, u1, u2
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_loop_oracle(self, seed):
-        arrs, p, u1, u2 = self._instance(seed)
-        got = kernels.reduct_core(p, 0.3, 0.5, arrs.nbr_ptr, arrs.nbr_idx, u1, u2)
-        want = reduct_core_oracle(p, 0.3, 0.5, arrs.nbr_ptr, arrs.nbr_idx, u1, u2)
+        (nbr_ptr, nbr_idx), p, u1, u2 = self._instance(seed)
+        got = kernels.reduct_core(p, 0.3, 0.5, nbr_ptr, nbr_idx, u1, u2)
+        want = reduct_core_oracle(p, 0.3, 0.5, nbr_ptr, nbr_idx, u1, u2)
         for a, b in zip(got, want):
             if a.dtype == bool or np.issubdtype(a.dtype, np.integer):
                 assert np.array_equal(a, b)

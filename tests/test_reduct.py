@@ -308,8 +308,8 @@ class TestDiagnostics:
             chk = check_reduct_targets(st, stats, params)
             survivors = int(stats.post_alive.sum())
             edges = int(
-                (stats.post_alive[cover.arrays.edge_u]
-                 & stats.post_alive[cover.arrays.edge_v]).sum()
+                (stats.post_alive[cover.edge_u]
+                 & stats.post_alive[cover.edge_v]).sum()
             )
             for kind in ("vertex-mass", "entropy", "degree"):
                 checks[kind] += survivors

@@ -105,7 +105,7 @@ class TestMasses:
             assert p_v[v] == pytest.approx(oracle, rel=1e-12)
             assert vertex_mass(st, v) == pytest.approx(oracle, rel=1e-12)
         p_uv = edge_mass_all(cover, st.weighting.p)
-        for i, (u, v) in enumerate(cover.arrays.edge_keys):
+        for i, (u, v) in enumerate(zip(cover.edge_u.tolist(), cover.edge_v.tolist())):
             oracle = fsum_by_color(
                 [p[x] * p[y] for x, y in cover.matchings[(u, v)]], order_seed=i
             )
