@@ -208,15 +208,7 @@ def _cmd_solve(args) -> int:
     outcome = solve_report(
         g, cover, restrict=restrict, count=args.count, node_budget=args.node_budget
     )
-    doc = {
-        "status": outcome.status,
-        "coloring": None
-        if outcome.coloring is None
-        else {str(v): x for v, x in sorted(outcome.coloring.items())},
-        "count": outcome.count,
-        "nodes_explored": outcome.nodes_explored,
-    }
-    _write_result(doc, args, inputs)
+    _write_result(outcome.to_json_dict(), args, inputs)
     return 0
 
 
@@ -273,26 +265,15 @@ def _cmd_stats(args) -> int:
 def _cmd_nibble(args) -> int:
     g = _load_graph(args.graph)
     cover = _load_cover(args.cover)
-    overrides = {}
-    if args.ck is not None:
-        overrides["ck"] = args.ck
-    if args.tol_scale is not None:
-        overrides["tol_scale"] = args.tol_scale
-    if args.max_steps is not None:
-        overrides["max_steps"] = args.max_steps
-    if args.max_retries_per_step is not None:
-        overrides["max_retries_per_step"] = args.max_retries_per_step
-    if args.max_final_retries is not None:
-        overrides["max_final_retries"] = args.max_final_retries
+    # Each flag overrides the NibbleParams field of the same name.
+    names = ("ck", "tol_scale", "max_steps", "max_retries_per_step", "max_final_retries")
+    overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     params = (paper_params if args.preset == "paper" else relaxed_params)(**overrides)
     result = run_nibble(g, cover, params, args.seed)
     if args.trace:
         lines = [CSV_HEADER]
         for row in result.trajectory:
-            lines.append(
-                f"{row.step},{row.min_pv!r},{row.max_pv!r},{row.min_q!r},"
-                f"{row.max_deg},{row.removed},{row.retries}"
-            )
+            lines.append(",".join(map(repr, row.to_json_dict().values())))
         Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_result(result.to_json_dict(), args, [args.graph, args.cover])
     return 0

@@ -273,7 +273,11 @@ def _dimacs_int(field: str, lineno: int) -> int:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse a DIMACS-like edge list: "p edge n m" header, "e u v" lines, 1-indexed."""
+    """Parse a DIMACS-like edge list: "p edge n m" header, "e u v" lines, 1-indexed.
+
+    The header's format word may also be "col". m must be an integer but is
+    not compared with the edge lines, since duplicate edges merge.
+    """
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -284,7 +288,11 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 4:
                 raise MalformedInputError(f'line {lineno}: expected "p edge n m"')
-            n = _dimacs_int(parts[2], lineno)
+            if parts[1] not in ("edge", "col"):
+                raise MalformedInputError(
+                    f'line {lineno}: format {parts[1]!r} is not "edge" or "col"'
+                )
+            n, _m = (_dimacs_int(part, lineno) for part in parts[2:4])
         elif parts[0] == "e":
             if len(parts) < 3:
                 raise MalformedInputError(f'line {lineno}: expected "e u v"')

@@ -15,7 +15,7 @@ resampling with explicit budgets and full failure reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .graphs import Graph, is_triangle_free, max_degree
 from .rng import derive_int_seed, derive_rng
-from .solver import check_coloring
+from .solver import check_coloring, coloring_to_json
 from .weights import (
     NiceCheck,
     ReductRecord,
@@ -45,58 +45,42 @@ from .weights import (
 # ---------------------------------------------------------------------------
 # parameters
 
-SATURATION_EXP = 1.0 / 10.0
+# The analysis fixes these; they are not tuning knobs. The deviation
+# exponents apply to the degree bound parameter `max_deg`.
+PHAT_EXP = 11.0 / 12.0
+ENTROPY_SLACK = 1.0 / 40.0
+HYP_VERTEX_DEV_EXP = 1.0 / 10.0
+DEV_VERTEX_EXP = 1.0 / 6.0
+DEV_EDGE_EXP = 1.0 / 3.0
+DEV_ENTROPY_EXP = 1.0 / 6.0
+DEV_DEGREE_EXP = 2.0 / 3.0
+EDGE_MASS_CAP_FACTOR = math.sqrt(2.0)
+NICENESS_TARGET_FACTOR = (3.0 / 5.0) ** 2 * 0.25 / math.sqrt(2.0)
+ISTAR_CAP = 10**6
 
 
 @dataclass(frozen=True)
 class NibbleParams:
-    """All tunable constants of the pipeline.
+    """The six values on which the two presets differ.
 
-    Defaults reproduce the analysis constants; `relaxed_params` widens the
-    per-step tolerances and shrinks the list-size constant so the machinery
-    is exercisable on desk-scale graphs. The deviation exponents apply to
-    the degree bound parameter `max_deg`; `tol_scale` multiplies all four
-    per-step tolerances.
+    Defaults reproduce the analysis; `relaxed_params` widens the per-step
+    tolerances and shrinks the list-size constant so the machinery is
+    exercisable on desk-scale graphs. `tol_scale` multiplies all four
+    per-step tolerances. The analysis' fixed exponents and factors are the
+    module constants above.
     """
 
     ck: float = 120.0
-    phat_exp: float = 11.0 / 12.0
-    entropy_slack: float = 1.0 / 40.0
-    hyp_vertex_dev_exp: float = 1.0 / 10.0
-    dev_vertex_exp: float = 1.0 / 6.0
-    dev_edge_exp: float = 1.0 / 3.0
-    dev_entropy_exp: float = 1.0 / 6.0
-    dev_degree_exp: float = 2.0 / 3.0
     shrink_factor: float = 2.0 / 3.0
-    edge_mass_cap_factor: float = math.sqrt(2.0)
-    niceness_target_factor: float = (3.0 / 5.0) ** 2 * 0.25 / math.sqrt(2.0)
     tol_scale: float = 1.0
     max_retries_per_step: int = 20
     max_final_retries: int = 200
     max_steps: int = 200
-    istar_cap: int = 10**6
 
     def __post_init__(self):
-        for name in (
-            "ck",
-            "entropy_slack",
-            "shrink_factor",
-            "edge_mass_cap_factor",
-            "niceness_target_factor",
-            "tol_scale",
-        ):
+        for name in ("ck", "shrink_factor", "tol_scale"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be positive")
-        for name in (
-            "phat_exp",
-            "hyp_vertex_dev_exp",
-            "dev_vertex_exp",
-            "dev_edge_exp",
-            "dev_entropy_exp",
-            "dev_degree_exp",
-        ):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise DomainError(f"{name} must lie strictly between 0 and 1")
         for name in ("max_retries_per_step", "max_final_retries", "max_steps"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1")
@@ -105,31 +89,31 @@ class NibbleParams:
         return math.ceil(self.ck * max_deg / math.log(max_deg))
 
     def p_hat_for(self, max_deg: int) -> float:
-        return max_deg ** (-self.phat_exp)
+        return max_deg ** (-PHAT_EXP)
 
     def alpha_for(self, max_deg: int) -> float:
         return 1.0 / math.log(max_deg)
 
     def dev_vertex(self, max_deg: int) -> float:
-        return self.tol_scale * max_deg ** (-self.dev_vertex_exp)
+        return self.tol_scale * max_deg ** (-DEV_VERTEX_EXP)
 
     def dev_edge(self, max_deg: int, k: int) -> float:
-        return self.tol_scale * max_deg ** (-self.dev_edge_exp) / k
+        return self.tol_scale * max_deg ** (-DEV_EDGE_EXP) / k
 
     def dev_entropy(self, max_deg: int) -> float:
-        return self.tol_scale * math.log(max_deg) * max_deg ** (-self.dev_entropy_exp)
+        return self.tol_scale * math.log(max_deg) * max_deg ** (-DEV_ENTROPY_EXP)
 
     def dev_degree(self, max_deg: int) -> float:
-        return self.tol_scale * max_deg ** self.dev_degree_exp
+        return self.tol_scale * max_deg ** DEV_DEGREE_EXP
 
     def shrink(self, max_deg: int) -> float:
         return self.shrink_factor / math.log(max_deg)
 
     def edge_mass_cap(self, k: int) -> float:
-        return self.edge_mass_cap_factor / k
+        return EDGE_MASS_CAP_FACTOR / k
 
     def niceness_target(self, k: int) -> float:
-        return self.niceness_target_factor * k
+        return NICENESS_TARGET_FACTOR * k
 
 
 def paper_params(**overrides) -> NibbleParams:
@@ -172,7 +156,6 @@ class StepStats:
     sampled: np.ndarray
     removed: tuple[int, ...]
     s_size: int
-    saturated_count: int
 
 
 def _resolve_alpha(state: ReductState, alpha: float | None) -> float:
@@ -232,11 +215,6 @@ def reduct_step(
     new_p[removed_mask[cover.owner]] = 0.0
     new_state = state.with_step(Weighting(new_p, w.p_hat), post_alive, record)
 
-    if state.max_deg is not None:
-        saturation = float(state.max_deg) ** SATURATION_EXP
-        saturated = int(np.sum(s_count > saturation))
-    else:
-        saturated = 0
     stats = StepStats(
         post_alive=post_alive,
         p_v=vertex_mass_all(cover, p_prime),
@@ -247,7 +225,6 @@ def reduct_step(
         sampled=in_s,
         removed=removed,
         s_size=int(in_s.sum()),
-        saturated_count=saturated,
     )
     return new_state, stats
 
@@ -360,7 +337,7 @@ def check_reduct_hypotheses(state: ReductState, params: NibbleParams) -> dict:
     report = {
         "vertex_mass_ok": bool(
             live_idx.size == 0
-            or np.max(np.abs(p_v[live_idx] - 1.0)) <= dmax ** (-params.hyp_vertex_dev_exp)
+            or np.max(np.abs(p_v[live_idx] - 1.0)) <= dmax ** (-HYP_VERTEX_DEV_EXP)
         ),
         "edge_mass_ok": bool(
             not live_edges.any()
@@ -369,7 +346,7 @@ def check_reduct_hypotheses(state: ReductState, params: NibbleParams) -> dict:
         "entropy_ok": bool(
             live_idx.size == 0
             or float(q_v[live_idx].min())
-            >= math.log(k) - params.entropy_slack * math.log(dmax)
+            >= math.log(k) - ENTROPY_SLACK * math.log(dmax)
         ),
         "support_ok": bool(np.all((supp == 0.0) | (supp >= 1.0 / k - 1e-15))),
     }
@@ -394,7 +371,7 @@ def compute_istar(max_deg: int, params: NibbleParams) -> int:
     shrink = params.shrink(max_deg)
     dev = params.dev_degree(max_deg)
     prev = math.inf
-    for i in range(params.istar_cap + 1):
+    for i in range(ISTAR_CAP + 1):
         lhs = max_deg * (1.0 - shrink) ** i + i * dev
         if lhs <= target:
             return i
@@ -405,7 +382,7 @@ def compute_istar(max_deg: int, params: NibbleParams) -> int:
             )
         prev = lhs
     raise IstarInfeasibleError(
-        f"no iteration count up to {params.istar_cap} works for max_deg={max_deg}"
+        f"no iteration count up to {ISTAR_CAP} works for max_deg={max_deg}"
     )
 
 
@@ -526,18 +503,14 @@ class TrajectoryRow:
     retries: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "min_pv": self.min_pv,
-            "max_pv": self.max_pv,
-            "min_Q": self.min_q,
-            "max_deg": self.max_deg,
-            "removed": self.removed,
-            "retries": self.retries,
-        }
+        return dict(zip(_COLUMNS, astuple(self)))
 
 
-CSV_HEADER = "step,min_pv,max_pv,min_Q,max_deg,removed,retries"
+# Result JSON and the --trace CSV spell min_q as min_Q.
+_COLUMNS = tuple(
+    "min_Q" if f.name == "min_q" else f.name for f in fields(TrajectoryRow)
+)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,22 +540,10 @@ class NibbleResult:
         return self.status == "success"
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "coloring": None
-            if self.coloring is None
-            else {str(v): x for v, x in sorted(self.coloring.items())},
-            "mode": self.mode,
-            "istar": self.istar,
-            "steps": self.steps,
-            "trajectory": [row.to_json_dict() for row in self.trajectory],
-            "nice_delta": self.nice_delta,
-            "final_attempts": self.final_attempts,
-            "k": self.k,
-            "max_deg": self.max_deg,
-            "seed": self.seed,
-            "detail": self.detail,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["coloring"] = coloring_to_json(self.coloring)
+        doc["trajectory"] = [row.to_json_dict() for row in self.trajectory]
+        return doc
 
 
 def _trajectory_row(step: int, stats: StepStats, retries: int) -> TrajectoryRow:
@@ -611,7 +572,7 @@ def run_nibble(
 ) -> NibbleResult:
     """Color a triangle-free graph from a uniform-list cover, or report why not.
 
-    Starts every color at weight 1/k under cap max_deg^{-phat_exp}. When the
+    Starts every color at weight 1/k under cap max_deg^{-PHAT_EXP}. When the
     closed-form iteration count exists, exactly that many steps run before
     the terminal niceness check. At desk scale the count is usually
     infeasible, so the driver falls back to an adaptive loop: probe niceness
@@ -744,25 +705,21 @@ def run_nibble(
             )
         return finish(state, nice, istar)
 
-    def stuck_vertex(state: ReductState) -> int | None:
-        # A surviving vertex with no moderate color can never be sampled,
-        # removed, or rounded; once weights sit at 0 or the cap they stay
-        # there, so such a vertex is permanently stuck.
-        mod_mass = vertex_mass_all(cover, moderate_values(state.weighting))
-        for v in state.alive_vertices():
-            if mod_mass[v] == 0.0:
-                return int(v)
-        return None
-
     steps_done = 0
     for i in range(params.max_steps):
         if state.n_alive == 0:
             return drained(state, steps_done)
-        stuck = stuck_vertex(state)
-        if stuck is not None:
-            detail = f"vertex {stuck} has no moderate color left and can never get one"
-            return result("not-nice", steps_done, detail=detail)
         nice = check_nice(state)
+        if nice.min_moderate_mass == 0.0:
+            # A surviving vertex with no moderate color can never be sampled,
+            # removed, or rounded; once weights sit at 0 or the cap they stay
+            # there, so such a vertex is permanently stuck. The argmin is the
+            # lowest-id such vertex.
+            detail = (
+                f"vertex {nice.argmin_vertex} has no moderate color left"
+                " and can never get one"
+            )
+            return result("not-nice", steps_done, detail=detail)
         if nice.ok:
             rounded = finish(state, nice, steps_done)
             if rounded.status == "success":

@@ -19,7 +19,7 @@ negative or listed at two vertices with DomainError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,12 +118,22 @@ def greedy_color(
     return chosen, None
 
 
+def coloring_to_json(coloring: Coloring | None) -> dict[str, int] | None:
+    """A coloring as result JSON writes it: string vertex keys, ascending."""
+    if coloring is None:
+        return None
+    return {str(v): x for v, x in sorted(coloring.items())}
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     status: str  # "colorable" or "not-colorable"
     coloring: Coloring | None
     count: int | None
     nodes_explored: int
+
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "coloring": coloring_to_json(self.coloring)}
 
 
 def _prepared_domains(g: Graph, cover: Cover, restrict, vertices):

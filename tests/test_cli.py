@@ -70,8 +70,14 @@ class TestGenerate:
         assert cover_from_json_dict(doc) == random_cover(gen_cycle(6), 3, seed=5)
 
 
+def nibble_digest(result) -> str:
+    payload = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 class TestByteIdentity:
-    """Outputs pinned to digests recorded before covers became arrays."""
+    """Outputs pinned to digests recorded before covers became arrays, and
+    nibble runs pinned before the analysis constants left NibbleParams."""
 
     @pytest.mark.parametrize(
         "flags, digest",
@@ -104,10 +110,45 @@ class TestByteIdentity:
         g = corrcolor.gen_random_bipartite_regular(100, 12, seed=7)
         cover = random_cover(g, 30, seed=8)
         result = corrcolor.run_nibble(g, cover, corrcolor.relaxed_params(), seed=9)
-        payload = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
         assert (result.status, result.steps) == ("success", 7)
-        assert hashlib.sha256(payload.encode()).hexdigest() == (
+        assert nibble_digest(result) == (
             "a73eefda2ca8fa9274b1b660315c154c27ca74c2fe897b3e06d2b09d74af89bf"
+        )
+
+    def test_schedule_nibble_digest(self):
+        # every deviation and the niceness target feed the scheduled run
+        g = corrcolor.gen_random_bipartite_regular(20, 6, seed=3)
+        cover = random_cover(g, 40, seed=4)
+        params = corrcolor.paper_params(ck=25, shrink_factor=1.0, tol_scale=0.5)
+        result = corrcolor.run_nibble(g, cover, params, seed=5)
+        assert (result.status, result.mode, result.istar) == ("success", "schedule", 1)
+        assert nibble_digest(result) == (
+            "30363c9dc0c4031ef099d288b3469038b7e04e693535a4a1337862eb45d5d9b7"
+        )
+
+    def test_not_nice_nibble_digest(self):
+        # the detail carries the entry-condition report, the only output of
+        # the entropy slack, the hypothesis deviation and the edge-mass cap
+        g = corrcolor.gen_random_bipartite_regular(100, 12, seed=7)
+        cover = random_cover(g, 30, seed=8)
+        params = corrcolor.relaxed_params(max_steps=1)
+        result = corrcolor.run_nibble(g, cover, params, seed=9)
+        assert (result.status, result.steps) == ("not-nice", 1)
+        assert "entry conditions: {'vertex_mass_ok'" in result.detail
+        assert nibble_digest(result) == (
+            "39fa8b3a41e128d1cabb978c4f1cf104051e068fc307f68f8740a42e5587f12c"
+        )
+
+    def test_stuck_vertex_nibble_digest(self):
+        g = corrcolor.gen_random_bipartite_regular(6, 3, seed=0)
+        cover = random_cover(g, 4, seed=0)
+        result = corrcolor.run_nibble(g, cover, corrcolor.relaxed_params(), seed=0)
+        assert (result.status, result.steps) == ("not-nice", 1)
+        assert result.detail == (
+            "vertex 0 has no moderate color left and can never get one"
+        )
+        assert nibble_digest(result) == (
+            "20774a5ad7714348ecb940dfa16bbfa22ce35453a7609b0f37531043320861ee"
         )
 
 
@@ -372,6 +413,10 @@ class TestNibbleCli:
         lines = open(tpath).read().strip().splitlines()
         assert lines[0] == "step,min_pv,max_pv,min_Q,max_deg,removed,retries"
         assert len(lines) == len(doc["trajectory"]) + 1
+        # pinned before the CSV columns were derived from TrajectoryRow
+        assert hashlib.sha256(Path(tpath).read_bytes()).hexdigest() == (
+            "38a0a388affdcf7220f5553346d545ab4378419f6326b128d2d3324fc18fdd0e"
+        )
         if doc["status"] == "success":
             g = graph_from_json_dict(json.loads(open(gpath).read()))
             cover = cover_from_json_dict(json.loads(open(cpath).read()))
@@ -379,6 +424,33 @@ class TestNibbleCli:
             from corrcolor import is_valid_coloring
 
             assert is_valid_coloring(g, cover, coloring)
+
+    @pytest.mark.parametrize("preset", ["paper", "relaxed"])
+    def test_param_flags_reach_params(self, monkeypatch, capsys, c6_files, preset):
+        seen = []
+
+        def fake_run_nibble(g, cover, params, seed):
+            seen.append(params)
+            raise corrcolor.DomainError("stopped after reading params")
+
+        monkeypatch.setattr(corrcolor.cli, "run_nibble", fake_run_nibble)
+        gpath, cpath = c6_files
+        code, _, _ = run_cli(
+            capsys, "nibble", "--graph", gpath, "--cover", cpath, "--preset", preset,
+            "--ck", "7.5", "--tol-scale", "2.5", "--max-steps", "3",
+            "--max-retries-per-step", "4", "--max-final-retries", "5",
+        )
+        assert code == 1
+        make = corrcolor.paper_params if preset == "paper" else corrcolor.relaxed_params
+        assert seen == [
+            make(
+                ck=7.5,
+                tol_scale=2.5,
+                max_steps=3,
+                max_retries_per_step=4,
+                max_final_retries=5,
+            )
+        ]
 
     def test_triangle_is_domain_error(self, tmp_path, capsys):
         gpath = write(tmp_path, "g.json", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
@@ -439,7 +511,13 @@ class TestErrorPaths:
         assert len(json.loads(out)["lists"]) == 4
 
     @pytest.mark.parametrize(
-        "text, line", [("p edge x 3\n", 1), ("p edge 3 2\ne 1 2\ne 1 z\n", 3)]
+        "text, line",
+        [
+            ("p edge x 3\n", 1),
+            ("p edge 3 2\ne 1 2\ne 1 z\n", 3),
+            ("p col 3 zz\ne 1 2\n", 1),
+            ("p graph 3 1\ne 1 2\n", 1),
+        ],
     )
     def test_dimacs_non_integer_field_is_exit_2(self, tmp_path, capsys, text, line):
         path = tmp_path / "g.col"

@@ -316,7 +316,13 @@ class TestIO:
             parse_dimacs("p edge 2 1\nx 1 2\n")
 
     @pytest.mark.parametrize(
-        "text, line", [("p edge x 3\n", 1), ("p edge 3 2\ne 1 2\ne 1 z\n", 3)]
+        "text, line",
+        [
+            ("p edge x 3\n", 1),
+            ("p edge 3 2\ne 1 2\ne 1 z\n", 3),
+            ("p col 3 zz\ne 1 2\n", 1),
+            ("p graph 3 1\ne 1 2\n", 1),
+        ],
     )
     def test_dimacs_fields_that_are_not_integers(self, text, line):
         with pytest.raises(MalformedInputError, match=f"line {line}: "):

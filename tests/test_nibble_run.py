@@ -6,6 +6,7 @@ import pytest
 
 from corrcolor import (
     Cover,
+    NibbleParams,
     DomainError,
     IstarInfeasibleError,
     build_graph,
@@ -34,6 +35,7 @@ from corrcolor import (
     solve_report,
     vertex_mass,
 )
+from corrcolor import nibble
 from corrcolor.weights import ReductState, Weighting
 
 from .conftest import adjacency, random_triangle_free_graph
@@ -231,20 +233,17 @@ class TestRunNibble:
         assert is_valid_coloring(g, cover, res.coloring)
 
     def test_schedule_mode_with_steps(self):
-        # crafted constants give a positive closed-form count; the scheduled
-        # loop runs and the per-step target checks are enforced (here the
-        # degree target is unreachable, so the run reports honestly)
-        params = paper_params(
-            shrink_factor=1.5, dev_degree_exp=0.05, niceness_target_factor=0.00747
-        )
+        # a smaller list-size constant and a faster shrink give a positive
+        # closed-form count; the scheduled loop runs one target-checked step
+        # and the terminal rounding colors the rest
+        params = paper_params(ck=25, shrink_factor=1.0, tol_scale=0.5)
         assert compute_istar(6, params) == 1
         g = gen_random_bipartite_regular(20, 6, seed=3)
         cover = random_cover(g, 40, seed=4)
         res = run_nibble(g, cover, params, seed=5)
         assert res.mode == "schedule" and res.istar == 1
-        assert res.status in ("success", "step-retries-exhausted", "not-nice")
-        if res.status == "step-retries-exhausted":
-            assert "violated targets" in res.detail
+        assert res.ok and res.steps == 1, res.detail
+        assert is_valid_coloring(g, cover, res.coloring)
 
     def test_partial_matchings_supported(self):
         # the cover definition only needs matchings, not perfect ones; the
@@ -273,9 +272,10 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(DomainError):
             paper_params(ck=0.0)
-        with pytest.raises(DomainError):
+        # the analysis' exponents are module constants, not settable fields
+        with pytest.raises(TypeError):
             paper_params(phat_exp=1.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             paper_params(dev_vertex_exp=0.0)
         with pytest.raises(DomainError):
             relaxed_params(max_final_retries=0)
@@ -293,13 +293,28 @@ class TestParams:
     def test_paper_constants(self):
         params = paper_params()
         assert params.ck == 120.0
-        assert params.phat_exp == pytest.approx(11 / 12)
-        assert params.entropy_slack == pytest.approx(1 / 40)
+        assert nibble.PHAT_EXP == pytest.approx(11 / 12)
+        assert nibble.ENTROPY_SLACK == pytest.approx(1 / 40)
         assert params.shrink_factor == pytest.approx(2 / 3)
-        assert params.edge_mass_cap_factor == pytest.approx(math.sqrt(2))
+        assert nibble.EDGE_MASS_CAP_FACTOR == pytest.approx(math.sqrt(2))
         assert params.k_for(1000) == 17372
         assert params.p_hat_for(1000) == pytest.approx(1000 ** (-11 / 12))
         assert params.alpha_for(1000) == pytest.approx(1 / math.log(1000))
+
+
+    def test_only_the_preset_values_are_fields(self):
+        # the two presets differ in exactly these; everything else is fixed
+        names = {f.name for f in dataclasses.fields(NibbleParams)}
+        assert names == {
+            "ck",
+            "shrink_factor",
+            "tol_scale",
+            "max_retries_per_step",
+            "max_final_retries",
+            "max_steps",
+        }
+        paper, relaxed = paper_params(), relaxed_params()
+        assert all(getattr(paper, n) != getattr(relaxed, n) for n in names)
 
 
 class TestHypothesesReport:

@@ -323,24 +323,6 @@ class TestDiagnostics:
         print(f"[diagnostic] per-step deviation rates at tol_scale=1: {rates}")
         assert all(0.0 <= r <= 1.0 for r in rates.values())
 
-    def test_saturation_count_populated(self):
-        g, cover, st = toy_state(seed=1)
-        _, stats = reduct_step(st, seed=3)
-        # threshold 8^{1/10} ~ 1.23: any color with two sampled matched
-        # neighbors counts as saturated
-        assert stats.saturated_count >= 0
-        manual = int(np.sum(_count_sampled_neighbors(cover, stats.sampled) > 8 ** 0.1))
-        assert stats.saturated_count == manual
-
-
-def _count_sampled_neighbors(cover, sampled):
-    return np.array(
-        [
-            sum(1 for y in cover.color_neighbors[x] if sampled[y])
-            for x in range(cover.n_colors)
-        ]
-    )
-
 
 class TestDegreeBound:
     def test_zero_weighting_bound_equals_degree(self):
