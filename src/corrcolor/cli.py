@@ -57,24 +57,22 @@ def _read_text(path: str) -> str:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _load_json(path: str):
-    text = _read_text(path)
+def _parse_json(text: str, path: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_json(path: str):
+    return _parse_json(_read_text(path), path)
+
+
 def _load_graph(path: str):
     """Graph from JSON, or from a DIMACS-like edge list (read-only format)."""
     text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
-        return graph_from_json_dict(doc)
+    if text.lstrip().startswith("{"):
+        return graph_from_json_dict(_parse_json(text, path))
     return parse_dimacs(text)
 
 
@@ -82,17 +80,26 @@ def _load_cover(path: str):
     return cover_from_json_dict(_load_json(path))
 
 
+def _is_number(x) -> bool:
+    """A JSON number within the float range; booleans are not numbers."""
+    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
+
+
 def _load_weighting(path: str, n_colors: int) -> Weighting:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "p" not in doc or "p_hat" not in doc:
         raise MalformedInputError('weights document needs keys "p" and "p_hat"')
-    p = np.asarray(doc["p"], dtype=np.float64)
-    if p.size != n_colors:
+    p, p_hat = doc["p"], doc["p_hat"]
+    if not isinstance(p, list) or not all(map(_is_number, p)):
+        raise MalformedInputError('weights key "p" must be an array of numbers')
+    if not _is_number(p_hat):
+        raise MalformedInputError('weights key "p_hat" must be a number')
+    if len(p) != n_colors:
         raise MalformedInputError(
-            f"weights length {p.size} disagrees with the cover's {n_colors} colors"
+            f"weights length {len(p)} disagrees with the cover's {n_colors} colors"
         )
     try:
-        return Weighting(p=p, p_hat=float(doc["p_hat"]))
+        return Weighting(p=np.array(p, dtype=np.float64), p_hat=float(p_hat))
     except DomainError as exc:
         raise MalformedInputError(str(exc)) from exc
 
@@ -309,11 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     k_rb.add_argument("--seed", type=int, default=0)
     for sp in (k_cycle, k_cb, k_rr, k_rb):
         sp.add_argument("--out")
-        sp.set_defaults(func=_cmd_gen_graph, command="gen-graph")
-    k_cycle.set_defaults(kind="cycle")
-    k_cb.set_defaults(kind="complete-bipartite")
-    k_rr.set_defaults(kind="random-regular")
-    k_rb.set_defaults(kind="random-bipartite-regular")
+    p.set_defaults(func=_cmd_gen_graph)
 
     p = sub.add_parser("gen-cover", help="random cover over a graph")
     p.add_argument("--graph", required=True)

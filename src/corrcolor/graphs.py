@@ -275,8 +275,9 @@ def _dimacs_int(field: str, lineno: int) -> int:
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS-like edge list: "p edge n m" header, "e u v" lines, 1-indexed.
 
-    The header's format word may also be "col". m must be an integer but is
-    not compared with the edge lines, since duplicate edges merge.
+    The header's format word may also be "col", and there is exactly one
+    header. m must be a non-negative integer but is not compared with the
+    edge lines, since duplicate edges merge.
     """
     n = None
     edges = []
@@ -286,17 +287,22 @@ def parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) < 4:
+            if len(parts) != 4:
                 raise MalformedInputError(f'line {lineno}: expected "p edge n m"')
+            if n is not None:
+                raise MalformedInputError(f'line {lineno}: a second "p" header')
             if parts[1] not in ("edge", "col"):
                 raise MalformedInputError(
                     f'line {lineno}: format {parts[1]!r} is not "edge" or "col"'
                 )
-            n, _m = (_dimacs_int(part, lineno) for part in parts[2:4])
+            n, m = (_dimacs_int(part, lineno) for part in parts[2:])
+            if n < 0 or m < 0:
+                msg = f"line {lineno}: n and m must be non-negative"
+                raise MalformedInputError(msg)
         elif parts[0] == "e":
-            if len(parts) < 3:
+            if len(parts) != 3:
                 raise MalformedInputError(f'line {lineno}: expected "e u v"')
-            u, v = (_dimacs_int(part, lineno) for part in parts[1:3])
+            u, v = (_dimacs_int(part, lineno) for part in parts[1:])
             edges.append((u - 1, v - 1))
         else:
             raise MalformedInputError(f"line {lineno}: unknown record {parts[0]!r}")

@@ -91,9 +91,6 @@ class NibbleParams:
     def p_hat_for(self, max_deg: int) -> float:
         return max_deg ** (-PHAT_EXP)
 
-    def alpha_for(self, max_deg: int) -> float:
-        return 1.0 / math.log(max_deg)
-
     def dev_vertex(self, max_deg: int) -> float:
         return self.tol_scale * max_deg ** (-DEV_VERTEX_EXP)
 
@@ -155,7 +152,6 @@ class StepStats:
     p_prime: np.ndarray
     sampled: np.ndarray
     removed: tuple[int, ...]
-    s_size: int
 
 
 def _resolve_alpha(state: ReductState, alpha: float | None) -> float:
@@ -224,7 +220,6 @@ def reduct_step(
         p_prime=p_prime,
         sampled=in_s,
         removed=removed,
-        s_size=int(in_s.sum()),
     )
     return new_state, stats
 
@@ -639,23 +634,6 @@ def run_nibble(
         except IstarInfeasibleError:
             pass
 
-    def committed_step(state: ReductState, index: int):
-        last = None
-        for attempt in range(params.max_retries_per_step):
-            cand, stats = reduct_step(
-                state, derive_int_seed(seed, "step", index, attempt)
-            )
-            chk = check_reduct_targets(state, stats, params)
-            if chk.ok:
-                trajectory.append(_trajectory_row(index, stats, attempt + 1))
-                return cand
-            last = chk
-        detail = f"step {index} violated targets {params.max_retries_per_step} times"
-        if last is not None and last.violations:
-            kind, where, value, bound = last.violations[0]
-            detail += f"; last: {kind} at {where} ({value:.6g} vs {bound:.6g})"
-        return detail
-
     def extended(
         state: ReductState, inner, steps: int, nice_delta, detail
     ) -> NibbleResult:
@@ -685,57 +663,53 @@ def run_nibble(
             )
         return extended(state, inner, steps, nice.delta, None)
 
-    def drained(state: ReductState, steps: int) -> NibbleResult:
-        return extended(
-            state, {}, steps, None, "all vertices drained into removal records"
-        )
-
-    if mode == "schedule":
-        for i in range(istar):
-            outcome = committed_step(state, i)
-            if isinstance(outcome, str):
-                return result("step-retries-exhausted", i, detail=outcome)
-            state = outcome
-        if state.n_alive == 0:
-            return drained(state, istar)
-        nice = check_nice(state)
-        if not nice.ok:
-            return result(
-                "not-nice", istar, detail=f"after the scheduled steps: {nice.reason}"
-            )
-        return finish(state, nice, istar)
-
-    steps_done = 0
-    for i in range(params.max_steps):
-        if state.n_alive == 0:
-            return drained(state, steps_done)
-        nice = check_nice(state)
-        if nice.min_moderate_mass == 0.0:
-            # A surviving vertex with no moderate color can never be sampled,
-            # removed, or rounded; once weights sit at 0 or the cap they stay
-            # there, so such a vertex is permanently stuck. The argmin is the
-            # lowest-id such vertex.
+    adaptive = mode == "adaptive"
+    budget = params.max_steps if adaptive else istar
+    # Schedule mode probes niceness once, after its istar steps. Adaptive mode
+    # probes before every step, rounds whenever the state is nice, and probes
+    # once more after its last step.
+    for i in range(budget + 1):
+        end = i == budget
+        if adaptive or end:
+            if state.n_alive == 0:
+                return extended(
+                    state, {}, i, None, "all vertices drained into removal records"
+                )
+            nice = check_nice(state)
+            if nice.ok:
+                rounded = finish(state, nice, i)
+                if end or rounded.status == "success":
+                    return rounded
+                # rounding budget spent this round; keep stepping, more
+                # vertices will drain into the history
+            elif end:
+                if adaptive:
+                    hyp = check_reduct_hypotheses(state, params)
+                    detail = f"after {i} steps: {nice.reason}; entry conditions: {hyp}"
+                else:
+                    detail = f"after the scheduled steps: {nice.reason}"
+                return result("not-nice", i, detail=detail)
+            elif nice.min_moderate_mass == 0.0:
+                # A surviving vertex with no moderate color can never be
+                # sampled, removed, or rounded; once weights sit at 0 or the
+                # cap they stay there, so such a vertex is permanently stuck.
+                # The argmin is the lowest-id such vertex.
+                detail = (
+                    f"vertex {nice.argmin_vertex} has no moderate color left"
+                    " and can never get one"
+                )
+                return result("not-nice", i, detail=detail)
+        for attempt in range(params.max_retries_per_step):
+            cand, stats = reduct_step(state, derive_int_seed(seed, "step", i, attempt))
+            chk = check_reduct_targets(state, stats, params)
+            if chk.ok:
+                trajectory.append(_trajectory_row(i, stats, attempt + 1))
+                state = cand
+                break
+        else:
+            kind, where, value, bound = chk.violations[0]
             detail = (
-                f"vertex {nice.argmin_vertex} has no moderate color left"
-                " and can never get one"
+                f"step {i} violated targets {params.max_retries_per_step} times;"
+                f" last: {kind} at {where} ({value:.6g} vs {bound:.6g})"
             )
-            return result("not-nice", steps_done, detail=detail)
-        if nice.ok:
-            rounded = finish(state, nice, steps_done)
-            if rounded.status == "success":
-                return rounded
-            # rounding budget spent this round; keep stepping, more vertices
-            # will drain into the history
-        outcome = committed_step(state, i)
-        if isinstance(outcome, str):
-            return result("step-retries-exhausted", steps_done, detail=outcome)
-        state = outcome
-        steps_done += 1
-    if state.n_alive == 0:
-        return drained(state, steps_done)
-    nice = check_nice(state)
-    if not nice.ok:
-        hyp = check_reduct_hypotheses(state, params)
-        detail = f"after {steps_done} steps: {nice.reason}; entry conditions: {hyp}"
-        return result("not-nice", steps_done, detail=detail)
-    return finish(state, nice, steps_done)
+            return result("step-retries-exhausted", i, detail=detail)

@@ -33,9 +33,10 @@ class Weighting:
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.ascontiguousarray(self.p, dtype=np.float64))
-        if self.p_hat <= 0.0:
-            raise DomainError(f"weight cap must be positive, got {self.p_hat}")
-        if self.p.size and (self.p.min() < 0.0 or self.p.max() > self.p_hat):
+        if not 0.0 < self.p_hat < math.inf:
+            msg = f"weight cap must be positive and finite, got {self.p_hat}"
+            raise DomainError(msg)
+        if self.p.size and not (self.p.min() >= 0.0 and self.p.max() <= self.p_hat):
             raise DomainError("weights must lie in [0, p_hat]")
 
     @property

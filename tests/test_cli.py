@@ -77,7 +77,8 @@ def nibble_digest(result) -> str:
 
 class TestByteIdentity:
     """Outputs pinned to digests recorded before covers became arrays, and
-    nibble runs pinned before the analysis constants left NibbleParams."""
+    nibble runs pinned before the analysis constants left NibbleParams and
+    before both nibble modes shared one step loop."""
 
     @pytest.mark.parametrize(
         "flags, digest",
@@ -150,6 +151,64 @@ class TestByteIdentity:
         assert nibble_digest(result) == (
             "20774a5ad7714348ecb940dfa16bbfa22ce35453a7609b0f37531043320861ee"
         )
+
+    @pytest.mark.parametrize(
+        "shape, k, cover_seed, params, seed, expected, digest",
+        [
+            (
+                (8, 3, 0), 6, 0, corrcolor.relaxed_params(), 1,
+                ("success", "adaptive", 7),
+                "da68c666d2c94d427c5f165d7512ccdfc2658b8e813129713a90c1eca0865de2",
+            ),
+            (
+                (12, 4, 2), 10, 2,
+                corrcolor.relaxed_params(max_final_retries=1, max_steps=2), 2,
+                ("final-color-exhausted", "adaptive", 2),
+                "891220b6a4de325a8552da89c873866670671c7ad7c1b0db4b708158108290a5",
+            ),
+            (
+                (6, 3, 0), 4, 1,
+                corrcolor.paper_params(ck=10, shrink_factor=1.0, tol_scale=1.0), 1,
+                ("step-retries-exhausted", "adaptive", 0),
+                "0c6d0b7aaf1c487fd0bc27fa1905be173d2212ee8cddb26b3819f8e237647455",
+            ),
+            (
+                (6, 3, 0), 4, 0,
+                corrcolor.relaxed_params(tol_scale=0.01, max_retries_per_step=1), 0,
+                ("step-retries-exhausted", "schedule", 0),
+                "f62f5c15ea631e7b5172018401f0effefade0bbc35ecdd8f28631ec2e103b532",
+            ),
+            (
+                (6, 3, 0), 4, 0,
+                corrcolor.paper_params(ck=25, shrink_factor=1.0, tol_scale=0.5), 0,
+                ("not-nice", "schedule", 0),
+                "4df975a31fa1c8f4261919c6f7e1509139c70736d19c85bbdaa899004acd4804",
+            ),
+            (
+                (20, 6, 0), 40, 0,
+                corrcolor.paper_params(
+                    ck=25, shrink_factor=1.0, tol_scale=0.5, max_final_retries=1
+                ),
+                0,
+                ("final-color-exhausted", "schedule", 1),
+                "c4f50f8edc7aaa80fec0d2fbfb688f5e8b679478f183947fce9e9d675b7ccd7d",
+            ),
+        ],
+        ids=[
+            "adaptive-drained", "adaptive-round-exhausted", "adaptive-step-exhausted",
+            "schedule-step-exhausted", "schedule-not-nice", "schedule-round-exhausted",
+        ],
+    )
+    def test_nibble_exit_digest(
+        self, shape, k, cover_seed, params, seed, expected, digest
+    ):
+        # every exit of the step loop, in both modes
+        n_side, d, graph_seed = shape
+        g = corrcolor.gen_random_bipartite_regular(n_side, d, seed=graph_seed)
+        cover = random_cover(g, k, seed=cover_seed)
+        result = corrcolor.run_nibble(g, cover, params, seed=seed)
+        assert (result.status, result.mode, result.steps) == expected
+        assert nibble_digest(result) == digest
 
 
 class TestValidateAndSolve:
@@ -306,6 +365,36 @@ class TestStats:
         )
         assert code == 0
         assert json.loads(out)["nice"] == pytest.approx(0.7, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, p_hat, key",
+        [
+            (["a"] * 12, 0.2, '"p"'),
+            ([[0.1]] * 12, 0.2, '"p"'),
+            ([True] * 12, 0.2, '"p"'),
+            ([10**400] * 12, 0.2, '"p"'),
+            (None, 0.2, '"p"'),
+            ([0.1] * 12, "x", '"p_hat"'),
+            ([0.1] * 12, True, '"p_hat"'),
+            ([0.1] * 11 + [math.nan], 0.2, "[0, p_hat]"),
+            ([0.1] * 12, math.inf, "finite"),
+        ],
+        ids=[
+            "string", "nested", "bool", "huge-int", "null", "cap-string",
+            "cap-bool", "nan", "inf-cap",
+        ],
+    )
+    def test_bad_weights_document_is_exit_2(self, tmp_path, capsys, p, p_hat, key):
+        g = gen_cycle(4)
+        cover = random_cover(g, 3, seed=7)
+        gpath = write(tmp_path, "g.json", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]})
+        cpath = write(tmp_path, "c.json", cover_to_json_dict(cover))
+        wpath = write(tmp_path, "w.json", {"p_hat": p_hat, "p": p})
+        code, out, err = run_cli(
+            capsys, "stats", "--graph", gpath, "--cover", cpath, "--weights", wpath
+        )
+        assert code == 2 and out == ""
+        assert key in err and err.count("\n") == 1
 
 
 class TestLbExperiment:
@@ -517,6 +606,11 @@ class TestErrorPaths:
             ("p edge 3 2\ne 1 2\ne 1 z\n", 3),
             ("p col 3 zz\ne 1 2\n", 1),
             ("p graph 3 1\ne 1 2\n", 1),
+            ("p edge 3 -1\n", 1),
+            ("p edge -1 0\n", 1),
+            ("p edge 3 1\ne 1 2\np edge 5 1\n", 3),
+            ("p edge 3 1 9\ne 1 2\n", 1),
+            ("p edge 3 1\ne 1 2 9\n", 2),
         ],
     )
     def test_dimacs_non_integer_field_is_exit_2(self, tmp_path, capsys, text, line):

@@ -322,6 +322,11 @@ class TestIO:
             ("p edge 3 2\ne 1 2\ne 1 z\n", 3),
             ("p col 3 zz\ne 1 2\n", 1),
             ("p graph 3 1\ne 1 2\n", 1),
+            ("p edge 3 -1\n", 1),
+            ("p edge -1 0\n", 1),
+            ("p edge 3 1\ne 1 2\np edge 5 1\n", 3),
+            ("p edge 3 1 9\ne 1 2\n", 1),
+            ("p edge 3 1\ne 1 2 9\n", 2),
         ],
     )
     def test_dimacs_fields_that_are_not_integers(self, text, line):

@@ -299,7 +299,6 @@ class TestParams:
         assert nibble.EDGE_MASS_CAP_FACTOR == pytest.approx(math.sqrt(2))
         assert params.k_for(1000) == 17372
         assert params.p_hat_for(1000) == pytest.approx(1000 ** (-11 / 12))
-        assert params.alpha_for(1000) == pytest.approx(1 / math.log(1000))
 
 
     def test_only_the_preset_values_are_fields(self):

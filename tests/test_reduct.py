@@ -52,7 +52,7 @@ class TestStepBasics:
         cover = random_cover(g, 3, seed=1)
         st = ReductState.initial(g, cover, Weighting.zeros(cover, 0.4), max_deg=4, k=3)
         st2, stats = reduct_step(st, seed=0, alpha=0.3)
-        assert stats.s_size == 0
+        assert not stats.sampled.any()
         assert stats.removed == ()
         assert np.array_equal(st2.alive, st.alive)
         assert np.array_equal(st2.weighting.p, st.weighting.p)
@@ -113,7 +113,7 @@ class TestStepBasics:
         st = ReductState.initial(g, cover, Weighting(p=p, p_hat=0.4), max_deg=8, k=4)
         st2, stats = reduct_step(st, seed=3)
         assert np.all(stats.p_prime == 0.4)
-        assert stats.s_size == 0
+        assert not stats.sampled.any()
 
     def test_deterministic(self):
         _, _, st = toy_state(seed=4)

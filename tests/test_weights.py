@@ -37,12 +37,20 @@ def uniform_state(g, cover, k, p_hat, max_deg=None):
 
 class TestWeighting:
     def test_bounds_enforced(self):
-        with pytest.raises(DomainError):
-            Weighting(p=np.array([0.5]), p_hat=0.4)
-        with pytest.raises(DomainError):
-            Weighting(p=np.array([-0.1]), p_hat=0.4)
-        with pytest.raises(DomainError):
-            Weighting(p=np.array([0.1]), p_hat=0.0)
+        nan, inf = math.nan, math.inf
+        cases = [
+            ([0.5], 0.4),
+            ([-0.1], 0.4),
+            ([0.1], 0.0),
+            ([0.1, nan], 0.4),
+            ([inf], 0.4),
+            ([-inf], 0.4),
+            ([0.1], nan),
+            ([0.1], inf),
+        ]
+        for p, p_hat in cases:
+            with pytest.raises(DomainError):
+                Weighting(p=np.array(p), p_hat=p_hat)
 
     def test_moderate_and_capped_masks(self):
         w = Weighting(p=np.array([0.0, 0.2, 0.4]), p_hat=0.4)
