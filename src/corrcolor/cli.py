@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import hashlib
 import json
 import sys
@@ -58,10 +59,17 @@ def _read_text(path: str) -> str:
 
 
 def _parse_json(text: str, path: str):
+    # A decoded document holds no reference cycles, but its many small lists
+    # would set off full collections while it is built.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _load_json(path: str):

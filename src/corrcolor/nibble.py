@@ -20,6 +20,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import _kernels as kernels
+from ._arrays import _ptr, _ranges
 from .covers import Cover, validate_cover
 from .errors import (
     DomainError,
@@ -79,8 +80,9 @@ class NibbleParams:
 
     def __post_init__(self):
         for name in ("ck", "shrink_factor", "tol_scale"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be positive")
+            # False for NaN as well as for values out of range.
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
         for name in ("max_retries_per_step", "max_final_retries", "max_steps"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1")
@@ -395,12 +397,17 @@ def final_color(
     pair that was jointly included. If every surviving vertex retains a
     color, the lowest id per vertex is returned. Returns (coloring, rounds)
     or (None, max_retries) when the budget runs out.
+
+    A round draws one uniform per color id, so the stream does not depend on
+    which colors are eligible, but it reads only the eligible (live,
+    moderate) colors and the matched pairs among them, compacted once per
+    call. The cover must pass `validate_cover`, as `run_nibble` checks: a
+    color in two lists would be one color with two holders.
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
     w = state.weighting
     cover = state.cover
-    nbr_ptr, nbr_idx = cover.arrays
     eligible = w.moderate & state.live_color_mask()
     probs = np.where(eligible, 2.0 * w.p / delta, 0.0)
     if probs.size and probs.max() > 1.0:
@@ -408,21 +415,35 @@ def final_color(
             "inclusion probability exceeds 1; delta is not a valid niceness slack"
         )
     n_alive = state.n_alive
-    colors = cover.vlist_colors
+    # The eligible colors in list order, so each holder's colors are
+    # consecutive and ascending, and the matched pairs among them as a CSR
+    # over their positions.
+    slots = np.flatnonzero(eligible[cover.vlist_colors])
+    ids = cover.vlist_colors[slots]
+    holders = np.searchsorted(cover.vlist_ptr, slots, side="right") - 1
+    probs = probs[ids]
+    local = np.full(cover.n_colors, -1, dtype=np.int64)
+    local[ids] = np.arange(ids.size)
+    nbr_ptr, nbr_idx = cover.arrays
+    starts = nbr_ptr[ids]
+    sizes = nbr_ptr[ids + 1] - starts
+    nbrs = local[nbr_idx[_ranges(starts, sizes)]]
+    kept = nbrs >= 0
+    sub_ptr = _ptr(kept)[_ptr(sizes)]
+    sub_idx = nbrs[kept]
     for attempt in range(1, max_retries + 1):
         rng = derive_rng(seed, "final-color", attempt)
-        included = rng.random(cover.n_colors) < probs
-        blocked = kernels.mask_counts(nbr_ptr, nbr_idx, included) > 0
-        survivor = included & ~blocked
+        included = rng.random(cover.n_colors)[ids] < probs
+        blocked = kernels.mask_counts(sub_ptr, sub_idx, included) > 0
         # Survivors are live colors, so the round succeeds when the number of
         # vertices holding one is the number of live vertices.
-        slots = np.flatnonzero(survivor[colors])
-        holders = np.searchsorted(cover.vlist_ptr, slots, side="right") - 1
-        lowest = np.ones(slots.size, dtype=bool)
-        lowest[1:] = holders[1:] != holders[:-1]
+        survivors = np.flatnonzero(included & ~blocked)
+        owners = holders[survivors]
+        lowest = np.ones(survivors.size, dtype=bool)
+        lowest[1:] = owners[1:] != owners[:-1]
         if int(lowest.sum()) == n_alive:
-            picks = colors[slots[lowest]].tolist()
-            return dict(zip(holders[lowest].tolist(), picks)), attempt
+            picks = ids[survivors[lowest]].tolist()
+            return dict(zip(owners[lowest].tolist(), picks)), attempt
     return None, max_retries
 
 

@@ -176,13 +176,15 @@ def _search(
         return SolveOutcome("not-colorable", None, 0 if count_all else None, 0)
 
     # Vertices become local indices 0..n-1 in id order, and colors become bit
-    # positions in their vertex's domain, in ascending id order; bit[y] is 0
-    # for a color in no domain. conflicts[i][a] lists (j, bit) for each
-    # neighbor color that color a of vertex i rules out.
-    nbr_ptr, nbr_idx = (arr.tolist() for arr in cover.arrays)
+    # positions in their vertex's domain, in ascending id order; color_bit[y]
+    # is 0 for a color in no domain. conflicts[i][a] lists (j, bit) for each
+    # neighbor color that color a of vertex i rules out. It is built when
+    # vertex i is first picked, so set-up follows the nodes explored, not
+    # the size of the cover.
+    nbr_ptr, nbr_idx = cover.arrays
     owner = cover.owner.tolist()
     local = [-1] * g.n
-    bit = [0] * cover.n_colors
+    color_bit = [0] * cover.n_colors
     for i, (v, dom) in enumerate(zip(verts, domains)):
         local[v] = i
         for a, x in enumerate(dom):
@@ -193,18 +195,8 @@ def _search(
                     f"invalid cover: color {x} at vertex {v} is negative or in"
                     " another list too"
                 )
-            bit[x] = 1 << a
-    conflicts = [
-        [
-            [
-                (local[owner[y]], bit[y])
-                for y in nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]]
-                if bit[y]
-            ]
-            for x in dom
-        ]
-        for dom in domains
-    ]
+            color_bit[x] = 1 << a
+    conflicts = [None] * len(verts)
 
     # A decided vertex's mask is 0 (saved in its frame), so assignments skip it.
     mask = [(1 << len(dom)) - 1 for dom in domains]
@@ -236,6 +228,15 @@ def _search(
             v = min(buckets[s])
             buckets[s].remove(v)
             n_free -= 1
+            if conflicts[v] is None:
+                conflicts[v] = [
+                    [
+                        (local[owner[y]], color_bit[y])
+                        for y in nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]].tolist()
+                        if color_bit[y]
+                    ]
+                    for x in domains[v]
+                ]
             m = mask[v]
             mask[v] = 0
             colors = [a for a in range(len(domains[v])) if m >> a & 1]

@@ -5,10 +5,10 @@ code paths: transversal enumeration by brute force, a plain recursive
 backtracking search over dicts and sets, a list-coloring backtracker over
 labels, triangle detection by triple scan, exact mass recomputation with
 fsum over shuffled orders, graph building, and the cover views, arrays,
-validation and coloring check derived by plain Python loops from raw lists
-and matchings, without `corrcolor.covers`. The oracles read a graph only as
-its vertex count and `g.edges.tolist()`, and build their own edge sets and
-adjacency lists from that.
+validation, coloring check and final rounding derived by plain Python
+loops from raw lists and matchings, without `corrcolor.covers`. The oracles
+read a graph only as its vertex count and `g.edges.tolist()`, and build
+their own edge sets and adjacency lists from that.
 """
 
 from __future__ import annotations
@@ -311,6 +311,43 @@ def reference_check_coloring(g: Graph, lists, matchings, coloring, vertices=None
             if u in verts and coloring[u] == y:
                 return f"matched colors chosen on edge ({min(u, v)},{max(u, v)})"
     return None
+
+
+def reference_final_color(lists, matchings, alive, p, p_hat, delta, seed, max_retries):
+    """The nibble's final rounding by plain loops: (coloring, attempts).
+
+    Attempt a draws one uniform per color id from the stream
+    ("final-color", a) and includes each moderate (0 < p < p_hat) color of a
+    live vertex when its uniform is below 2 p / delta. Both ends of every
+    jointly included matched pair drop out; the attempt succeeds when every
+    live vertex keeps a color, and each takes its lowest. Returns
+    (None, max_retries) when no attempt succeeds.
+    """
+    views = reference_cover_views(lists, matchings)
+    prob = {}
+    for v, lst in enumerate(views["lists"]):
+        if alive[v]:
+            for x in lst:
+                if 0.0 < p[x] < p_hat:
+                    prob[x] = 2.0 * p[x] / delta
+    for attempt in range(1, max_retries + 1):
+        u = derive_rng(seed, "final-color", attempt).random(views["n_colors"])
+        included = {x for x, q in prob.items() if u[x] < q}
+        dropped = set()
+        for pairs in views["matchings"].values():
+            for x, y in pairs:
+                if x in included and y in included:
+                    dropped.update((x, y))
+        coloring = {}
+        for v, lst in enumerate(views["lists"]):
+            if alive[v]:
+                kept = [x for x in lst if x in included and x not in dropped]
+                if not kept:
+                    break
+                coloring[v] = min(kept)
+        else:
+            return coloring, attempt
+    return None, max_retries
 
 
 def brute_force_triangle_free(g: Graph) -> bool:

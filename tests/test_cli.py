@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -77,8 +78,9 @@ def nibble_digest(result) -> str:
 
 class TestByteIdentity:
     """Outputs pinned to digests recorded before covers became arrays, and
-    nibble runs pinned before the analysis constants left NibbleParams and
-    before both nibble modes shared one step loop."""
+    nibble runs pinned before the analysis constants left NibbleParams,
+    before both nibble modes shared one step loop and before rounding read
+    only the eligible colors."""
 
     @pytest.mark.parametrize(
         "flags, digest",
@@ -114,6 +116,15 @@ class TestByteIdentity:
         assert (result.status, result.steps) == ("success", 7)
         assert nibble_digest(result) == (
             "a73eefda2ca8fa9274b1b660315c154c27ca74c2fe897b3e06d2b09d74af89bf"
+        )
+
+    def test_many_attempt_nibble_digest(self):
+        g = corrcolor.gen_random_bipartite_regular(80, 24, seed=1)
+        cover = random_cover(g, 48, seed=1)
+        result = corrcolor.run_nibble(g, cover, corrcolor.relaxed_params(), seed=0)
+        assert (result.status, result.steps, result.final_attempts) == ("success", 5, 30)
+        assert nibble_digest(result) == (
+            "ea7b2663402cf604d2afb14f60c4543b9a01098dd85ab0229e9e0804b1f1b04b"
         )
 
     def test_schedule_nibble_digest(self):
@@ -541,6 +552,22 @@ class TestNibbleCli:
             )
         ]
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--ck", "--tol-scale"])
+    def test_nonfinite_param_flag_is_exit_1(self, tmp_path, capsys, flag, value):
+        gpath, cpath = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+        main(["gen-graph", "random-bipartite-regular", "--n-side", "8", "--d", "3",
+              "--seed", "1", "--out", gpath])
+        main(["gen-cover", "--graph", gpath, "--k", "6", "--seed", "1", "--out", cpath])
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "nibble", "--graph", gpath, "--cover", cpath, "--preset",
+            "relaxed", "--seed", "1", flag, value,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be positive and finite" in err
+
     def test_triangle_is_domain_error(self, tmp_path, capsys):
         gpath = write(tmp_path, "g.json", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
         cpath = str(tmp_path / "c.json")
@@ -572,6 +599,37 @@ class TestErrorPaths:
             capsys, "gen-cover", "--graph", str(path), "--k", "2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [('{"n": 2, "edges": [[0, 1]]}', 0), ("{not json", 2)],
+        ids=["good", "malformed"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_json_decode_pauses_collector(
+        self, tmp_path, capsys, monkeypatch, enabled, text, expected
+    ):
+        # the collector is off while a document is decoded and is left as
+        # it was found, whether or not the decode succeeds
+        during = []
+        loads = json.loads
+
+        def spy(*args, **kwargs):
+            during.append(gc.isenabled())
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        path = tmp_path / "g.json"
+        path.write_text(text, encoding="utf-8")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = main(["gen-cover", "--graph", str(path), "--k", "2"])
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert (code, during, after) == (expected, [False], enabled)
 
     def test_unknown_flag_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from corrcolor import (
@@ -24,21 +26,24 @@ from corrcolor import (
     greedy_color,
     is_valid_coloring,
     lift_from_lists,
+    make_cover,
     moderate_edge_mass,
     moderate_mass,
     moderate_restrict,
     paper_params,
     random_cover,
+    reduct_step,
     relaxed_params,
     run_lb_experiment,
     run_nibble,
     solve_report,
     vertex_mass,
 )
+from corrcolor import _kernels as kernels
 from corrcolor import nibble
 from corrcolor.weights import ReductState, Weighting
 
-from .conftest import adjacency, random_triangle_free_graph
+from .conftest import adjacency, random_triangle_free_graph, reference_final_color
 
 
 def istar_lhs(max_deg, params, i):
@@ -131,6 +136,79 @@ class TestFinalColor:
         a = final_color(st, 0.7, seed=5, max_retries=50)
         b = final_color(st, 0.7, seed=5, max_retries=50)
         assert a == b
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["blocks", "shuffled"])
+    def test_matches_reference_over_stepped_states(self, shuffled):
+        # States after 0, 1 or 3 steps, under a tight and a loose cap, each
+        # rounded under two slacks and two budgets. Shuffled ids interleave
+        # across vertices and leave gaps below the largest id.
+        seen = set()
+        for steps, cap, dmul, budget in itertools.product(
+            (0, 1, 3), (1.5, 3.0), (1.0, 4.0), (1, 30)
+        ):
+            g = gen_random_bipartite_regular(10, 3, seed=steps)
+            lists, matchings = raw_cover(g, 8, seed=steps, shuffled=shuffled)
+            cover = make_cover(lists, matchings)
+            st = ReductState.initial(g, cover, Weighting.uniform(cover, 1.0 / 8, cap / 8))
+            for i in range(steps):
+                st, _ = reduct_step(st, seed=i, alpha=0.6)
+            w = st.weighting
+            delta = 2.0 * w.p_hat * dmul
+            got = final_color(st, delta, seed=5, max_retries=budget)
+            assert got == reference_final_color(
+                lists, matchings, st.alive.tolist(), w.p.tolist(), w.p_hat,
+                delta, 5, budget,
+            )
+            live = st.live_color_mask()
+            seen.add("exhausted" if got[0] is None else "success")
+            if not st.alive.all():
+                seen.add("dead")
+            if (w.capped & live).any():
+                seen.add("capped")
+            if ((w.p == 0.0) & live).any():
+                seen.add("zeroed")
+        assert seen == {"dead", "capped", "zeroed", "success", "exhausted"}
+
+    def test_rounds_read_only_eligible_pairs(self, monkeypatch):
+        g = gen_random_bipartite_regular(10, 3, seed=1)
+        cover = make_cover(*raw_cover(g, 8, seed=1, shuffled=True))
+        st = ReductState.initial(g, cover, Weighting.uniform(cover, 1.0 / 8, 1.5 / 8))
+        st, _ = reduct_step(st, seed=0, alpha=0.6)
+        eligible = st.weighting.moderate & st.live_color_mask()
+        nbr_ptr, nbr_idx = cover.arrays
+        pairs = sum(
+            int(eligible[nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]]].sum())
+            for x in np.flatnonzero(eligible)
+        )
+        assert 0 < pairs < nbr_idx.size
+        sizes = []
+        mask_counts = kernels.mask_counts
+
+        def spy(ptr, idx, mask):
+            sizes.append(idx.size)
+            return mask_counts(ptr, idx, mask)
+
+        monkeypatch.setattr(kernels, "mask_counts", spy)
+        _, attempts = final_color(st, 2.0 * st.weighting.p_hat, seed=5, max_retries=30)
+        assert len(sizes) == attempts > 1
+        assert max(sizes) <= pairs
+
+
+def raw_cover(g, k, seed, shuffled):
+    """Raw lists and matchings of a random k-fold cover of g.
+
+    Lists hold consecutive id blocks, or, when shuffled, k ids per vertex
+    drawn without replacement from 0..2 n k - 1.
+    """
+    rng = np.random.default_rng(seed)
+    n_ids = g.n * k
+    ids = rng.choice(2 * n_ids, n_ids, replace=False) if shuffled else np.arange(n_ids)
+    lists = [sorted(ids[v * k : (v + 1) * k].tolist()) for v in range(g.n)]
+    matchings = {
+        (u, v): list(zip(lists[u], rng.permutation(lists[v]).tolist()))
+        for u, v in g.edges.tolist()
+    }
+    return lists, matchings
 
 
 class TestRunNibble:
@@ -279,6 +357,12 @@ class TestParams:
             paper_params(dev_vertex_exp=0.0)
         with pytest.raises(DomainError):
             relaxed_params(max_final_retries=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["ck", "shrink_factor", "tol_scale"])
+    def test_nonfinite_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            paper_params(**{name: value})
 
     def test_terminal_regime_arithmetic(self):
         # at the scheduled stopping point, max degree times the per-edge
