@@ -10,11 +10,15 @@ graphs with every expectation identity exposed as a testable operation.
 
 __version__ = "0.1.0"
 
+from .coverjson import (
+    canonical_cover_json,
+    cover_from_canonical_json,
+    cover_from_json_dict,
+    cover_to_json_dict,
+)
 from .covers import (
     Cover,
-    cover_from_json_dict,
     cover_from_permutations,
-    cover_to_json_dict,
     lift_from_lists,
     make_cover,
     random_cover,

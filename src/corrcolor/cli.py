@@ -13,6 +13,7 @@ import argparse
 import datetime
 import gc
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -20,13 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covers import (
+from .coverjson import (
+    canonical_cover_json,
+    cover_from_canonical_json,
     cover_from_json_dict,
-    cover_to_json_dict,
-    lift_from_lists,
-    random_cover,
-    validate_cover,
 )
+from .covers import lift_from_lists, random_cover, validate_cover
 from .errors import CorrColorError, DomainError, MalformedInputError
 from .firstmoment import run_lb_experiment
 from .graphs import (
@@ -51,11 +51,20 @@ from .weights import (
 )
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _decode(data: bytes) -> str:
+    """The text of a file's bytes, decoded as Path.read_text decodes them."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def _read_text(path: str) -> str:
+    return _decode(_read_bytes(path))
 
 
 def _parse_json(text: str, path: str):
@@ -85,7 +94,18 @@ def _load_graph(path: str):
 
 
 def _load_cover(path: str):
-    return cover_from_json_dict(_load_json(path))
+    """The cover of a JSON file: its canonical layout is read on the arrays,
+    and any other document through json.loads, with the same result."""
+    data = _read_bytes(path)
+    cover = cover_from_canonical_json(data)
+    if cover is not None:
+        return cover
+    # Each stage is freed once the next is built, as `_load_json` frees them.
+    text = _decode(data)
+    del data
+    doc = _parse_json(text, path)
+    del text
+    return cover_from_json_dict(doc)
 
 
 def _is_number(x) -> bool:
@@ -121,7 +141,10 @@ def _digest(path: str) -> str:
 
 
 def _write_result(doc, args, input_paths: list[str]) -> None:
-    payload = _dump_json(doc)
+    _write_payload(_dump_json(doc), args, input_paths)
+
+
+def _write_payload(payload: str, args, input_paths: list[str]) -> None:
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(payload, encoding="utf-8")
@@ -164,7 +187,7 @@ def _cmd_gen_graph(args) -> int:
 def _cmd_gen_cover(args) -> int:
     g = _load_graph(args.graph)
     cover = random_cover(g, args.k, args.seed, mode=args.mode, q=args.q)
-    _write_result(cover_to_json_dict(cover), args, [args.graph])
+    _write_payload(canonical_cover_json(cover), args, [args.graph])
     return 0
 
 
@@ -174,7 +197,7 @@ def _cmd_lift(args) -> int:
     if not isinstance(lists, list):
         raise MalformedInputError("lists document must be a JSON array of label arrays")
     cover = lift_from_lists(g, lists)
-    _write_result(cover_to_json_dict(cover), args, [args.graph, args.lists])
+    _write_payload(canonical_cover_json(cover), args, [args.graph, args.lists])
     return 0
 
 
@@ -241,7 +264,7 @@ def _cmd_lb_experiment(args) -> int:
     if args.witness_out:
         if witness is not None:
             Path(args.witness_out).write_text(
-                _dump_json(cover_to_json_dict(witness)), encoding="utf-8"
+                canonical_cover_json(witness), encoding="utf-8"
             )
         else:
             sys.stderr.write("no non-colorable cover found; witness not written\n")

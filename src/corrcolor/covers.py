@@ -16,6 +16,8 @@ The tuple/dict views `lists`, `matchings`, `color_neighbors` and `partners`
 are read-only accessors for callers outside the library; no library code
 reads them, and they stay only because the benchmark code under
 `corrbench/` does.
+
+JSON documents of covers are read and written in `coverjson`.
 """
 
 from __future__ import annotations
@@ -252,23 +254,50 @@ def _sizes(groups: list, what: str) -> list[int]:
 def _cover_from_raw(lists, key_u: list, key_v: list, groups: list) -> Cover:
     """The canonical Cover of raw lists, matching keys and their pair lists.
 
-    Sorts each list and each matching, swaps the sides of a key given as
-    (v, u) with u < v, and keeps the last of several keys naming the same
-    vertex pair. Anything that is not integer data of the right shape raises
-    MalformedInputError.
+    Anything that is not integer data of the right shape raises
+    MalformedInputError; `_cover_from_arrays` does the rest.
     """
     lists = list(lists)
     list_sizes = _sizes(lists, "color list")
     colors = _int_array(list(chain.from_iterable(lists)), "color ids")
-    vlist_ptr = _ptr(list_sizes)
-    vid = _segment_ids(vlist_ptr)
-    colors = colors[np.lexsort((colors, vid))]
-
     edge_u = _int_array(key_u, "matching keys")
     edge_v = _int_array(key_v, "matching keys")
     edge_ptr = _ptr(_sizes(groups, "matching"))
     pairs = list(chain.from_iterable(groups))
-    x, y = _pair_array(pairs, "matched pair", "matched color ids").T.copy()
+    x, y = _pair_array(pairs, "matched pair", "matched color ids").T
+    return _cover_from_arrays(_ptr(list_sizes), colors, edge_u, edge_v, edge_ptr, x, y)
+
+
+def _in_order(seg: np.ndarray, *keys: np.ndarray) -> bool:
+    """True if entries with ascending segment ids `seg` are in (seg, *keys) order."""
+    tied = seg[1:] == seg[:-1]
+    for key in keys:
+        before, after = key[:-1], key[1:]
+        if (tied & (before > after)).any():
+            return False
+        tied &= before == after
+    return True
+
+
+def _cover_from_arrays(
+    vlist_ptr: np.ndarray,
+    colors: np.ndarray,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+    edge_ptr: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+) -> Cover:
+    """The canonical Cover of raw CSR lists and matchings.
+
+    Sorts each list and each matching, swaps the sides of a key given as
+    (v, u) with u < v, and keeps the last of several keys naming the same
+    vertex pair. A list or matching already in order is not sorted again, so
+    the Cover may take over `vlist_ptr` and `colors`: pass fresh arrays.
+    """
+    vid = _segment_ids(vlist_ptr)
+    if not _in_order(vid, colors):
+        colors = colors[np.lexsort((colors, vid))]
 
     flip = (edge_u > edge_v)[_segment_ids(edge_ptr)]
     edge_u, edge_v = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
@@ -282,8 +311,10 @@ def _cover_from_raw(lists, key_u: list, key_v: list, groups: list) -> Cover:
     take = _ranges(edge_ptr[kept], sizes)
     edge_u, edge_v, x, y = edge_u[kept], edge_v[kept], x[take], y[take]
     edge_ptr = _ptr(sizes)
-    order = np.lexsort((y, x, _segment_ids(edge_ptr)))
-    x, y = x[order], y[order]
+    seg = _segment_ids(edge_ptr)
+    if not _in_order(seg, x, y):
+        order = np.lexsort((y, x, seg))
+        x, y = x[order], y[order]
     return _frozen_cover(vlist_ptr, colors, edge_u, edge_v, edge_ptr, x, y)
 
 
@@ -531,41 +562,3 @@ def shifted_cycle_cover(m: int, k: int = 2) -> Cover:
     perms = {e: (0, 1) for e in map(tuple, g.edges.tolist())}
     perms[swap_edge] = (1, 0)
     return cover_from_permutations(g, k, perms)
-
-
-def cover_to_json_dict(cover: Cover) -> dict:
-    sizes = _sizes_of(cover.vlist_ptr).tolist()
-    colors = iter(cover.vlist_colors.tolist())
-    pairs = iter(np.column_stack([cover.pair_x, cover.pair_y]).tolist())
-    keys = zip(cover.edge_u.tolist(), cover.edge_v.tolist())
-    return {
-        "k_per_vertex": sizes,
-        "lists": [list(islice(colors, size)) for size in sizes],
-        "matchings": {
-            f"{u},{v}": list(islice(pairs, size))
-            for (u, v), size in zip(keys, _sizes_of(cover.edge_ptr).tolist())
-        },
-    }
-
-
-def cover_from_json_dict(doc) -> Cover:
-    if not isinstance(doc, dict) or "lists" not in doc or "matchings" not in doc:
-        raise MalformedInputError('cover document needs keys "lists" and "matchings"')
-    lists, matchings = doc["lists"], doc["matchings"]
-    if not isinstance(lists, list) or not isinstance(matchings, dict):
-        raise MalformedInputError('"lists" must be an array and "matchings" an object')
-    key_u, key_v = [], []
-    for key in matchings:
-        parts = key.split(",") if isinstance(key, str) else ()
-        try:
-            u, v = (int(part) for part in parts)
-        except ValueError:
-            raise MalformedInputError(
-                f'matching key {key!r} is not of the form "u,v"'
-            ) from None
-        key_u.append(u)
-        key_v.append(v)
-    cover = _cover_from_raw(lists, key_u, key_v, list(matchings.values()))
-    if "k_per_vertex" in doc and doc["k_per_vertex"] != list(cover.k_per_vertex):
-        raise MalformedInputError("k_per_vertex disagrees with list lengths")
-    return cover

@@ -118,7 +118,9 @@ class ReductState:
         return np.flatnonzero(self.alive)
 
     def live_color_mask(self) -> np.ndarray:
-        return self.alive[self.cover.owner]
+        """Colors in the list of a surviving vertex; an id in no list is not live."""
+        owner = self.cover.owner
+        return self.alive[owner] & (owner >= 0)
 
     def live_edge_mask(self) -> np.ndarray:
         return self.alive[self.cover.edge_u] & self.alive[self.cover.edge_v]

@@ -525,6 +525,34 @@ class TestNibbleCli:
 
             assert is_valid_coloring(g, cover, coloring)
 
+    def test_generated_cover_skips_json_decoding(self, tmp_path, capsys, monkeypatch):
+        # a gen-cover file is read on the arrays; a compact dump of the same
+        # document takes the general reader, with the same result
+        gpath, cpath = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+        main(["gen-graph", "random-bipartite-regular", "--n-side", "20", "--d", "6",
+              "--seed", "1", "--out", gpath])
+        main(["gen-cover", "--graph", gpath, "--k", "16", "--seed", "2",
+              "--out", cpath])
+        compact = write(tmp_path, "compact.json", json.loads(Path(cpath).read_text()))
+        decoded = []
+        loads = json.loads
+
+        def spy(text, *args, **kwargs):
+            decoded.append('"matchings"' in text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        digests = []
+        for path in (cpath, compact):
+            decoded.clear()
+            out = str(tmp_path / "res.json")
+            argv = ["nibble", "--graph", gpath, "--cover", path, "--seed", "4"]
+            assert main([*argv, "--out", out]) == 0
+            digests.append(hashlib.sha256(Path(out).read_bytes()).hexdigest())
+            assert decoded == ([False, True] if path == compact else [False])
+        capsys.readouterr()
+        assert digests[0] == digests[1]
+
     @pytest.mark.parametrize("preset", ["paper", "relaxed"])
     def test_param_flags_reach_params(self, monkeypatch, capsys, c6_files, preset):
         seen = []

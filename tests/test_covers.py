@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,9 @@ from corrcolor import (
     DomainError,
     MalformedInputError,
     build_graph,
+    canonical_cover_json,
     check_coloring,
+    cover_from_canonical_json,
     cover_from_json_dict,
     cover_from_permutations,
     cover_to_json_dict,
@@ -464,12 +467,217 @@ def test_malformed_cover_is_rejected(name, tmp_path, capsys):
         cover_from_json_dict(doc)
     gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
     gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}), encoding="utf-8")
-    cpath.write_text(json.dumps(doc), encoding="utf-8")
-    code = main(["validate", "--graph", str(gpath), "--cover", str(cpath)])
-    out = capsys.readouterr()
-    assert code == 2
-    assert out.out == ""
-    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    for text in (json.dumps(doc), _dumps_doc(doc)):
+        assert cover_from_canonical_json(text.encode()) is None
+        cpath.write_text(text, encoding="utf-8")
+        code = main(["validate", "--graph", str(gpath), "--cover", str(cpath)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the canonical JSON layout
+
+
+def _dumps_doc(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Keys with vertex 2 and 10 sort as strings: "0,10" comes before "0,2".
+KEY_VERTICES = (0, 1, 2, 3, 10, 11, 100)
+
+
+def _covers(ids, key_vertices=KEY_VERTICES):
+    """Covers from make_cover over lists and matchings of the given ids."""
+    key = st.tuples(st.sampled_from(key_vertices), st.sampled_from(key_vertices))
+    return st.builds(
+        make_cover,
+        st.lists(st.lists(ids, max_size=4), max_size=5),
+        st.dictionaries(key, st.lists(st.tuples(ids, ids), max_size=4), max_size=6),
+    )
+
+
+# Dense and sparse ids; the reader takes numbers of at most 18 digits.
+READABLE_IDS = st.one_of(st.integers(0, 40), st.integers(0, 10**18 - 1))
+ANY_IDS = st.one_of(st.integers(-3, 40), st.integers(-(2**63), 2**63 - 1))
+
+
+@given(_covers(ANY_IDS, (-1, *KEY_VERTICES)))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_writer_matches_json_dumps(cover):
+    assert canonical_cover_json(cover) == _dumps_doc(cover_to_json_dict(cover))
+
+
+@given(_covers(READABLE_IDS))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_reader_reads_writer_output(cover):
+    assert cover_from_canonical_json(canonical_cover_json(cover).encode()) == cover
+
+
+def test_writer_and_reader_on_empty_covers():
+    for cover in (
+        make_cover([], {}), make_cover([[]], {}), make_cover([[0], []], {(0, 1): []})
+    ):
+        text = canonical_cover_json(cover)
+        assert text == _dumps_doc(cover_to_json_dict(cover))
+        assert cover_from_canonical_json(text.encode()) == cover
+    assert canonical_cover_json(make_cover([], {})) == (
+        '{\n  "k_per_vertex": [],\n  "lists": [],\n  "matchings": {}\n}\n'
+    )
+
+
+MUTATIONS = (
+    "number", "reversed-key", "duplicate-key", "leading-zero", "minus", "exponent",
+    "swap", "delete", "insert",
+)
+INSERTED = [bytes([c]) for c in b' \n,[]{}":-+.e0123456789']
+
+
+def _mutate(text: bytes, kind: str, draw) -> bytes:
+    """One edit of a canonical document; `draw` picks where."""
+
+    def pick(spans):
+        return spans[draw(st.integers(0, len(spans) - 1))]
+
+    i = draw(st.integers(0, len(text) - 2))
+    if kind == "insert":
+        return text[:i] + draw(st.sampled_from(INSERTED)) + text[i:]
+    if kind == "delete":
+        return text[:i] + text[i + 1 :]
+    if kind == "swap":
+        return text[:i] + text[i + 1 : i + 2] + text[i : i + 1] + text[i + 2 :]
+    keys = [m.span(1) for m in re.finditer(rb'"(\d+,\d+)"', text)]
+    numbers = [m.span() for m in re.finditer(rb"\d+", text)]
+    if kind in ("reversed-key", "duplicate-key"):
+        if not keys:
+            return text
+        a, b = pick(keys)
+        if kind == "reversed-key":
+            u, v = text[a:b].split(b",")
+            return text[:a] + v + b"," + u + text[b:]
+        c, d = pick(keys)
+        return text[:a] + text[c:d] + text[b:]
+    if not numbers:
+        return text
+    a, b = pick(numbers)
+    new = {
+        "number": str(draw(st.integers(0, 10**19))).encode(),
+        "leading-zero": b"0" + text[a:b],
+        "minus": b"-" + text[a:b],
+        "exponent": b"1e3",
+    }[kind]
+    return text[:a] + new + text[b:]
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@given(_covers(READABLE_IDS), st.data())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_reader_is_sound_on_mutated_documents(kind, cover, data):
+    # Declining is always allowed; a Cover must be the one json.loads gives.
+    mutated = _mutate(canonical_cover_json(cover).encode(), kind, data.draw)
+    read = cover_from_canonical_json(mutated)
+    if read is not None:
+        assert read == cover_from_json_dict(json.loads(mutated))
+
+
+SMALL = make_cover(
+    [[0, 1], [12, 13], [20]],
+    {(0, 1): [(0, 13), (1, 12)], (1, 2): [(12, 20)], (0, 2): []},
+)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("      12,", "      012,"),
+        ("      12,", "      +12,"),
+        ("      12,", "      -12,"),
+        ("      12,", "      9223372036854775808,"),
+        ("      13\n", "      1e3\n"),
+        ("      13\n", "      13.0\n"),
+        # digits moved inside the indentation keep the digit-free text
+        ("        0,\n        13\n", "        ,\n     0   13\n"),
+        ("      0,\n      1\n", "      ,\n     0 1\n"),
+        ("      0,\n      1\n", "      0,\n      \n"),
+        ("\n", "\r\n"),
+        ("{\n", "\ufeff{\n"),
+        ("}\n}\n", "}\n} \n"),
+        ('  "lists"', '  "extra": 1,\n  "lists"'),
+        ('"1,2"', '"0,1"'),
+        ('"1,2"', '"1,0"'),
+        ('"0,2"', '"7,"'),
+        ('"0,2"', '",2"'),
+        ("    2,\n", "    3,\n"),
+    ],
+    ids=[
+        "leading-zero", "plus", "minus", "beyond-int64", "exponent", "float",
+        "digit-in-indent", "two-numbers-one-slot", "empty-slot", "crlf", "bom",
+        "trailing-space",
+        "extra-key", "duplicate-key", "duplicate-reversed-key", "key-without-v",
+        "key-without-u", "k-per-vertex",
+    ],
+)
+def test_reader_declines_other_layouts(old, new):
+    text = canonical_cover_json(SMALL)
+    assert old in text
+    assert cover_from_canonical_json(text.replace(old, new).encode("utf-8")) is None
+
+
+def test_reader_is_sound_under_every_one_byte_edit():
+    # a digit or a space put in, or a byte taken out, at every position:
+    # only edits of a number are read, as json.loads reads them
+    text = canonical_cover_json(SMALL).encode()
+    edits = [text[:i] + b + text[i:] for i in range(len(text)) for b in (b"7", b" ")]
+    edits += [text[:i] + text[i + 1 :] for i in range(len(text))]
+    accepted = 0
+    for edited in edits:
+        read = cover_from_canonical_json(edited)
+        if read is not None:
+            assert edited.translate(None, b"0123456789") == text.translate(
+                None, b"0123456789"
+            )
+            assert read == cover_from_json_dict(json.loads(edited))
+            accepted += 1
+    assert accepted >= 20
+
+
+def test_reader_reads_every_digit_place():
+    # each of the 18 places holds every digit 1-9 somewhere; a product that
+    # wrapped in a narrow dtype would change one of these numbers
+    ids = [int(str(d) * places) for d in range(1, 10) for places in (1, 3, 5, 18)]
+    ids += [300, 1000, 65536, 123456789012345678, 10**18 - 1]
+    cover = make_cover([ids], {(0, 1): list(zip(ids, ids[::-1]))})
+    read = cover_from_canonical_json(canonical_cover_json(cover).encode())
+    assert read == cover
+    assert read.vlist_colors.tolist() == sorted(ids)
+
+
+def test_reader_declines_other_layouts_unscanned(monkeypatch):
+    import corrcolor.coverjson as coverjson
+
+    scanned = []
+    frombuffer = np.frombuffer
+
+    def spy(*args, **kwargs):
+        scanned.append(1)
+        return frombuffer(*args, **kwargs)
+
+    monkeypatch.setattr(coverjson.np, "frombuffer", spy)
+    doc = cover_to_json_dict(SMALL)
+    for text in (json.dumps(doc), json.dumps(doc, indent=4, sort_keys=True)):
+        assert cover_from_canonical_json(text.encode()) is None
+    assert scanned == []
+    assert cover_from_canonical_json(canonical_cover_json(SMALL).encode()) == SMALL
+    assert scanned == [1]
+
+
+def test_reader_turns_reversed_keys_round():
+    text = canonical_cover_json(SMALL).replace('"0,1"', '"1,0"')
+    read = cover_from_canonical_json(text.encode())
+    assert read == cover_from_json_dict(json.loads(text)) != SMALL
+    assert read.matchings[(0, 1)] == ((12, 1), (13, 0))
 
 
 # ---------------------------------------------------------------------------

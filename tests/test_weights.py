@@ -11,6 +11,7 @@ from corrcolor import (
     entropy,
     gen_complete_bipartite,
     gen_cycle,
+    make_cover,
     moderate_edge_mass,
     moderate_mass,
     random_cover,
@@ -266,6 +267,22 @@ class TestNiceness:
             alive=np.zeros(4, dtype=bool),
         )
         assert not check_nice(empty).ok
+
+    def test_colors_in_no_list_do_not_count(self):
+        # ids 4-7 lie in no list, so their weights cannot matter
+        g = build_graph(2, [(0, 1)])
+        cover = make_cover(
+            [[0, 1, 2, 3], [8, 9, 10, 11]], {(0, 1): [(0, 8), (1, 9), (2, 10), (3, 11)]}
+        )
+        checks = []
+        for gap in (0.1, 0.4):
+            p = np.full(cover.n_colors, 0.1)
+            p[4:8] = gap
+            st = ReductState.initial(g, cover, Weighting(p=p, p_hat=0.5))
+            assert not st.live_color_mask()[4:8].any()
+            checks.append(check_nice(st))
+        assert checks[0] == checks[1]
+        assert checks[0].ok and checks[0].delta == pytest.approx(0.4)
 
     def test_delta_implies_survival_inequality(self):
         # whenever the check passes, 2 p_m(v)/delta >= 1 + (4/delta^2) * sum
