@@ -8,6 +8,8 @@ lower bound, and a randomized nibble procedure that colors triangle-free
 graphs with every expectation identity exposed as a testable operation.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .coverjson import (
@@ -88,12 +90,12 @@ from .weights import (
     ReductState,
     Weighting,
     check_nice,
-    edge_mass,
-    entropy,
-    moderate_edge_mass,
-    moderate_mass,
     moderate_restrict,
-    vertex_mass,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules are bound here by the imports above, but are not exported.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

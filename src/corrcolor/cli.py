@@ -58,13 +58,16 @@ def _read_bytes(path: str) -> bytes:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _decode(data: bytes) -> str:
+def _decode(data: bytes, path: str) -> str:
     """The text of a file's bytes, decoded as Path.read_text decodes them."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _read_text(path: str) -> str:
-    return _decode(_read_bytes(path))
+    return _decode(_read_bytes(path), path)
 
 
 def _parse_json(text: str, path: str):
@@ -101,7 +104,7 @@ def _load_cover(path: str):
     if cover is not None:
         return cover
     # Each stage is freed once the next is built, as `_load_json` frees them.
-    text = _decode(data)
+    text = _decode(data, path)
     del data
     doc = _parse_json(text, path)
     del text
@@ -236,7 +239,7 @@ def _cmd_solve(args) -> int:
     cover = _load_cover(args.cover)
     problems = validate_cover(g, cover)
     if problems:
-        raise MalformedInputError(f"invalid cover: {problems[0]}")
+        raise DomainError(f"invalid cover: {problems[0]}")
     restrict = None
     inputs = [args.graph, args.cover]
     if args.restrict:

@@ -1,10 +1,13 @@
 """Color weightings, masses, entropy, and the niceness check.
 
-A weighting assigns every color a value in [0, p_hat]. Vertex mass is the
-sum over the vertex's list; edge mass sums products over matched pairs.
-"Moderate" colors are those strictly between 0 and the cap; the final
-coloring stage only ever uses moderate colors, so the niceness check runs
-on moderate masses.
+A weighting assigns every color a value in [0, p_hat]. Masses are computed
+for all vertices or all cover edges at once from one per-color array:
+`vertex_mass_all` sums it over each vertex's list, and `edge_mass_all` sums
+its products over each edge's matched pairs, in cover edge order. Given the
+weights they yield p(v) and p(uv); given `entropy_terms(p)`, the entropy
+Q(v); given `moderate_values(w)`, the moderate masses. "Moderate" colors are
+those strictly between 0 and the cap; the final coloring stage only ever
+uses moderate colors, so the niceness check runs on moderate masses.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class ReductState:
     The graph and cover are the originals; `alive` masks the surviving
     vertices and weights of removed colors are zeroed. `max_deg` is the
     degree bound parameter (at least the true maximum degree) and `k` the
-    uniform list size; both may be None for states used only for masses.
+    uniform list size; both may be None for states used only by `check_nice`.
     """
 
     graph: Graph
@@ -138,72 +141,9 @@ class ReductState:
             history=self.history + (record,),
         )
 
-    def _require_alive(self, v: int):
-        if not (0 <= v < self.graph.n) or not self.alive[v]:
-            raise DomainError(f"vertex {v} is not in the current graph")
-
 
 # ---------------------------------------------------------------------------
 # masses and entropy
-
-def _list_colors(cover: Cover, v: int) -> list[int]:
-    """The colors of vertex v, ascending."""
-    ptr = cover.vlist_ptr
-    return cover.vlist_colors[ptr[v] : ptr[v + 1]].tolist()
-
-
-def _edge_pairs(cover: Cover, u: int, v: int) -> list[tuple[int, int]]:
-    """The matched pairs (x, y) of the vertex pair, x on the lower vertex's side."""
-    a, b = (u, v) if u < v else (v, u)
-    lo, hi = np.searchsorted(cover.edge_u, [a, a + 1])
-    e = lo + int(np.searchsorted(cover.edge_v[lo:hi], b))
-    if e == hi or cover.edge_v[e] != b:
-        raise DomainError(f"({u},{v}) carries no matching in this cover")
-    s, t = cover.edge_ptr[e : e + 2]
-    return list(zip(cover.pair_x[s:t].tolist(), cover.pair_y[s:t].tolist()))
-
-
-def vertex_mass(state: ReductState, v: int) -> float:
-    """Sum of weights over the vertex's list."""
-    state._require_alive(v)
-    p = state.weighting.p
-    return float(sum(p[x] for x in _list_colors(state.cover, v)))
-
-
-def edge_mass(state: ReductState, u: int, v: int) -> float:
-    """Sum of weight products over the matched pairs of the edge."""
-    state._require_alive(u)
-    state._require_alive(v)
-    p = state.weighting.p
-    return float(sum(p[x] * p[y] for x, y in _edge_pairs(state.cover, u, v)))
-
-
-def entropy(state: ReductState, v: int) -> float:
-    """Sum of p(x) ln(1/p(x)) over the list, with 0 ln(1/0) taken as 0."""
-    state._require_alive(v)
-    p = state.weighting.p
-    total = 0.0
-    for x in _list_colors(state.cover, v):
-        if p[x] > 0.0:
-            total += -p[x] * math.log(p[x])
-    return total
-
-
-def moderate_mass(state: ReductState, v: int) -> float:
-    state._require_alive(v)
-    p = state.weighting.p
-    mod = state.weighting.moderate
-    return float(sum(p[x] for x in _list_colors(state.cover, v) if mod[x]))
-
-
-def moderate_edge_mass(state: ReductState, u: int, v: int) -> float:
-    state._require_alive(u)
-    state._require_alive(v)
-    p = state.weighting.p
-    mod = state.weighting.moderate
-    pairs = _edge_pairs(state.cover, u, v)
-    return float(sum(p[x] * p[y] for x, y in pairs if mod[x] and mod[y]))
-
 
 def entropy_terms(p: np.ndarray) -> np.ndarray:
     """Elementwise p ln(1/p) with the 0 -> 0 convention."""
@@ -226,14 +166,6 @@ def edge_mass_all(cover: Cover, values: np.ndarray) -> np.ndarray:
 
 def moderate_values(w: Weighting) -> np.ndarray:
     return np.where(w.moderate, w.p, 0.0)
-
-
-def incident_edge_mass_sums(cover: Cover, per_edge: np.ndarray, n: int) -> np.ndarray:
-    """Per-vertex sums of a per-edge quantity over incident edges."""
-    acc = np.zeros(n, dtype=np.float64)
-    np.add.at(acc, cover.edge_u, per_edge)
-    np.add.at(acc, cover.edge_v, per_edge)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +218,10 @@ def check_nice(state: ReductState) -> NiceCheck:
 
     pm_uv = edge_mass_all(state.cover, pm)
     pm_uv = np.where(state.live_edge_mask(), pm_uv, 0.0)
-    sums = incident_edge_mass_sums(state.cover, pm_uv, state.graph.n)
+    # Two passes in this order fix the rounding of each vertex's sum.
+    sums = np.zeros(state.graph.n, dtype=np.float64)
+    np.add.at(sums, state.cover.edge_u, pm_uv)
+    np.add.at(sums, state.cover.edge_v, pm_uv)
     c_pos = live_idx[np.argmax(sums[live_idx])]
     c = 2.0 * math.sqrt(float(sums[c_pos]))
 
@@ -321,7 +256,8 @@ def moderate_restrict(state: ReductState) -> dict[int, tuple[int, ...]]:
     Feed to the exact solver's `restrict` to search moderate colorings only.
     """
     mod = state.weighting.moderate
+    ptr, colors = state.cover.vlist_ptr, state.cover.vlist_colors
     return {
-        int(v): tuple(x for x in _list_colors(state.cover, v) if mod[x])
+        int(v): tuple(x for x in colors[ptr[v] : ptr[v + 1]].tolist() if mod[x])
         for v in state.alive_vertices()
     }

@@ -5,10 +5,11 @@ code paths: transversal enumeration by brute force, a plain recursive
 backtracking search over dicts and sets, a list-coloring backtracker over
 labels, triangle detection by triple scan, exact mass recomputation with
 fsum over shuffled orders, graph building, and the cover views, arrays,
-validation, coloring check and final rounding derived by plain Python
-loops from raw lists and matchings, without `corrcolor.covers`. The oracles
-read a graph only as its vertex count and `g.edges.tolist()`, and build
-their own edge sets and adjacency lists from that.
+validation, coloring check, moderate masses and final rounding derived by
+plain Python loops from raw lists and matchings, without `corrcolor.covers`
+or `corrcolor.weights`. The oracles read a graph only as its vertex count
+and `g.edges.tolist()`, and build their own edge sets and adjacency lists
+from that.
 """
 
 from __future__ import annotations
@@ -348,6 +349,23 @@ def reference_final_color(lists, matchings, alive, p, p_hat, delta, seed, max_re
         else:
             return coloring, attempt
     return None, max_retries
+
+
+def reference_moderate_mass(lists, p, p_hat, v) -> float:
+    """p_m(v) by fsum: the weights of v's list that lie strictly in (0, p_hat)."""
+    return math.fsum(p[x] for x in lists[v] if 0.0 < p[x] < p_hat)
+
+
+def reference_moderate_edge_mass(matchings, p, p_hat, u, v) -> float:
+    """p_m(uv) by fsum over the pairs matched on {u, v}, both ends moderate.
+
+    Matchings are keyed (a, b) with a < b; a vertex pair without a key has
+    no matched pairs.
+    """
+    pairs = matchings.get((min(u, v), max(u, v)), ())
+    return math.fsum(
+        p[x] * p[y] for x, y in pairs if 0.0 < p[x] < p_hat and 0.0 < p[y] < p_hat
+    )
 
 
 def brute_force_triangle_free(g: Graph) -> bool:

@@ -51,15 +51,15 @@ from corrcolor import (
 from corrcolor.cli import main
 from corrcolor.errors import IstarInfeasibleError
 from corrcolor.rng import derive_int_seed, derive_rng
-from corrcolor.weights import (
-    ReductState,
-    Weighting,
-    moderate_edge_mass,
-    moderate_mass,
-    moderate_restrict,
-)
+from corrcolor.weights import ReductState, Weighting, moderate_restrict
 
-from .conftest import adjacency, random_triangle_free_graph, solve_lists
+from .conftest import (
+    adjacency,
+    random_triangle_free_graph,
+    reference_moderate_edge_mass,
+    reference_moderate_mass,
+    solve_lists,
+)
 
 
 def _report(cid, ok: bool, detail: str = ""):
@@ -409,18 +409,20 @@ def test_criterion_11_end_to_end_nibble():
             k=30,
         )
         nbrs = adjacency(g)
+        lists, matchings = cover.lists, cover.matchings
         for step in range(params.max_steps):
             nice = check_nice(state)
             if nice.ok:
                 delta = nice.delta
+                p, p_hat = state.weighting.p.tolist(), state.weighting.p_hat
                 for v in state.alive_vertices():
                     v = int(v)
                     incident = sum(
-                        moderate_edge_mass(state, v, u)
+                        reference_moderate_edge_mass(matchings, p, p_hat, v, u)
                         for u in nbrs[v]
                         if state.alive[u]
                     )
-                    lhs = 2.0 * moderate_mass(state, v) / delta
+                    lhs = 2.0 * reference_moderate_mass(lists, p, p_hat, v) / delta
                     rhs = 1.0 + (4.0 / delta**2) * incident
                     if lhs < rhs - 1e-12:
                         problems.append(f"run {run}: certificate inequality fails at {v}")

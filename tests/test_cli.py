@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -673,8 +674,51 @@ class TestErrorPaths:
             {"lists": [[0], [1]], "matchings": {"0,1": [[0, 5]]}},
         )
         code, _, err = run_cli(capsys, "solve", "--graph", gpath, "--cover", cpath)
-        assert code == 2
+        assert code == 1
         assert "invalid cover" in err
+
+    @pytest.mark.parametrize("command", ["solve", "stats", "nibble"])
+    def test_invalid_cover_is_exit_1(self, tmp_path, capsys, command):
+        # a cover-condition violation is a domain error under every command
+        gpath = write(tmp_path, "g.json", {"n": 2, "edges": [[0, 1]]})
+        cpath = write(
+            tmp_path,
+            "c.json",
+            {"lists": [[0], [1]], "matchings": {"0,1": [[0, 5]]}},
+        )
+        wpath = write(tmp_path, "w.json", {"p_hat": 0.5, "p": [0.1, 0.1]})
+        extra = ["--weights", wpath] if command == "stats" else []
+        code, out, err = run_cli(
+            capsys, command, "--graph", gpath, "--cover", cpath, *extra
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid cover: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "document", ["graph", "cover", "cover-late", "weights", "lists", "restrict"]
+    )
+    def test_non_utf8_input_is_exit_2(self, tmp_path, capsys, c6_files, document):
+        gpath, cpath = c6_files
+        bad = tmp_path / "bad.json"
+        if document == "cover-late":
+            # the canonical layout up to a stray byte, so it is scanned first
+            data = Path(cpath).read_bytes()
+            bad.write_bytes(data[:40] + b"\xff" + data[40:])
+        else:
+            bad.write_bytes(b'\xff\xfe{"n": 2}')
+        on_c6 = ["--graph", gpath, "--cover", cpath]
+        argv = {
+            "graph": ["gen-cover", "--graph", str(bad), "--k", "2"],
+            "cover": ["validate", "--graph", gpath, "--cover", str(bad)],
+            "cover-late": ["validate", "--graph", gpath, "--cover", str(bad)],
+            "weights": ["stats", *on_c6, "--weights", str(bad)],
+            "lists": ["lift", "--graph", gpath, "--lists", str(bad)],
+            "restrict": ["solve", *on_c6, "--restrict", str(bad)],
+        }[document]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad} is not UTF-8 text")
+        assert err.count("\n") == 1
 
     def test_dimacs_graph_accepted(self, tmp_path, capsys):
         path = tmp_path / "g.col"
@@ -762,6 +806,17 @@ class TestErrorPaths:
         assert doc["expected_colorings_exact"] is None
         assert doc["bound_below_one"] is False
         assert doc["cap_exceeded_count"] == 1
+
+
+def test_all_names_public_objects_only():
+    # `from corrcolor import *` binds functions and classes, not submodules
+    for name in corrcolor.__all__:
+        assert not isinstance(getattr(corrcolor, name), types.ModuleType), name
+    removed = {
+        "vertex_mass", "edge_mass", "entropy", "moderate_mass", "moderate_edge_mass"
+    }
+    assert not removed & set(corrcolor.__all__)
+    assert not any(hasattr(corrcolor.weights, name) for name in removed)
 
 
 def test_help_ignores_stale_backend_variable():

@@ -16,8 +16,6 @@ from corrcolor import (
     check_reduct_hypotheses,
     compute_istar,
     count_colorings,
-    edge_mass,
-    entropy,
     expected_pprime,
     final_color,
     gen_complete_bipartite,
@@ -27,8 +25,6 @@ from corrcolor import (
     is_valid_coloring,
     lift_from_lists,
     make_cover,
-    moderate_edge_mass,
-    moderate_mass,
     moderate_restrict,
     paper_params,
     random_cover,
@@ -37,7 +33,6 @@ from corrcolor import (
     run_lb_experiment,
     run_nibble,
     solve_report,
-    vertex_mass,
 )
 from corrcolor import _kernels as kernels
 from corrcolor import nibble
@@ -450,14 +445,6 @@ def _lb_witness(g, cover):
         pytest.param(count_colorings, id="count_colorings"),
         pytest.param(lambda g, c: greedy_color(g, c, range(g.n)), id="greedy_color"),
         pytest.param(_lb_witness, id="lb_witness"),
-        pytest.param(lambda g, c: vertex_mass(_state(g, c), 0), id="vertex_mass"),
-        pytest.param(lambda g, c: edge_mass(_state(g, c), 1, 0), id="edge_mass"),
-        pytest.param(lambda g, c: entropy(_state(g, c), 0), id="entropy"),
-        pytest.param(lambda g, c: moderate_mass(_state(g, c), 0), id="moderate_mass"),
-        pytest.param(
-            lambda g, c: moderate_edge_mass(_state(g, c), 0, 1),
-            id="moderate_edge_mass",
-        ),
         pytest.param(
             lambda g, c: moderate_restrict(_state(g, c)), id="moderate_restrict"
         ),

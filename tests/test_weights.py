@@ -7,15 +7,10 @@ from corrcolor import (
     DomainError,
     build_graph,
     check_nice,
-    edge_mass,
-    entropy,
     gen_complete_bipartite,
     gen_cycle,
     make_cover,
-    moderate_edge_mass,
-    moderate_mass,
     random_cover,
-    vertex_mass,
 )
 from corrcolor.weights import (
     ReductState,
@@ -27,13 +22,29 @@ from corrcolor.weights import (
     vertex_mass_all,
 )
 
-from .conftest import adjacency, fsum_by_color
+from .conftest import (
+    adjacency,
+    fsum_by_color,
+    reference_cover_views,
+    reference_moderate_edge_mass,
+    reference_moderate_mass,
+)
 
 
 def uniform_state(g, cover, k, p_hat, max_deg=None):
     return ReductState.initial(
         g, cover, Weighting.uniform(cover, 1.0 / k, p_hat), max_deg=max_deg, k=k
     )
+
+
+def edge_row(cover, u, v):
+    """The cover edge index of the vertex pair {u, v}."""
+    keys = list(zip(cover.edge_u.tolist(), cover.edge_v.tolist()))
+    return keys.index((min(u, v), max(u, v)))
+
+
+def entropy_all(cover, p):
+    return vertex_mass_all(cover, entropy_terms(p))
 
 
 class TestWeighting:
@@ -64,43 +75,26 @@ class TestMasses:
         g = gen_cycle(5)
         cover = random_cover(g, 4, seed=1)
         st = uniform_state(g, cover, 4, p_hat=0.5)
+        p_v = vertex_mass_all(cover, st.weighting.p)
         for v in range(5):
-            assert vertex_mass(st, v) == pytest.approx(1.0, abs=1e-15)
+            assert p_v[v] == pytest.approx(1.0, abs=1e-15)
 
     def test_uniform_perfect_edge_mass_is_one_over_k(self):
         g = gen_cycle(5)
         k = 4
         cover = random_cover(g, k, seed=1)
         st = uniform_state(g, cover, k, p_hat=0.5)
+        p_uv = edge_mass_all(cover, st.weighting.p)
         for u, v in g.edges:
-            assert edge_mass(st, u, v) == pytest.approx(1.0 / k, rel=1e-12)
+            assert p_uv[edge_row(cover, u, v)] == pytest.approx(1.0 / k, rel=1e-12)
 
     def test_zero_weighting(self):
         g = gen_cycle(4)
         cover = random_cover(g, 3, seed=0)
-        st = ReductState.initial(g, cover, Weighting.zeros(cover, 0.5))
-        assert vertex_mass(st, 0) == 0.0
-        assert edge_mass(st, 0, 1) == 0.0
-        assert entropy(st, 0) == 0.0
-
-    def test_dead_vertex_rejected(self):
-        g = gen_cycle(4)
-        cover = random_cover(g, 2, seed=0)
-        st = uniform_state(g, cover, 2, p_hat=0.9)
-        dead = st.alive.copy()
-        dead[2] = False
-        st2 = ReductState(
-            graph=g, cover=cover, weighting=st.weighting, alive=dead
-        )
-        with pytest.raises(DomainError, match="not in the current graph"):
-            vertex_mass(st2, 2)
-
-    def test_non_edge_rejected(self):
-        g = gen_cycle(4)
-        cover = random_cover(g, 2, seed=0)
-        st = uniform_state(g, cover, 2, p_hat=0.9)
-        with pytest.raises(DomainError, match="no matching"):
-            edge_mass(st, 0, 2)
+        p = Weighting.zeros(cover, 0.5).p
+        assert vertex_mass_all(cover, p)[0] == 0.0
+        assert edge_mass_all(cover, p)[edge_row(cover, 0, 1)] == 0.0
+        assert entropy_all(cover, p)[0] == 0.0
 
     def test_bulk_matches_singular_with_independent_order(self):
         g = gen_complete_bipartite(3, 4)
@@ -112,7 +106,6 @@ class TestMasses:
         for v in range(g.n):
             oracle = fsum_by_color([p[x] for x in cover.lists[v]], order_seed=v)
             assert p_v[v] == pytest.approx(oracle, rel=1e-12)
-            assert vertex_mass(st, v) == pytest.approx(oracle, rel=1e-12)
         p_uv = edge_mass_all(cover, st.weighting.p)
         for i, (u, v) in enumerate(zip(cover.edge_u.tolist(), cover.edge_v.tolist())):
             oracle = fsum_by_color(
@@ -127,15 +120,15 @@ class TestEntropy:
         k = 5
         cover = random_cover(g, k, seed=2)
         st = uniform_state(g, cover, k, p_hat=0.5)
+        q = entropy_all(cover, st.weighting.p)
         for v in range(6):
-            assert entropy(st, v) == pytest.approx(math.log(k), rel=1e-12)
+            assert q[v] == pytest.approx(math.log(k), rel=1e-12)
 
     def test_point_mass_is_zero(self):
         g = build_graph(1, [])
         cover = random_cover(g, 2, seed=0)
         w = Weighting(p=np.array([1.0, 0.0]), p_hat=2.0)
-        st = ReductState.initial(g, cover, w)
-        assert entropy(st, 0) == 0.0
+        assert entropy_all(cover, w.p)[0] == 0.0
 
     def test_zero_convention(self):
         assert list(entropy_terms(np.array([0.0, 1.0]))) == [0.0, 0.0]
@@ -152,25 +145,23 @@ class TestEntropy:
                 c = total - a - b
                 if c <= 0:
                     continue
-                st = ReductState.initial(
-                    g, cover, Weighting(p=np.array([a, b, c]), p_hat=1.0)
-                )
-                q = entropy(st, 0)
+                w = Weighting(p=np.array([a, b, c]), p_hat=1.0)
+                q = entropy_all(cover, w.p)[0]
                 if best is None or q > best[0]:
                     best = (q, a, b, c)
-        st_uniform = ReductState.initial(
-            g, cover, Weighting(p=np.full(3, total / 3), p_hat=1.0)
-        )
-        assert entropy(st_uniform, 0) >= best[0] - 1e-9
+        w_uniform = Weighting(p=np.full(3, total / 3), p_hat=1.0)
+        assert entropy_all(cover, w_uniform.p)[0] >= best[0] - 1e-9
 
 
 class TestModerate:
     def test_equals_full_mass_when_no_extremes(self):
         g = gen_cycle(4)
         cover = random_cover(g, 3, seed=1)
-        st = uniform_state(g, cover, 3, p_hat=0.9)
+        w = uniform_state(g, cover, 3, p_hat=0.9).weighting
+        p_m_v = vertex_mass_all(cover, moderate_values(w))
+        p_v = vertex_mass_all(cover, w.p)
         for v in range(4):
-            assert moderate_mass(st, v) == vertex_mass(st, v)
+            assert p_m_v[v] == p_v[v]
 
     def test_cap_identity_exact_on_dyadic_weights(self):
         # p_m(v) = p(v) - (#capped colors) * p_hat, exactly, when no color is 0.
@@ -179,28 +170,30 @@ class TestModerate:
         p_hat = 0.25
         p = np.full(cover.n_colors, 0.125)
         p[::3] = p_hat
-        st = ReductState.initial(g, cover, Weighting(p=p, p_hat=p_hat))
+        w = Weighting(p=p, p_hat=p_hat)
+        p_m_v = vertex_mass_all(cover, moderate_values(w))
+        p_v = vertex_mass_all(cover, w.p)
         for v in range(4):
             capped = sum(1 for x in cover.lists[v] if p[x] == p_hat)
-            assert moderate_mass(st, v) == vertex_mass(st, v) - capped * p_hat
+            assert p_m_v[v] == p_v[v] - capped * p_hat
 
     def test_all_capped_gives_zero(self):
         g = gen_cycle(4)
         cover = random_cover(g, 2, seed=0)
-        st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.3, 0.3))
-        assert moderate_mass(st, 0) == 0.0
-        assert moderate_edge_mass(st, 0, 1) == 0.0
+        pm = moderate_values(Weighting.uniform(cover, 0.3, 0.3))
+        assert vertex_mass_all(cover, pm)[0] == 0.0
+        assert edge_mass_all(cover, pm)[edge_row(cover, 0, 1)] == 0.0
 
     def test_moderate_edge_mass_requires_both_moderate(self):
         g = build_graph(2, [(0, 1)])
         cover = random_cover(g, 2, seed=1)
         p = np.array([0.3, 0.1, 0.1, 0.1])
-        st = ReductState.initial(g, cover, Weighting(p=p, p_hat=0.3))
+        pm = moderate_values(Weighting(p=p, p_hat=0.3))
         pairs = cover.matchings[(0, 1)]
         expected = sum(
             p[x] * p[y] for x, y in pairs if p[x] != 0.3 and p[y] != 0.3
         )
-        assert moderate_edge_mass(st, 0, 1) == pytest.approx(expected, rel=1e-12)
+        assert edge_mass_all(cover, pm)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_moderate_restrict_lists_moderate_colors_only(self):
         g = gen_cycle(4)
@@ -213,6 +206,41 @@ class TestModerate:
         assert 0 not in restrict[0]
         assert 5 not in restrict[1]
         assert all(0.0 < p[x] < 0.5 for xs in restrict.values() for x in xs)
+
+    def test_moderate_restrict_matches_loop_with_dead_vertices(self):
+        # Unsorted lists of scattered ids, weights at 0, moderate and at the
+        # cap, and a third of the vertices dead.
+        g = gen_cycle(9)
+        rng = np.random.default_rng(11)
+        ids = rng.choice(80, 9 * 5, replace=False).tolist()
+        raw_lists = [ids[5 * v : 5 * v + 5] for v in range(9)]
+        raw_matchings = {
+            (u, v): list(zip(raw_lists[u], raw_lists[v])) for u, v in g.edges.tolist()
+        }
+        cover = make_cover(raw_lists, raw_matchings)
+        p_hat = 0.25
+        p = rng.choice([0.0, 0.1, 0.2, p_hat], cover.n_colors)
+        alive = np.ones(9, dtype=bool)
+        alive[[1, 4, 8]] = False
+        st = ReductState(
+            graph=g, cover=cover, weighting=Weighting(p=p, p_hat=p_hat), alive=alive
+        )
+        got = moderate_restrict(st)
+
+        lists = reference_cover_views(raw_lists, raw_matchings)["lists"]
+        expected = {
+            v: tuple(x for x in lst if 0.0 < p[x] < p_hat)
+            for v, lst in enumerate(lists)
+            if alive[v]
+        }
+        assert list(got.items()) == list(expected.items())
+        assert all(type(v) is int for v in got)
+        assert all(type(x) is int for xs in got.values() for x in xs)
+        # the case reaches what it is meant to reach
+        live_ids = [x for v, lst in enumerate(lists) if alive[v] for x in lst]
+        assert {0.0, p_hat} <= {p[x] for x in live_ids}
+        dead_ids = [x for v, lst in enumerate(lists) if not alive[v] for x in lst]
+        assert any(0.0 < p[x] < p_hat for x in dead_ids)
 
 
 class TestNiceness:
@@ -297,6 +325,12 @@ class TestNiceness:
             assert nc.ok
             d = nc.delta
             nbrs = adjacency(g)
+            lists, matchings = cover.lists, cover.matchings
+            p, p_hat = st.weighting.p.tolist(), st.weighting.p_hat
             for v in range(g.n):
-                incident = sum(moderate_edge_mass(st, v, u) for u in nbrs[v])
-                assert 2 * moderate_mass(st, v) / d >= 1 + (4 / d**2) * incident - 1e-12
+                incident = sum(
+                    reference_moderate_edge_mass(matchings, p, p_hat, v, u)
+                    for u in nbrs[v]
+                )
+                p_m = reference_moderate_mass(lists, p, p_hat, v)
+                assert 2 * p_m / d >= 1 + (4 / d**2) * incident - 1e-12
