@@ -2,9 +2,9 @@
 
 Every randomized subcommand takes one --seed; all internal randomness is
 derived from it through named streams, so identical invocations produce
-byte-identical result JSON. When --out is given, a run manifest (command,
-parameters, input digests, package version, timestamp) is written next to
-the output; result documents themselves carry no wall-clock values.
+byte-identical result JSON. A command's result goes to stdout, or to --out
+with a run manifest (command, parameters, input digests, package version,
+timestamp) next to it; result documents themselves carry no wall-clock values.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .coverjson import (
+    _vertex_id,
     canonical_cover_json,
     cover_from_canonical_json,
     cover_from_json_dict,
@@ -139,42 +140,42 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_result(doc, args, input_paths: list[str]) -> None:
-    _write_payload(_dump_json(doc), args, input_paths)
-
-
-def _write_payload(payload: str, args, input_paths: list[str]) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(payload, encoding="utf-8")
-        manifest = {
-            "command": args.command,
-            "parameters": {
-                key: value
-                for key, value in sorted(vars(args).items())
-                if key not in ("command", "func") and value is not None
-            },
-            "seed": getattr(args, "seed", None),
-            "version": __version__,
-            "input_digests": {p: _digest(p) for p in input_paths},
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        }
-        Path(str(out) + ".manifest.json").write_text(
-            _dump_json(manifest), encoding="utf-8"
-        )
-    else:
+def _write_output(payload: str, args) -> None:
+    """A command's result text to stdout, or to --out with its run manifest."""
+    if not args.out:
         sys.stdout.write(payload)
+        return
+    _write_text(args.out, payload)
+    flags = ("graph", "cover", "lists", "weights", "restrict")
+    inputs = filter(None, (getattr(args, flag, None) for flag in flags))
+    manifest = {
+        "command": args.command,
+        "parameters": {
+            key: value
+            for key, value in sorted(vars(args).items())
+            if key not in ("command", "func") and value is not None
+        },
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        # read again here, so no input's bytes are held while the command runs
+        "input_digests": {p: hashlib.sha256(_read_bytes(p)).hexdigest() for p in inputs},
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+    _write_text(args.out + ".manifest.json", _dump_json(manifest))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen_graph(args) -> int:
+def _cmd_gen_graph(args) -> str:
     if args.kind == "cycle":
         g = gen_cycle(args.n)
     elif args.kind == "complete-bipartite":
@@ -183,35 +184,37 @@ def _cmd_gen_graph(args) -> int:
         g = gen_random_regular(args.n, args.d, args.seed, triangle_free=args.triangle_free)
     else:
         g = gen_random_bipartite_regular(args.n_side, args.d, args.seed)
-    _write_result(graph_to_json_dict(g), args, [])
-    return 0
+    return _dump_json(graph_to_json_dict(g))
 
 
-def _cmd_gen_cover(args) -> int:
+def _cmd_gen_cover(args) -> str:
     g = _load_graph(args.graph)
     cover = random_cover(g, args.k, args.seed, mode=args.mode, q=args.q)
-    _write_payload(canonical_cover_json(cover), args, [args.graph])
-    return 0
+    return canonical_cover_json(cover)
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> str:
     g = _load_graph(args.graph)
     lists = _load_json(args.lists)
     if not isinstance(lists, list):
         raise MalformedInputError("lists document must be a JSON array of label arrays")
-    cover = lift_from_lists(g, lists)
-    _write_payload(canonical_cover_json(cover), args, [args.graph, args.lists])
-    return 0
+    return canonical_cover_json(lift_from_lists(g, lists))
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> str:
+    g = _load_graph(args.graph)
+    problems = validate_cover(g, _load_cover(args.cover))
+    return _dump_json({"ok": not problems, "violations": problems})
+
+
+def _load_valid_cover(args):
+    """The --graph and --cover inputs; an invalid cover is a DomainError."""
     g = _load_graph(args.graph)
     cover = _load_cover(args.cover)
     problems = validate_cover(g, cover)
-    _write_result(
-        {"ok": not problems, "violations": problems}, args, [args.graph, args.cover]
-    )
-    return 0
+    if problems:
+        raise DomainError(f"invalid cover: {problems[0]}")
+    return g, cover
 
 
 def _parse_restrict(doc) -> dict[int, list[int]]:
@@ -221,7 +224,7 @@ def _parse_restrict(doc) -> dict[int, list[int]]:
     restrict = {}
     for key, xs in doc.items():
         try:
-            v = int(key)
+            v = _vertex_id(key)
         except ValueError:
             raise MalformedInputError(f"restrict key {key!r} is not a vertex id") from None
         if not isinstance(xs, list) or not all(
@@ -234,26 +237,16 @@ def _parse_restrict(doc) -> dict[int, list[int]]:
     return restrict
 
 
-def _cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
-    cover = _load_cover(args.cover)
-    problems = validate_cover(g, cover)
-    if problems:
-        raise DomainError(f"invalid cover: {problems[0]}")
-    restrict = None
-    inputs = [args.graph, args.cover]
-    if args.restrict:
-        doc = _load_json(args.restrict)
-        restrict = _parse_restrict(doc)
-        inputs.append(args.restrict)
+def _cmd_solve(args) -> str:
+    g, cover = _load_valid_cover(args)
+    restrict = _parse_restrict(_load_json(args.restrict)) if args.restrict else None
     outcome = solve_report(
         g, cover, restrict=restrict, count=args.count, node_budget=args.node_budget
     )
-    _write_result(outcome.to_json_dict(), args, inputs)
-    return 0
+    return _dump_json(outcome.to_json_dict())
 
 
-def _cmd_lb_experiment(args) -> int:
+def _cmd_lb_experiment(args) -> str:
     g = _load_graph(args.graph)
     report, witness = run_lb_experiment(
         g,
@@ -266,26 +259,19 @@ def _cmd_lb_experiment(args) -> int:
     )
     if args.witness_out:
         if witness is not None:
-            Path(args.witness_out).write_text(
-                canonical_cover_json(witness), encoding="utf-8"
-            )
+            _write_text(args.witness_out, canonical_cover_json(witness))
         else:
             sys.stderr.write("no non-colorable cover found; witness not written\n")
     if args.trials_csv:
         lines = ["trial,count"]
         for i, c in enumerate(report.per_trial_counts):
             lines.append(f"{i},{'' if c is None else c}")
-        Path(args.trials_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_result(report.to_json_dict(), args, [args.graph])
-    return 0
+        _write_text(args.trials_csv, "\n".join(lines) + "\n")
+    return _dump_json(report.to_json_dict())
 
 
-def _cmd_stats(args) -> int:
-    g = _load_graph(args.graph)
-    cover = _load_cover(args.cover)
-    problems = validate_cover(g, cover)
-    if problems:
-        raise DomainError(f"invalid cover: {problems[0]}")
+def _cmd_stats(args) -> str:
+    g, cover = _load_valid_cover(args)
     w = _load_weighting(args.weights, cover.n_colors)
     state = ReductState.initial(g, cover, w)
     pm = moderate_values(w)
@@ -299,11 +285,10 @@ def _cmd_stats(args) -> int:
         "p_m_uv": {key: float(x) for key, x in zip(keys, edge_mass_all(cover, pm))},
         "nice": nice.delta,
     }
-    _write_result(doc, args, [args.graph, args.cover, args.weights])
-    return 0
+    return _dump_json(doc)
 
 
-def _cmd_nibble(args) -> int:
+def _cmd_nibble(args) -> str:
     g = _load_graph(args.graph)
     cover = _load_cover(args.cover)
     # Each flag overrides the NibbleParams field of the same name.
@@ -315,9 +300,8 @@ def _cmd_nibble(args) -> int:
         lines = [CSV_HEADER]
         for row in result.trajectory:
             lines.append(",".join(map(repr, row.to_json_dict().values())))
-        Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_result(result.to_json_dict(), args, [args.graph, args.cover])
-    return 0
+        _write_text(args.trace, "\n".join(lines) + "\n")
+    return _dump_json(result.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +407,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _write_output(args.func(args), args)
+        return 0
     except MalformedInputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -9,6 +9,7 @@ with no Python object per number, or returns None for any other text.
 
 from __future__ import annotations
 
+import re
 from itertools import islice
 
 import numpy as np
@@ -33,6 +34,13 @@ def cover_to_json_dict(cover: Cover) -> dict:
     }
 
 
+def _vertex_id(text: str) -> int:
+    """A key's vertex id: ASCII digits after an optional "-"; else ValueError."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not a vertex id: {text!r}")
+    return int(text)
+
+
 def cover_from_json_dict(doc) -> Cover:
     if not isinstance(doc, dict) or "lists" not in doc or "matchings" not in doc:
         raise MalformedInputError('cover document needs keys "lists" and "matchings"')
@@ -43,7 +51,7 @@ def cover_from_json_dict(doc) -> Cover:
     for key in matchings:
         parts = key.split(",") if isinstance(key, str) else ()
         try:
-            u, v = (int(part) for part in parts)
+            u, v = map(_vertex_id, parts)
         except ValueError:
             raise MalformedInputError(
                 f'matching key {key!r} is not of the form "u,v"'

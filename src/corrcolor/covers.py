@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice
+from numbers import Real
 
 import numpy as np
 
@@ -463,10 +464,24 @@ def lift_from_lists(g: Graph, label_lists) -> Cover:
 
     Label lists may repeat labels across vertices; per vertex they are
     deduplicated and sorted, and each (vertex, label) becomes a fresh color id.
+    Each list must be a collection of strings or of numbers, not a string.
     """
     if len(label_lists) != g.n:
         raise DomainError(f"expected {g.n} label lists, got {len(label_lists)}")
-    per_vertex = [sorted(set(lst)) for lst in label_lists]
+    per_vertex = []
+    for v, lst in enumerate(label_lists):
+        try:
+            if isinstance(lst, (str, dict)):
+                raise TypeError
+            # a set refuses unhashable labels, a sort mixed kinds
+            labels = sorted(set(lst))
+            if labels and not isinstance(labels[0], (str, Real)):
+                raise TypeError
+            per_vertex.append(labels)
+        except TypeError:
+            raise MalformedInputError(
+                f"label list of vertex {v} must be an array of strings or of numbers"
+            ) from None
     if any(len(lst) == 0 for lst in per_vertex):
         raise DomainError("every vertex needs a nonempty label list")
     label_code: dict = {}

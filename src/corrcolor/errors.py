@@ -10,7 +10,7 @@ class DomainError(CorrColorError):
 
 
 class MalformedInputError(CorrColorError):
-    """Input file or document violates the expected schema."""
+    """An input document violates its schema, or a file cannot be read or written."""
 
 
 class SearchBudgetExceeded(CorrColorError):

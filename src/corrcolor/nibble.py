@@ -15,7 +15,7 @@ resampling with explicit budgets and full failure reports.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .graphs import Graph, is_triangle_free, max_degree
 from .rng import derive_int_seed, derive_rng
 from .solver import check_coloring, coloring_to_json
 from .weights import (
-    NiceCheck,
     ReductRecord,
     ReductState,
     Weighting,
@@ -513,20 +512,16 @@ class TrajectoryRow:
     step: int
     min_pv: float
     max_pv: float
-    min_q: float
+    min_Q: float
     max_deg: int
     removed: int
     retries: int
 
     def to_json_dict(self) -> dict:
-        return dict(zip(_COLUMNS, astuple(self)))
+        return asdict(self)
 
 
-# Result JSON and the --trace CSV spell min_q as min_Q.
-_COLUMNS = tuple(
-    "min_Q" if f.name == "min_q" else f.name for f in fields(TrajectoryRow)
-)
-CSV_HEADER = ",".join(_COLUMNS)
+CSV_HEADER = ",".join(f.name for f in fields(TrajectoryRow))
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,10 +551,7 @@ class NibbleResult:
         return self.status == "success"
 
     def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["coloring"] = coloring_to_json(self.coloring)
-        doc["trajectory"] = [row.to_json_dict() for row in self.trajectory]
-        return doc
+        return {**asdict(self), "coloring": coloring_to_json(self.coloring)}
 
 
 def _trajectory_row(step: int, stats: StepStats, retries: int) -> TrajectoryRow:
@@ -567,16 +559,16 @@ def _trajectory_row(step: int, stats: StepStats, retries: int) -> TrajectoryRow:
     if live.size:
         min_pv = float(stats.p_v[live].min())
         max_pv = float(stats.p_v[live].max())
-        min_q = float(stats.q_v[live].min())
+        min_Q = float(stats.q_v[live].min())
         max_deg = int(stats.d_v[live].max())
     else:
-        min_pv = max_pv = min_q = 0.0
+        min_pv = max_pv = min_Q = 0.0
         max_deg = 0
     return TrajectoryRow(
         step=step,
         min_pv=min_pv,
         max_pv=max_pv,
-        min_q=min_q,
+        min_Q=min_Q,
         max_deg=max_deg,
         removed=len(stats.removed),
         retries=retries,
@@ -666,24 +658,6 @@ def run_nibble(
             )
         return result("success", steps, coloring, nice_delta, detail)
 
-    def finish(state: ReductState, nice: NiceCheck, steps: int) -> NibbleResult:
-        nonlocal total_final_attempts
-        inner, attempts = final_color(
-            state,
-            nice.delta,
-            derive_int_seed(seed, "final", steps),
-            params.max_final_retries,
-        )
-        total_final_attempts += attempts
-        if inner is None:
-            return result(
-                "final-color-exhausted",
-                steps,
-                nice_delta=nice.delta,
-                detail=f"rounding failed {params.max_final_retries} times",
-            )
-        return extended(state, inner, steps, nice.delta, None)
-
     adaptive = mode == "adaptive"
     budget = params.max_steps if adaptive else istar
     # Schedule mode probes niceness once, after its istar steps. Adaptive mode
@@ -698,9 +672,22 @@ def run_nibble(
                 )
             nice = check_nice(state)
             if nice.ok:
-                rounded = finish(state, nice, i)
-                if end or rounded.status == "success":
-                    return rounded
+                inner, attempts = final_color(
+                    state,
+                    nice.delta,
+                    derive_int_seed(seed, "final", i),
+                    params.max_final_retries,
+                )
+                total_final_attempts += attempts
+                if inner is not None:
+                    return extended(state, inner, i, nice.delta, None)
+                if end:
+                    return result(
+                        "final-color-exhausted",
+                        i,
+                        nice_delta=nice.delta,
+                        detail=f"rounding failed {params.max_final_retries} times",
+                    )
                 # rounding budget spent this round; keep stepping, more
                 # vertices will drain into the history
             elif end:

@@ -58,6 +58,27 @@ class TestGenerate:
         assert doc["n"] == 6 and len(doc["edges"]) == 6
         assert graph_from_json_dict(doc) == gen_cycle(6)
 
+    @pytest.mark.parametrize("flags", [[], ["--triangle-free"]], ids=["plain", "tf"])
+    def test_gen_random_regular(self, capsys, flags):
+        code, out, _ = run_cli(
+            capsys, "gen-graph", "random-regular", "--n", "10", "--d", "3",
+            "--seed", "2", *flags,
+        )
+        assert code == 0
+        g = graph_from_json_dict(json.loads(out))
+        assert g.n == 10 and g.m == 15
+        assert g == corrcolor.gen_random_regular(10, 3, 2, triangle_free=bool(flags))
+        if flags:
+            assert corrcolor.is_triangle_free(g)
+
+    def test_gen_random_regular_impossible_is_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen-graph", "random-regular", "--n", "5", "--d", "4",
+            "--triangle-free",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_manifest_written(self, tmp_path, capsys, c6_files):
         gpath, cpath = c6_files
         manifest = json.loads((tmp_path / "c.json.manifest.json").read_text())
@@ -65,6 +86,27 @@ class TestGenerate:
         assert manifest["seed"] == 5
         assert gpath in manifest["input_digests"]
         assert "timestamp" in manifest
+
+    @pytest.mark.parametrize("command", ["lift", "validate", "solve", "stats", "nibble"])
+    def test_manifest_digests_input_flags(self, tmp_path, capsys, c6_files, command):
+        gpath, cpath = c6_files
+        lpath = write(tmp_path, "l.json", [[1, 2]] * 6)
+        rpath = write(tmp_path, "r.json", {})
+        wpath = write(tmp_path, "w.json", {"p_hat": 0.5, "p": [0.1] * 18})
+        inputs = {
+            "lift": ["--graph", gpath, "--lists", lpath],
+            "validate": ["--graph", gpath, "--cover", cpath],
+            "solve": ["--graph", gpath, "--cover", cpath, "--restrict", rpath],
+            "stats": ["--graph", gpath, "--cover", cpath, "--weights", wpath],
+            "nibble": ["--graph", gpath, "--cover", cpath],
+        }[command]
+        out = tmp_path / "out.json"
+        assert main([command, *inputs, "--out", str(out)]) == 0
+        digests = json.loads(Path(f"{out}.manifest.json").read_text())["input_digests"]
+        assert digests == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in inputs[1::2]
+        }
 
     def test_gen_cover_matches_library(self, capsys, c6_files):
         gpath, cpath = c6_files
@@ -280,7 +322,14 @@ class TestValidateAndSolve:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "restrict", [{"a": [1]}, {"0": 5}, {"0": ["1"]}, {"0": [1.5]}], ids=str
+        "restrict",
+        [
+            {"a": [1]}, {"0": 5}, {"0": ["1"]}, {"0": [1.5]},
+            # int() reads these keys as vertex 10, 1 and 1
+            {"1_0": [0]}, {" +1": [0]}, {"\u0661": [0]},
+            [[0]],
+        ],
+        ids=str,
     )
     def test_solve_restrict_malformed_is_exit_2(self, tmp_path, capsys, c6_files, restrict):
         gpath, cpath = c6_files
@@ -328,6 +377,30 @@ class TestValidateAndSolve:
         assert code == 0
         doc = json.loads(out)
         assert doc["matchings"]["0,1"] == [[1, 2]]
+
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            ([1, 2, 3, 4], "label list of vertex 0 "),
+            ([[1], "ab", [2], [3]], "label list of vertex 1 "),
+            ([[1], [2], [[1]], [3]], "label list of vertex 2 "),
+            ([[1], [2], [3], [{"a": 1}]], "label list of vertex 3 "),
+            ([["a", 1], [1], [2], [3]], "label list of vertex 0 "),
+            ([[1], [None], [2], [3]], "label list of vertex 1 "),
+            ({"0": [1]}, "lists document must be a JSON array"),
+        ],
+        ids=[
+            "number", "string", "array-label", "object-label", "mixed", "null-label",
+            "object",
+        ],
+    )
+    def test_lift_malformed_lists_is_exit_2(self, tmp_path, capsys, lists, message):
+        edges = [[0, 1], [1, 2], [2, 3], [0, 3]]
+        gpath = write(tmp_path, "g.json", {"n": 4, "edges": edges})
+        lpath = write(tmp_path, "l.json", lists)
+        code, out, err = run_cli(capsys, "lift", "--graph", gpath, "--lists", lpath)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestStats:
@@ -390,10 +463,13 @@ class TestStats:
             ([0.1] * 12, True, '"p_hat"'),
             ([0.1] * 11 + [math.nan], 0.2, "[0, p_hat]"),
             ([0.1] * 12, math.inf, "finite"),
+            ([0.1] * 11, 0.2, "length 11"),
+            ("absent", 0.2, '"p" and "p_hat"'),
+            ([0.1] * 12, "absent", '"p" and "p_hat"'),
         ],
         ids=[
             "string", "nested", "bool", "huge-int", "null", "cap-string",
-            "cap-bool", "nan", "inf-cap",
+            "cap-bool", "nan", "inf-cap", "short", "no-p", "no-cap",
         ],
     )
     def test_bad_weights_document_is_exit_2(self, tmp_path, capsys, p, p_hat, key):
@@ -401,7 +477,8 @@ class TestStats:
         cover = random_cover(g, 3, seed=7)
         gpath = write(tmp_path, "g.json", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]})
         cpath = write(tmp_path, "c.json", cover_to_json_dict(cover))
-        wpath = write(tmp_path, "w.json", {"p_hat": p_hat, "p": p})
+        doc = {name: x for name, x in (("p_hat", p_hat), ("p", p)) if x != "absent"}
+        wpath = write(tmp_path, "w.json", doc)
         code, out, err = run_cli(
             capsys, "stats", "--graph", gpath, "--cover", cpath, "--weights", wpath
         )
@@ -446,6 +523,20 @@ class TestLbExperiment:
             witness = cover_from_json_dict(json.loads(open(wpath).read()))
             g = graph_from_json_dict(json.loads(open(gpath).read()))
             assert solve_exact(g, witness) is None
+
+    def test_no_witness_when_all_colorable(self, tmp_path, capsys):
+        # a graph of maximum degree 2 is colorable from every 3-fold cover
+        gpath = str(tmp_path / "g.json")
+        assert main(["gen-graph", "cycle", "--n", "4", "--out", gpath]) == 0
+        wpath = tmp_path / "w.json"
+        code, out, err = run_cli(
+            capsys, "lb-experiment", "--graph", gpath, "--k", "3", "--trials", "3",
+            "--witness-out", str(wpath),
+        )
+        assert code == 0
+        assert json.loads(out)["noncolorable_count"] == 0
+        assert err == "no non-colorable cover found; witness not written\n"
+        assert not wpath.exists()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         gpath = str(tmp_path / "g.json")
@@ -620,6 +711,39 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("target", ["missing-dir", "dir"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["gen-graph --out", "solve --out", "--witness-out", "--trials-csv", "--trace"],
+    )
+    def test_unwritable_output_is_exit_2(
+        self, tmp_path, capsys, c6_files, flag, target
+    ):
+        gpath, cpath = c6_files
+        path = str(tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path)
+        # every 2-fold cover of K4 is non-colorable, so a witness is written
+        edges = [[u, v] for u in range(4) for v in range(u + 1, 4)]
+        k4 = write(tmp_path, "k4.json", {"n": 4, "edges": edges})
+        lb = ["lb-experiment", "--graph", k4, "--k", "2", "--trials", "1"]
+        argv = {
+            "gen-graph --out": ["gen-graph", "cycle", "--n", "4", "--out", path],
+            "solve --out": ["solve", "--graph", gpath, "--cover", cpath, "--out", path],
+            "--witness-out": [*lb, "--witness-out", path],
+            "--trials-csv": [*lb, "--trials-csv", path],
+            "--trace": ["nibble", "--graph", gpath, "--cover", cpath, "--trace", path],
+        }[flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    def test_unwritable_manifest_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        manifest = tmp_path / "g.json.manifest.json"
+        manifest.mkdir()
+        code, _, err = run_cli(capsys, "gen-graph", "cycle", "--n", "4", "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {manifest}: ") and err.count("\n") == 1
 
     def test_bad_json_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

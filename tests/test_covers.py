@@ -451,6 +451,9 @@ MALFORMED_COVERS = {
     "key-with-two-commas": {"lists": [[0], [1]], "matchings": {"0,1,2": []}},
     "key-not-integers": {"lists": [[0], [1]], "matchings": {"a,b": []}},
     "key-float": {"lists": [[0], [1]], "matchings": {"0.5,1": []}},
+    # int() reads each of these keys as (0, 1)
+    "key-underscore-space-plus": {"lists": [[0], [1]], "matchings": {"0_0, +1": []}},
+    "key-non-ascii-digits": {"lists": [[0], [1]], "matchings": {"\u0660,\u0661": []}},
     "k-per-vertex-disagrees": {
         "k_per_vertex": [2, 1], "lists": [[0], [1]], "matchings": {"0,1": []},
     },

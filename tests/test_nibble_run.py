@@ -232,6 +232,17 @@ class TestRunNibble:
         with pytest.raises(DomainError, match="too small"):
             run_nibble(g, cover, relaxed_params(), seed=0)
 
+    def test_degree_one_rejected(self):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        cover = random_cover(g, 4, seed=0)
+        with pytest.raises(DomainError, match="degree bound below 2"):
+            run_nibble(g, cover, relaxed_params(), seed=0)
+
+    def test_empty_lists_rejected(self):
+        g = gen_cycle(4)
+        with pytest.raises(DomainError, match="lists must be nonempty"):
+            run_nibble(g, make_cover([[]] * 4, {}), relaxed_params(), seed=0)
+
     def test_invalid_cover_rejected(self):
         from corrcolor import make_cover
 
