@@ -152,9 +152,12 @@ def _write_output(payload: str, args) -> None:
     if not args.out:
         sys.stdout.write(payload)
         return
-    _write_text(args.out, payload)
     flags = ("graph", "cover", "lists", "weights", "restrict")
     inputs = filter(None, (getattr(args, flag, None) for flag in flags))
+    # Read again here, so no input's bytes are held while the command runs,
+    # and before --out is written, which may name one of the inputs.
+    digests = {p: hashlib.sha256(_read_bytes(p)).hexdigest() for p in inputs}
+    _write_text(args.out, payload)
     manifest = {
         "command": args.command,
         "parameters": {
@@ -164,8 +167,7 @@ def _write_output(payload: str, args) -> None:
         },
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        # read again here, so no input's bytes are held while the command runs
-        "input_digests": {p: hashlib.sha256(_read_bytes(p)).hexdigest() for p in inputs},
+        "input_digests": digests,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _write_text(args.out + ".manifest.json", _dump_json(manifest))

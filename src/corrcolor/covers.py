@@ -340,18 +340,39 @@ def make_cover(lists, matchings) -> Cover:
     return _cover_from_raw(lists, key_u, key_v, list(matchings.values()))
 
 
-def _codes(*arrays: np.ndarray) -> tuple[list[np.ndarray], int]:
-    """Codes in 0..size-1 for the values of the arrays, equal for equal values."""
-    distinct, code = np.unique(np.concatenate(arrays), return_inverse=True)
-    return np.split(code, np.cumsum([arr.size for arr in arrays])[:-1]), distinct.size
+def _in_sorted(ranked: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each value occurs in the ascending array `ranked`."""
+    pos = np.searchsorted(ranked, values)
+    return (pos < ranked.size) & (np.append(ranked, 0)[pos] == values)
 
 
-def _repeated(seg: np.ndarray, code: np.ndarray, size: int) -> np.ndarray:
-    """True for each entry whose code occurred at an earlier entry of its segment."""
-    key = seg * size + code
-    again = np.ones(key.size, dtype=bool)
-    again[np.unique(key, return_index=True)[1]] = False
-    return again
+def _edge_of(edge_ptr: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The edge of each pair index, given the CSR pointer of the matchings."""
+    return np.searchsorted(edge_ptr, pairs, side="right") - 1
+
+
+def _finder(ranked: np.ndarray, heads: np.ndarray):
+    """A function giving where each value first occurs in the ascending `ranked`.
+
+    `heads` holds the first position of each distinct id of `ranked`. A
+    table with one entry per pattern of the low bits of an id, more than
+    ranked.size of them, holds the first position of the one id with those
+    bits, or ranked.size if there is none; values whose bits several ids
+    share are found by binary search. A value that does not occur gets some
+    position up to ranked.size, so the caller compares the id found.
+    """
+    bits = (1 << ranked.size.bit_length()) - 1
+    low = ranked[heads] & bits
+    table = np.full(bits + 1, ranked.size, dtype=np.int64)
+    table[low] = np.where(np.bincount(low, minlength=bits + 1)[low] == 1, heads, -1)
+
+    def find(values: np.ndarray) -> np.ndarray:
+        pos = table[values & bits]
+        several = np.flatnonzero(pos < 0)
+        pos[several] = np.searchsorted(ranked, values[several])
+        return pos
+
+    return find
 
 
 def validate_cover(g: Graph, cover: Cover) -> list[str]:
@@ -360,52 +381,96 @@ def validate_cover(g: Graph, cover: Cover) -> list[str]:
     Returns a list of human-readable violations; empty means the cover is
     valid. Violations are data, not exceptions. List problems come first, in
     list order; then the problems of each matching, in (u, v) order.
+
+    It sorts the list entries only, and beyond that sort its cost is linear
+    in the matched pairs. Each matched color is looked up among the sorted
+    entries by a table of the ids' low bits (by binary search where several
+    ids share those bits), and a color reused within a matching shows as a
+    repeated slot of its list. Pairs that leave the lists or name a color
+    held by several lists, which only an invalid cover has, and pairs of a
+    matching much shorter than its lists whose slots collide are compared
+    exactly, by sorting just those.
     """
     if cover.n_vertices != g.n:
         return [f"cover has {cover.n_vertices} lists but graph has {g.n} vertices"]
     problems = []
     colors = cover.vlist_colors
     vid = _segment_ids(cover.vlist_ptr)
-    pe = _segment_ids(cover.edge_ptr)
-    px, py = cover.pair_x, cover.pair_y
-    (code, code_x, code_y), size = _codes(colors, px, py)
+    # Stable, so each run of equal ids in `ranked` starts at the first entry
+    # holding that id.
+    order = np.argsort(colors, kind="stable")
+    ranked = colors[order]
+    starts = np.ones(colors.size + 1, dtype=bool)
+    starts[1:-1] = ranked[1:] != ranked[:-1]
+    heads = np.flatnonzero(starts[:-1])
+    first = np.empty_like(order)
+    first[order] = order[heads[np.cumsum(starts[:-1]) - 1]]
     slot = np.arange(colors.size, dtype=np.int64)
-    first = np.full(size, colors.size, dtype=np.int64)
-    np.minimum.at(first, code, slot)
-    for i in np.flatnonzero((colors < 0) | (first[code] != slot)).tolist():
+    for i in np.flatnonzero((colors < 0) | (first != slot)).tolist():
         x, v = int(colors[i]), int(vid[i])
         if x < 0:
             problems.append(f"negative color id {x} at vertex {v}")
         else:
             problems.append(
-                f"lists not disjoint: color {x} in lists of {int(vid[first[code[i]]])}"
+                f"lists not disjoint: color {x} in lists of {int(vid[first[i]])}"
                 f" and {v}"
             )
 
     eu, ev = cover.edge_u, cover.edge_v
     bad_key = (eu < 0) | (ev >= g.n) | (eu == ev)
     graph_keys = g.edges[:, 0] * g.n + g.edges[:, 1]
-    non_edge = ~bad_key & ~np.isin(eu * g.n + ev, graph_keys)
+    non_edge = ~bad_key & ~_in_sorted(graph_keys, eu * g.n + ev)
 
-    # A pair leaves the lists unless x is in u's list and y in v's. The
-    # first list holding a color is checked directly; a color held by
-    # several lists (already reported above) is looked up exactly.
-    holder = np.append(vid, -1)[first]
-    shared = np.bincount(code, minlength=size) > 1
-    held = {(int(a), int(b)) for a, b in zip(vid[shared[code]], colors[shared[code]])}
+    # By ranked position, with one more entry past the end: the id, the
+    # vertex of the entry and its slot in that vertex's list.
+    padded = np.append(ranked, 0)
+    holder = np.append(vid[order], -1)
+    local = np.append(order - cover.vlist_ptr[vid[order]], 0)
+    # (vertex, id) for every id held by several lists
+    shared = ~(starts[:-1] & starts[1:])
+    held = set(zip(vid[order[shared]].tolist(), ranked[shared].tolist()))
 
-    def in_lists(verts: np.ndarray, xs: np.ndarray, c: np.ndarray) -> np.ndarray:
-        ok = holder[c] == verts
-        for j in np.flatnonzero(~ok & shared[c]).tolist():
-            ok[j] = (int(verts[j]), int(xs[j])) in held
-        return ok
-
-    on_pair = ~bad_key[pe]
-    leaves = on_pair & ~(in_lists(eu[pe], px, code_x) & in_lists(ev[pe], py, code_y))
-    reused = on_pair & (_repeated(pe, code_x, size) | _repeated(pe, code_y, size))
+    # Pairs on a key that is not a vertex pair may be flagged, but such a key
+    # is reported alone.
+    find = _finder(ranked, heads)
+    sizes = _sizes_of(cover.edge_ptr)
+    list_sizes = np.append(_sizes_of(cover.vlist_ptr), 0)
+    px, py = cover.pair_x, cover.pair_y
+    leaves = np.zeros(px.size, dtype=bool)
+    reused = np.zeros(px.size, dtype=bool)
+    for ends, xs in ((eu, px), (ev, py)):
+        pos = find(xs)
+        # A color that is not at the vertex on its side as its first holder
+        # leaves the lists, unless it is held by several, one of them that
+        # vertex's.
+        stray = padded[pos] != xs
+        stray |= holder[pos] != np.repeat(ends, sizes)
+        strays = np.flatnonzero(stray)
+        for j, e in zip(strays.tolist(), _edge_of(cover.edge_ptr, strays).tolist()):
+            if (int(ends[e]), int(xs[j])) not in held:
+                leaves[j] = True
+        # A pair's bucket is the slot of its color in the color's first list,
+        # folded into one block per matching: a block has a bucket for each
+        # slot of the list on this side, or four per pair if fewer. Equal
+        # colors on one matching share a bucket; other pairs do so only in a
+        # matching much shorter than its lists, or off the lists. The pairs
+        # in a shared bucket are compared exactly, by (edge, color).
+        blocks = np.minimum(list_sizes[np.clip(ends, 0, g.n)], 4 * sizes)
+        bucket = local[pos]
+        bucket %= np.repeat(np.maximum(blocks, 1), sizes)
+        bucket += np.repeat(_ptr(blocks)[:-1], sizes)
+        ids = np.flatnonzero(np.bincount(bucket)[bucket] > 1)
+        del bucket  # one array per pair fewer at the peak of the next side
+        pe = _edge_of(cover.edge_ptr, ids)
+        srt = np.lexsort((xs[ids], pe))
+        ids, pe = ids[srt], pe[srt]
+        again = (pe[1:] == pe[:-1]) & (xs[ids[1:]] == xs[ids[:-1]])
+        reused[ids[1:][again]] = True
     flagged = np.flatnonzero(leaves | reused)
     flagged_edges = np.flatnonzero(
-        bad_key | non_edge | (np.bincount(pe[flagged], minlength=eu.size) > 0)
+        bad_key
+        | non_edge
+        | (np.bincount(_edge_of(cover.edge_ptr, flagged), minlength=eu.size) > 0)
     )
     for e in flagged_edges.tolist():
         u, v = int(eu[e]), int(ev[e])

@@ -292,24 +292,25 @@ def check_reduct_targets(
     tol_d = params.dev_degree(dmax)
     shrink = params.shrink(dmax)
 
+    alive = stats.post_alive
+    dv = np.abs(stats.p_v - old_p_v)
+    q_floor = old_q_v - 2.0 * old_deg / (k * ln_d) - tol_q
+    d_ceil = old_deg * (1.0 - shrink) + tol_d
+    bad_v = alive & (dv > tol_v)
+    bad_q = alive & (stats.q_v < q_floor)
+    bad_d = alive & (stats.d_v > d_ceil)
     violations = []
-    for v in np.flatnonzero(stats.post_alive):
-        v = int(v)
-        dv = abs(stats.p_v[v] - old_p_v[v])
-        if dv > tol_v:
-            violations.append(("vertex-mass", v, float(dv), float(tol_v)))
-        q_floor = old_q_v[v] - 2.0 * old_deg[v] / (k * ln_d) - tol_q
-        if stats.q_v[v] < q_floor:
-            violations.append(("entropy", v, float(stats.q_v[v]), float(q_floor)))
-        d_ceil = old_deg[v] * (1.0 - shrink) + tol_d
-        if stats.d_v[v] > d_ceil:
-            violations.append(("degree", v, float(stats.d_v[v]), float(d_ceil)))
-    post_edge = stats.post_alive[cover.edge_u] & stats.post_alive[cover.edge_v]
-    for e in np.flatnonzero(post_edge):
-        e = int(e)
-        ceil_e = old_p_uv[e] + tol_e
-        if stats.p_uv[e] > ceil_e:
-            violations.append(("edge-mass", e, float(stats.p_uv[e]), float(ceil_e)))
+    for v in np.flatnonzero(bad_v | bad_q | bad_d).tolist():
+        if bad_v[v]:
+            violations.append(("vertex-mass", v, float(dv[v]), float(tol_v)))
+        if bad_q[v]:
+            violations.append(("entropy", v, float(stats.q_v[v]), float(q_floor[v])))
+        if bad_d[v]:
+            violations.append(("degree", v, float(stats.d_v[v]), float(d_ceil[v])))
+    ceil_e = old_p_uv + tol_e
+    bad_e = alive[cover.edge_u] & alive[cover.edge_v] & (stats.p_uv > ceil_e)
+    for e in np.flatnonzero(bad_e).tolist():
+        violations.append(("edge-mass", e, float(stats.p_uv[e]), float(ceil_e[e])))
     return TargetCheck(ok=not violations, violations=tuple(violations))
 
 

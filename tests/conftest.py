@@ -1,4 +1,4 @@
-"""Shared fixtures and independent oracles for the test suite.
+"""Independent oracles and shared helpers for the test suite.
 
 The oracles here deliberately avoid the package's own search and kernel
 code paths: transversal enumeration by brute force, a plain recursive
@@ -7,9 +7,12 @@ labels, triangle detection by triple scan, exact mass recomputation with
 fsum over shuffled orders, graph building, and the cover views, arrays,
 validation, coloring check, moderate masses and final rounding derived by
 plain Python loops from raw lists and matchings, without `corrcolor.covers`
-or `corrcolor.weights`. The oracles read a graph only as its vertex count
-and `g.edges.tolist()`, and build their own edge sets and adjacency lists
-from that.
+or `corrcolor.weights`; the nibble's per-step target check is a plain loop
+over the arrays it is given. The oracles read a graph only as its vertex
+count and `g.edges.tolist()`, and build their own edge sets and adjacency
+lists from that. Of the package this module imports only `DomainError`,
+`Graph`, `build_graph`, `Cover` (for type hints) and `corrcolor.rng`;
+tests/test_oracles.py enforces that.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from typing import TYPE_CHECKING
-
-import pytest
 
 from corrcolor import DomainError, Graph, build_graph
 from corrcolor.rng import derive_int_seed, derive_rng
@@ -351,6 +352,36 @@ def reference_final_color(lists, matchings, alive, p, p_hat, delta, seed, max_re
     return None, max_retries
 
 
+def reference_check_reduct_targets(old, stats, tol, k, ln_d, edge_u, edge_v):
+    """The per-step target check by plain loops: its violations, in order.
+
+    `old` holds the pre-step arrays "p_v", "q_v", "p_uv" and "deg"; `stats`
+    the post-step post_alive, p_v, q_v, d_v and p_uv; `tol` the tolerances
+    "vertex", "edge", "entropy" and "degree" and the "shrink". Every
+    surviving vertex is checked for vertex mass, entropy and degree, in that
+    order, then every edge with both ends surviving for edge mass.
+    """
+    violations = []
+    for v in range(len(stats.post_alive)):
+        if not stats.post_alive[v]:
+            continue
+        dv = abs(stats.p_v[v] - old["p_v"][v])
+        if dv > tol["vertex"]:
+            violations.append(("vertex-mass", v, float(dv), float(tol["vertex"])))
+        q_floor = old["q_v"][v] - 2.0 * old["deg"][v] / (k * ln_d) - tol["entropy"]
+        if stats.q_v[v] < q_floor:
+            violations.append(("entropy", v, float(stats.q_v[v]), float(q_floor)))
+        d_ceil = old["deg"][v] * (1.0 - tol["shrink"]) + tol["degree"]
+        if stats.d_v[v] > d_ceil:
+            violations.append(("degree", v, float(stats.d_v[v]), float(d_ceil)))
+    for e, (u, v) in enumerate(zip(edge_u, edge_v)):
+        if stats.post_alive[u] and stats.post_alive[v]:
+            ceil_e = old["p_uv"][e] + tol["edge"]
+            if stats.p_uv[e] > ceil_e:
+                violations.append(("edge-mass", e, float(stats.p_uv[e]), float(ceil_e)))
+    return violations
+
+
 def reference_moderate_mass(lists, p, p_hat, v) -> float:
     """p_m(v) by fsum: the weights of v's list that lie strictly in (0, p_hat)."""
     return math.fsum(p[x] for x in lists[v] if 0.0 < p[x] < p_hat)
@@ -407,19 +438,3 @@ def petersen() -> Graph:
         edges.append((i, i + 5))
         edges.append((5 + i, 5 + (i + 2) % 5))
     return build_graph(10, edges)
-
-
-@pytest.fixture
-def c4_equal_lift():
-    from corrcolor import gen_cycle, lift_from_lists
-
-    g = gen_cycle(4)
-    return g, lift_from_lists(g, [[1, 2]] * 4)
-
-
-@pytest.fixture
-def single_edge_cover():
-    from corrcolor import random_cover
-
-    g = build_graph(2, [(0, 1)])
-    return g, random_cover(g, 2, seed=7)

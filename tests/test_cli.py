@@ -108,6 +108,14 @@ class TestGenerate:
             for path in inputs[1::2]
         }
 
+    def test_manifest_digests_the_input_that_out_replaces(self, tmp_path, c6_files):
+        gpath, cpath = c6_files
+        cover_digest = hashlib.sha256(Path(cpath).read_bytes()).hexdigest()
+        assert main(["validate", "--graph", gpath, "--cover", cpath, "--out", cpath]) == 0
+        assert json.loads(Path(cpath).read_text())["ok"] is True
+        digests = json.loads(Path(f"{cpath}.manifest.json").read_text())["input_digests"]
+        assert digests[cpath] == cover_digest
+
     def test_gen_cover_matches_library(self, capsys, c6_files):
         gpath, cpath = c6_files
         doc = json.loads(open(cpath).read())

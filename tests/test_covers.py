@@ -42,8 +42,9 @@ from .conftest import (
 
 
 class TestLift:
-    def test_equal_lists_identity_matchings(self, c4_equal_lift):
-        g, cover = c4_equal_lift
+    def test_equal_lists_identity_matchings(self):
+        g = gen_cycle(4)
+        cover = lift_from_lists(g, [[1, 2]] * 4)
         for pairs in cover.matchings.values():
             assert len(pairs) == 2
         assert validate_cover(g, cover) == []
@@ -120,7 +121,7 @@ class TestRandomCover:
             assert sorted(x for x, _ in pairs) == list(cover.lists[u])
             assert sorted(y for _, y in pairs) == list(cover.lists[v])
 
-    def test_k1_single_edge_forces_conflict(self, single_edge_cover=None):
+    def test_k1_single_edge_forces_conflict(self):
         g = build_graph(2, [(0, 1)])
         cover = random_cover(g, 1, seed=3)
         assert cover.matchings[(0, 1)] == ((0, 1),)
@@ -389,6 +390,112 @@ def test_oracle_cases_reach_every_branch():
         assert seen[key] >= 10, (key, seen)
 
 
+def validated_like_reference(g, lists, matchings):
+    """validate_cover of canonical raw lists and matchings, checked by the oracle."""
+    problems = validate_cover(g, make_cover(lists, matchings))
+    assert problems == reference_validate(g, lists, matchings)
+    return problems
+
+
+PATH3 = build_graph(3, [(0, 1), (1, 2)])
+HUGE = 2**62
+
+
+class TestValidateAdversarial:
+    """Cases that reach each branch of validate_cover, pinned and checked.
+
+    The lists and matchings are given canonical: lists ascending, keys (u, v)
+    with u < v, pairs sorted.
+    """
+
+    def test_pair_that_leaves_and_reuses(self):
+        g = build_graph(2, [(0, 1)])
+        problems = validated_like_reference(
+            g, [[0, 1], [2, 3]], {(0, 1): [(0, 9), (1, 9), (5, 2), (5, 3)]}
+        )
+        assert problems == [
+            "pair (0,9) on edge (0,1) leaves the endpoint lists",
+            "pair (1,9) on edge (0,1) leaves the endpoint lists",
+            "matching condition violated on edge (0,1): color reused by pair (1,9)",
+            "pair (5,2) on edge (0,1) leaves the endpoint lists",
+            "pair (5,3) on edge (0,1) leaves the endpoint lists",
+            "matching condition violated on edge (0,1): color reused by pair (5,3)",
+        ]
+
+    def test_off_list_color_with_the_low_bits_of_a_listed_one(self):
+        # Four list ids give a lookup table of 8: 9 and 10 fall where 1 and
+        # 2 are, each at the vertex on its side.
+        g = build_graph(2, [(0, 1)])
+        problems = validated_like_reference(
+            g, [[0, 1], [2, 3]], {(0, 1): [(0, 10), (9, 3)]}
+        )
+        assert problems == [
+            "pair (0,10) on edge (0,1) leaves the endpoint lists",
+            "pair (9,3) on edge (0,1) leaves the endpoint lists",
+        ]
+
+    def test_color_held_by_several_lists_matched_at_each(self):
+        problems = validated_like_reference(
+            PATH3,
+            [[0, 1], [1, 2], [1, 3]],
+            {(0, 1): [(0, 2), (1, 1)], (1, 2): [(1, 1), (2, 1)]},
+        )
+        assert problems == [
+            "lists not disjoint: color 1 in lists of 0 and 1",
+            "lists not disjoint: color 1 in lists of 0 and 2",
+            "matching condition violated on edge (1,2): color reused by pair (2,1)",
+        ]
+
+    def test_ids_near_two_to_the_62(self):
+        b = HUGE
+        problems = validated_like_reference(
+            PATH3,
+            [[-b, b], [b - 1, b, b + 1], [-b - 1, b + 2]],
+            {
+                (0, 1): [(-b, b), (-b, b + 3), (b, b - 1), (b, b + 1)],
+                (0, 2): [(-b, b + 2)],
+                (1, 2): [(-b, b + 2), (b - 1, -b - 1), (b + 1, b + 2)],
+                (2, 7): [(b, b)],
+            },
+        )
+        assert problems == [
+            f"negative color id {-b} at vertex 0",
+            f"lists not disjoint: color {b} in lists of 0 and 1",
+            f"negative color id {-b - 1} at vertex 2",
+            f"pair ({-b},{b + 3}) on edge (0,1) leaves the endpoint lists",
+            f"matching condition violated on edge (0,1): color reused by pair ({-b},{b + 3})",
+            f"matching condition violated on edge (0,1): color reused by pair ({b},{b + 1})",
+            "matched pair on (0,2) but that is not an edge of the graph",
+            f"pair ({-b},{b + 2}) on edge (1,2) leaves the endpoint lists",
+            f"matching condition violated on edge (1,2): color reused by pair ({b + 1},{b + 2})",
+            "matching key (2,7) is not a vertex pair",
+        ]
+
+    def test_no_vertices(self):
+        g = build_graph(0, [])
+        assert validated_like_reference(g, [], {}) == []
+        assert validated_like_reference(g, [], {(0, 1): [(0, 1)]}) == [
+            "matching key (0,1) is not a vertex pair"
+        ]
+
+    def test_empty_matching_next_to_a_reused_one(self):
+        problems = validated_like_reference(
+            PATH3, [[0, 1], [2, 3], [4, 5]], {(0, 1): [], (1, 2): [(2, 4), (3, 4)]}
+        )
+        assert problems == [
+            "matching condition violated on edge (1,2): color reused by pair (3,4)"
+        ]
+
+    def test_matching_much_shorter_than_its_lists(self):
+        # Ten slots a side and two or three pairs: slots 0 and 8 share a bucket.
+        g = build_graph(2, [(0, 1)])
+        lists = [list(range(10)), list(range(10, 20))]
+        assert validated_like_reference(g, lists, {(0, 1): [(0, 10), (8, 18)]}) == []
+        assert validated_like_reference(
+            g, lists, {(0, 1): [(0, 10), (0, 19), (8, 18)]}
+        ) == ["matching condition violated on edge (0,1): color reused by pair (0,19)"]
+
+
 def test_sparse_and_dense_ids_validate_alike():
     g = gen_cycle(4)
     for stride in (2, 10**9):
@@ -517,6 +624,26 @@ def test_writer_matches_json_dumps(cover):
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_reader_reads_writer_output(cover):
     assert cover_from_canonical_json(canonical_cover_json(cover).encode()) == cover
+
+
+@given(_covers(ANY_IDS, (-1, *KEY_VERTICES)), st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_validate_matches_reference_on_any_ids(cover, data):
+    n = cover.n_vertices
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = build_graph(n, edges)
+    colors = cover.vlist_colors.tolist()
+    ptr = cover.vlist_ptr.tolist()
+    lists = [colors[a:b] for a, b in zip(ptr, ptr[1:])]
+    edge_ptr = cover.edge_ptr.tolist()
+    matchings = {
+        (u, v): list(zip(cover.pair_x[a:b].tolist(), cover.pair_y[a:b].tolist()))
+        for u, v, a, b in zip(
+            cover.edge_u.tolist(), cover.edge_v.tolist(), edge_ptr, edge_ptr[1:]
+        )
+    }
+    assert validate_cover(g, cover) == reference_validate(g, lists, matchings)
 
 
 def test_writer_and_reader_on_empty_covers():

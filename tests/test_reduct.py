@@ -15,16 +15,26 @@ from corrcolor import (
     extend_coloring,
     gen_complete_bipartite,
     gen_cycle,
+    gen_random_bipartite_regular,
     is_valid_coloring,
     random_cover,
     reduct_step,
     relaxed_params,
+    run_nibble,
     solve_exact,
 )
+from corrcolor import nibble
 from corrcolor.rng import derive_int_seed, derive_rng
-from corrcolor.weights import ReductState, Weighting, moderate_restrict
+from corrcolor.weights import (
+    ReductState,
+    Weighting,
+    edge_mass_all,
+    entropy_terms,
+    moderate_restrict,
+    vertex_mass_all,
+)
 
-from .conftest import random_triangle_free_graph
+from .conftest import random_triangle_free_graph, reference_check_reduct_targets
 
 
 def toy_state(seed=0, n_left=3, n_right=3, k=4, p_hat=0.4, max_deg=8):
@@ -205,6 +215,29 @@ class TestExpectedPprime:
         assert np.all(np.abs(p_uv.mean(axis=0) - want_uv) <= 4.5 * se_uv)
 
 
+def oracle_targets(st, stats, params):
+    """`reference_check_reduct_targets` on the pre-step arrays of state st."""
+    cover, p, dmax, k = st.cover, st.weighting.p, st.max_deg, st.k
+    old = {
+        "p_v": vertex_mass_all(cover, p),
+        "q_v": vertex_mass_all(cover, entropy_terms(p)),
+        "p_uv": edge_mass_all(cover, p),
+        "deg": st.current_degrees(),
+    }
+    tol = {
+        "vertex": params.dev_vertex(dmax),
+        "edge": params.dev_edge(dmax, k),
+        "entropy": params.dev_entropy(dmax),
+        "degree": params.dev_degree(dmax),
+        "shrink": params.shrink(dmax),
+    }
+    return tuple(
+        reference_check_reduct_targets(
+            old, stats, tol, k, math.log(dmax), cover.edge_u, cover.edge_v
+        )
+    )
+
+
 class TestTargets:
     def test_zero_state_passes(self):
         g = gen_cycle(5)
@@ -231,6 +264,70 @@ class TestTargets:
         assert check_reduct_targets(st, stats, relaxed_params()).ok
         chk = check_reduct_targets(st, bad, relaxed_params())
         assert {k for k, *_ in chk.violations} == {kind}
+
+    def test_fabricated_violations_match_the_loop_oracle(self):
+        g, cover, st = toy_state(seed=3, n_left=4, n_right=4)
+        _, stats = reduct_step(st, seed=0)
+        alive = np.flatnonzero(stats.post_alive)
+        assert alive.size >= 4
+        a = alive.tolist()
+        live_edges = np.flatnonzero(
+            stats.post_alive[cover.edge_u] & stats.post_alive[cover.edge_v]
+        ).tolist()
+        dead_edges = sorted(set(range(cover.edge_u.size)) - set(live_edges))
+        assert len(live_edges) >= 3 and dead_edges
+
+        def shifted(arr, where, by):
+            out = arr.copy()
+            out[where] += by
+            return out
+
+        bad = replace(
+            stats,
+            p_v=shifted(stats.p_v, [a[0], a[2]], 10.0),
+            q_v=shifted(stats.q_v, [a[0], a[1]], -10.0),
+            d_v=shifted(stats.d_v, [a[3], a[0]], 50),
+            # the dead edge is not a survivor's, so it reports nothing
+            p_uv=shifted(
+                stats.p_uv, [live_edges[2], live_edges[0], dead_edges[0]], 10.0
+            ),
+        )
+        params = relaxed_params()
+        chk = check_reduct_targets(st, bad, params)
+        assert chk.violations == oracle_targets(st, bad, params)
+        assert [(kind, where) for kind, where, *_ in chk.violations] == [
+            ("vertex-mass", a[0]),
+            ("entropy", a[0]),
+            ("degree", a[0]),
+            ("entropy", a[1]),
+            ("vertex-mass", a[2]),
+            ("degree", a[3]),
+            ("edge-mass", live_edges[0]),
+            ("edge-mass", live_edges[2]),
+        ]
+        assert not chk.ok
+
+    @pytest.mark.parametrize("tol_scale", [0.5, 0.3])
+    def test_every_step_of_a_run_matches_the_loop_oracle(self, monkeypatch, tol_scale):
+        g = gen_random_bipartite_regular(100, 12, seed=1)
+        cover = random_cover(g, 30, seed=1)
+        params = relaxed_params(tol_scale=tol_scale)
+        checked = []
+
+        def compared(old_state, stats, params):
+            chk = check_reduct_targets(old_state, stats, params)
+            assert chk.violations == oracle_targets(old_state, stats, params)
+            checked.append(chk)
+            return chk
+
+        monkeypatch.setattr(nibble, "check_reduct_targets", compared)
+        result = run_nibble(g, cover, params, seed=1)
+        committed = sum(chk.ok for chk in checked)
+        retried = [chk for chk in checked if not chk.ok]
+        assert committed == result.steps and retried
+        if tol_scale == 0.3:
+            kinds = {kind for chk in retried for kind, *_ in chk.violations}
+            assert kinds == {"vertex-mass", "entropy", "degree", "edge-mass"}
 
     def test_needs_parameters(self):
         g = gen_cycle(4)

@@ -38,6 +38,18 @@ from .conftest import (
 )
 
 
+@pytest.fixture
+def c4_equal_lift():
+    g = gen_cycle(4)
+    return g, lift_from_lists(g, [[1, 2]] * 4)
+
+
+@pytest.fixture
+def single_edge_cover():
+    g = build_graph(2, [(0, 1)])
+    return g, random_cover(g, 2, seed=7)
+
+
 class TestValidity:
     def test_alternating_two_coloring(self, c4_equal_lift):
         g, cover = c4_equal_lift
