@@ -14,10 +14,17 @@ from .errors import InternalConsistencyError
 
 
 def segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per-segment sums of `values` under CSR pointer `ptr` (sequential order)."""
+    """Per-segment sums of `values` under CSR pointer `ptr`.
+
+    `np.add.reduceat` adds a segment's first value to numpy's pairwise sum of
+    the rest, which runs left to right only below 8 values. So a segment of 3
+    or more values is not added left to right, but its sum depends only on
+    its values, in order. The last segment also takes the 0.0
+    sentinel as one more value, which can regroup its additions.
+    """
     values = np.ascontiguousarray(values, dtype=np.float64)
     # A sentinel element keeps every reduceat index valid; it only joins the
-    # final segment, where the additive identity leaves the sum unchanged.
+    # final segment.
     # Empty segments (reduceat returns the element at the start index) are
     # masked to the identity afterwards.
     if values.size == 0:

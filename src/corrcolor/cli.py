@@ -46,7 +46,6 @@ from .weights import (
     Weighting,
     check_nice,
     edge_mass_all,
-    entropy_terms,
     moderate_values,
     vertex_mass_all,
 )
@@ -276,16 +275,16 @@ def _cmd_stats(args) -> str:
     g, cover = _load_valid_cover(args)
     w = _load_weighting(args.weights, cover.n_colors)
     state = ReductState.initial(g, cover, w)
+    p_v, q_v, _, p_uv = state.stats
     pm = moderate_values(w)
     keys = [f"{u},{v}" for u, v in zip(cover.edge_u.tolist(), cover.edge_v.tolist())]
-    nice = check_nice(state)
     doc = {
-        "p_v": [float(x) for x in vertex_mass_all(cover, w.p)],
-        "Q_v": [float(x) for x in vertex_mass_all(cover, entropy_terms(w.p))],
+        "p_v": [float(x) for x in p_v],
+        "Q_v": [float(x) for x in q_v],
         "p_m_v": [float(x) for x in vertex_mass_all(cover, pm)],
-        "p_uv": {key: float(x) for key, x in zip(keys, edge_mass_all(cover, w.p))},
+        "p_uv": {key: float(x) for key, x in zip(keys, p_uv)},
         "p_m_uv": {key: float(x) for key, x in zip(keys, edge_mass_all(cover, pm))},
-        "nice": nice.delta,
+        "nice": check_nice(state).delta,
     }
     return _dump_json(doc)
 

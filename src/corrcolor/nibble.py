@@ -36,9 +36,8 @@ from .weights import (
     ReductState,
     Weighting,
     check_nice,
-    edge_mass_all,
-    entropy_terms,
     moderate_values,
+    state_stats,
     vertex_mass_all,
 )
 
@@ -210,18 +209,15 @@ def reduct_step(
     post_alive = state.alive & ~removed_mask
     new_p = p_prime.copy()
     new_p[removed_mask[cover.owner]] = 0.0
-    new_state = state.with_step(Weighting(new_p, w.p_hat), post_alive, record)
-
-    stats = StepStats(
-        post_alive=post_alive,
-        p_v=vertex_mass_all(cover, p_prime),
-        q_v=vertex_mass_all(cover, entropy_terms(p_prime)),
-        d_v=kernels.mask_counts(*state.graph.csr, post_alive),
-        p_uv=edge_mass_all(cover, p_prime),
-        p_prime=p_prime,
-        sampled=in_s,
-        removed=removed,
-    )
+    p_v, q_v, d_v, p_uv = state_stats(state.graph, cover, p_prime, post_alive)
+    # In the new weights only a removed vertex's colors differ from p_prime
+    # (they are 0), so these are the new state's statistics exactly once
+    # zeroed at removed vertices and their edges; degrees need no change.
+    new_p_v, new_q_v = np.where(removed_mask, 0.0, (p_v, q_v))
+    gone = removed_mask[cover.edge_u] | removed_mask[cover.edge_v]
+    carried = (new_p_v, new_q_v, d_v, np.where(gone, 0.0, p_uv))
+    new_state = state.with_step(Weighting(new_p, w.p_hat), post_alive, record, carried)
+    stats = StepStats(post_alive, p_v, q_v, d_v, p_uv, p_prime, in_s, removed)
     return new_state, stats
 
 
@@ -279,12 +275,7 @@ def check_reduct_targets(
     dmax, k = old_state.max_deg, old_state.k
     ln_d = math.log(dmax)
     cover = old_state.cover
-    w = old_state.weighting
-
-    old_p_v = vertex_mass_all(cover, w.p)
-    old_q_v = vertex_mass_all(cover, entropy_terms(w.p))
-    old_p_uv = edge_mass_all(cover, w.p)
-    old_deg = old_state.current_degrees()
+    old_p_v, old_q_v, old_deg, old_p_uv = old_state.stats
 
     tol_v = params.dev_vertex(dmax)
     tol_e = params.dev_edge(dmax, k)
@@ -323,14 +314,10 @@ def check_reduct_hypotheses(state: ReductState, params: NibbleParams) -> dict:
     if state.max_deg is None or state.k is None:
         raise DomainError("hypothesis checks need the state's max_deg and k")
     dmax, k = state.max_deg, state.k
-    cover, w = state.cover, state.weighting
-    live = state.alive
-    live_idx = np.flatnonzero(live)
-    p_v = vertex_mass_all(cover, w.p)
-    q_v = vertex_mass_all(cover, entropy_terms(w.p))
-    p_uv = edge_mass_all(cover, w.p)
+    live_idx = state.alive_vertices()
+    p_v, q_v, _, p_uv = state.stats
     live_edges = state.live_edge_mask()
-    supp = w.p[state.live_color_mask()]
+    supp = state.weighting.p[state.live_color_mask()]
     report = {
         "vertex_mass_ok": bool(
             live_idx.size == 0
@@ -493,14 +480,13 @@ def degree_expectation_bound(
             raise HypothesisViolationError(
                 f"moderate masses span [{lo}, {hi}], outside [{p1}, {p2}]"
             )
-    p_uv = edge_mass_all(state.cover, state.weighting.p)
+    _, _, degs, p_uv = state.stats
     live_edges = state.live_edge_mask()
     if live_edges.any() and float(p_uv[live_edges].max()) > edge_cap + tol:
         raise HypothesisViolationError(
             f"an edge mass exceeds the stated cap {edge_cap}"
         )
     factor = 1.0 - alpha * p1 + alpha**2 * (p2**2 + edge_cap * state.max_deg)
-    degs = state.current_degrees()
     return {int(v): float(degs[v] * factor) for v in live_idx}
 
 
@@ -595,6 +581,8 @@ def run_nibble(
         raise DomainError(f"invalid cover: {problems[0]}")
     if not is_triangle_free(g):
         raise DomainError("the graph has a triangle; this pipeline requires none")
+    if g.n == 0:
+        raise DomainError("the graph has no vertices; the nibble needs at least one")
     k = cover.uniform_list_size()
     if k < 1:
         raise DomainError("lists must be nonempty")

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def _label_word(label) -> int:
     """Stable 32-bit word for a stream label (str or int)."""
@@ -21,6 +23,8 @@ def _label_word(label) -> int:
 
 def derive_seed_sequence(seed: int, *labels) -> np.random.SeedSequence:
     """SeedSequence for the stream named by `labels` under the root `seed`."""
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     key = tuple(_label_word(lab) for lab in labels)
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 

@@ -3,17 +3,21 @@
 A weighting assigns every color a value in [0, p_hat]. Masses are computed
 for all vertices or all cover edges at once from one per-color array:
 `vertex_mass_all` sums it over each vertex's list, and `edge_mass_all` sums
-its products over each edge's matched pairs, in cover edge order. Given the
-weights they yield p(v) and p(uv); given `entropy_terms(p)`, the entropy
-Q(v); given `moderate_values(w)`, the moderate masses. "Moderate" colors are
+its products over each edge's matched pairs, in cover edge order. Given
+`moderate_values(w)` they yield the moderate masses. "Moderate" colors are
 those strictly between 0 and the cap; the final coloring stage only ever
 uses moderate colors, so the niceness check runs on moderate masses.
+
+`state_stats` alone computes p(v), the entropy Q(v), the degrees among
+survivors and p(uv). A state reads them as `ReductState.stats`, which
+`reduct_step` fills for each state it makes from its own report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -128,18 +132,16 @@ class ReductState:
     def live_edge_mask(self) -> np.ndarray:
         return self.alive[self.cover.edge_u] & self.alive[self.cover.edge_v]
 
-    def current_degrees(self) -> np.ndarray:
-        """Degree of each vertex within the surviving induced subgraph."""
-        ptr, idx = self.graph.csr
-        return kernels.mask_counts(ptr, idx, self.alive)
+    @cached_property
+    def stats(self) -> tuple[np.ndarray, ...]:
+        """`state_stats` of this state; a cache, so `replace` never copies it."""
+        return state_stats(self.graph, self.cover, self.weighting.p, self.alive)
 
-    def with_step(self, weighting, alive, record) -> "ReductState":
-        return replace(
-            self,
-            weighting=weighting,
-            alive=alive,
-            history=self.history + (record,),
-        )
+    def with_step(self, weighting, alive, record, stats) -> "ReductState":
+        history = self.history + (record,)
+        new = replace(self, weighting=weighting, alive=alive, history=history)
+        new.__dict__["stats"] = stats
+        return new
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,18 @@ def edge_mass_all(cover: Cover, values: np.ndarray) -> np.ndarray:
     """Per-edge sums of value products over matched pairs (cover edge order)."""
     products = values[cover.pair_x] * values[cover.pair_y]
     return kernels.segment_sum(products, cover.edge_ptr)
+
+
+def state_stats(
+    graph: Graph, cover: Cover, p: np.ndarray, alive: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """p(v), Q(v), degree among `alive` and p(uv), as StepStats orders them."""
+    return (
+        vertex_mass_all(cover, p),
+        vertex_mass_all(cover, entropy_terms(p)),
+        kernels.mask_counts(*graph.csr, alive),
+        edge_mass_all(cover, p),
+    )
 
 
 def moderate_values(w: Weighting) -> np.ndarray:

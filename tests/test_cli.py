@@ -696,6 +696,13 @@ class TestNibbleCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be positive and finite" in err
 
+    def test_graph_without_vertices_is_exit_1(self, tmp_path, capsys):
+        gpath = write(tmp_path, "g.json", {"n": 0, "edges": []})
+        cpath = write(tmp_path, "c.json", {"k_per_vertex": [], "lists": [], "matchings": {}})
+        code, out, err = run_cli(capsys, "nibble", "--graph", gpath, "--cover", cpath)
+        assert (code, out) == (1, "")
+        assert err == "error: the graph has no vertices; the nibble needs at least one\n"
+
     def test_triangle_is_domain_error(self, tmp_path, capsys):
         gpath = write(tmp_path, "g.json", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
         cpath = str(tmp_path / "c.json")
@@ -708,6 +715,27 @@ class TestNibbleCli:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "command",
+        ["random-regular", "random-bipartite-regular", "gen-cover", "lb-experiment",
+         "nibble"],
+    )
+    def test_negative_seed_is_exit_1(self, capsys, c6_files, command):
+        gpath, cpath = c6_files
+        argv = {
+            "random-regular": ["gen-graph", "random-regular", "--n", "10", "--d", "3"],
+            "random-bipartite-regular": [
+                "gen-graph", "random-bipartite-regular", "--n-side", "5", "--d", "2",
+            ],
+            "gen-cover": ["gen-cover", "--graph", gpath, "--k", "3"],
+            "lb-experiment": ["lb-experiment", "--graph", gpath, "--k", "2",
+                              "--trials", "1"],
+            "nibble": ["nibble", "--graph", gpath, "--cover", cpath],
+        }[command]
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

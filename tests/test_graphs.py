@@ -28,6 +28,7 @@ from corrcolor import (
 )
 from corrcolor import graphs
 from corrcolor.cli import main
+from corrcolor.rng import derive_rng
 from corrcolor.graphs import Graph
 from corrcolor.rng import derive_rng
 
@@ -288,6 +289,12 @@ class TestGenerators:
 
     def test_random_regular_deterministic(self):
         assert gen_random_regular(10, 3, 9) == gen_random_regular(10, 3, 9)
+
+    def test_negative_seed_is_domain_error(self):
+        with pytest.raises(DomainError, match="got -1$"):
+            derive_rng(-1, "x")
+        with pytest.raises(DomainError, match="got -3$"):
+            gen_random_bipartite_regular(5, 2, -3)
 
 
 class TestIO:

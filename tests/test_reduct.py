@@ -10,6 +10,8 @@ from corrcolor import (
     InternalConsistencyError,
     build_graph,
     check_reduct_targets,
+    cover_from_json_dict,
+    cover_to_json_dict,
     degree_expectation_bound,
     expected_pprime,
     extend_coloring,
@@ -31,10 +33,15 @@ from corrcolor.weights import (
     edge_mass_all,
     entropy_terms,
     moderate_restrict,
+    state_stats,
     vertex_mass_all,
 )
 
-from .conftest import random_triangle_free_graph, reference_check_reduct_targets
+from .conftest import (
+    adjacency,
+    random_triangle_free_graph,
+    reference_check_reduct_targets,
+)
 
 
 def toy_state(seed=0, n_left=3, n_right=3, k=4, p_hat=0.4, max_deg=8):
@@ -216,13 +223,18 @@ class TestExpectedPprime:
 
 
 def oracle_targets(st, stats, params):
-    """`reference_check_reduct_targets` on the pre-step arrays of state st."""
+    """`reference_check_reduct_targets` on the pre-step arrays of state st.
+
+    They are recomputed from st's weights, and its degrees counted by a plain
+    loop, so they check the statistics that st carries.
+    """
     cover, p, dmax, k = st.cover, st.weighting.p, st.max_deg, st.k
+    alive = st.alive.tolist()
     old = {
         "p_v": vertex_mass_all(cover, p),
         "q_v": vertex_mass_all(cover, entropy_terms(p)),
         "p_uv": edge_mass_all(cover, p),
-        "deg": st.current_degrees(),
+        "deg": np.array([sum(alive[u] for u in nbrs) for nbrs in adjacency(st.graph)]),
     }
     tol = {
         "vertex": params.dev_vertex(dmax),
@@ -336,6 +348,59 @@ class TestTargets:
         _, stats = reduct_step(st, seed=0, alpha=0.4)
         with pytest.raises(DomainError):
             check_reduct_targets(st, stats, relaxed_params())
+
+
+def sparse_ids(cover):
+    """The same cover with each color x renamed 3x + 2: gaps below every id."""
+    doc = cover_to_json_dict(cover)
+    doc["lists"] = [[3 * x + 2 for x in xs] for xs in doc["lists"]]
+    doc["matchings"] = {
+        key: [[3 * x + 2, 3 * y + 2] for x, y in pairs]
+        for key, pairs in doc["matchings"].items()
+    }
+    return cover_from_json_dict(doc)
+
+
+class TestCarriedStats:
+    @pytest.mark.parametrize("kind", ["perfect", "bernoulli", "sparse"])
+    def test_each_step_hands_on_exact_stats(self, monkeypatch, kind):
+        g = gen_random_bipartite_regular(100, 12, seed=1)
+        cover, tol_scale, seed = {
+            # tight tolerances, so steps are retried
+            "perfect": (random_cover(g, 60, seed=1), 0.3, 2),
+            "bernoulli": (random_cover(g, 30, seed=1, mode="bernoulli", q=0.1), 1.0, 1),
+            "sparse": (sparse_ids(random_cover(g, 30, seed=2)), 1.0, 1),
+        }[kind]
+        made, committed = [], []
+        step, check = nibble.reduct_step, nibble.check_reduct_targets
+
+        def stepped(state, step_seed, alpha=None):
+            cand, stats = step(state, step_seed, alpha)
+            made.append(cand)
+            return cand, stats
+
+        def checked(old_state, stats, params):
+            chk = check(old_state, stats, params)
+            committed.append(chk.ok)
+            return chk
+
+        monkeypatch.setattr(nibble, "reduct_step", stepped)
+        monkeypatch.setattr(nibble, "check_reduct_targets", checked)
+        result = run_nibble(g, cover, relaxed_params(tol_scale=tol_scale), seed=seed)
+        assert len(made) == len(committed) and sum(committed) == result.steps > 0
+        for st in made:
+            # handed on by the step, not computed on first use
+            carried = vars(st)["stats"]
+            want = state_stats(st.graph, st.cover, st.weighting.p, st.alive)
+            assert all(map(np.array_equal, carried, want))
+        assert any(len(st.history[-1].removed) for st in made)
+        sizes = np.diff(cover.edge_ptr)
+        if kind == "perfect":
+            assert not all(committed)
+        elif kind == "bernoulli":
+            assert (sizes == 0).any() and (sizes < 30).all()
+        else:
+            assert cover.n_colors > cover.vlist_colors.size
 
 
 class TestExtend:
