@@ -3,13 +3,19 @@
 Vectorized numpy segmented reductions over CSR layouts, no compilation.
 All randomness comes in as pre-drawn uniforms, so the kernels are pure
 functions of their inputs; tests/test_kernels.py checks them against
-plain-Python loop oracles.
+plain-Python loop oracles and `reduct_core` against the whole-adjacency
+formula it replaced, bit for bit.
+
+One step reads the color adjacency about once: `reduct_core` gathers one
+survival factor per adjacency entry and reads the neighbour ranges of the
+sampled colors only, a small share of the entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._arrays import _ranges
 from .errors import InternalConsistencyError
 
 
@@ -19,44 +25,49 @@ def segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     `np.add.reduceat` adds a segment's first value to numpy's pairwise sum of
     the rest, which runs left to right only below 8 values. So a segment of 3
     or more values is not added left to right, but its sum depends only on
-    its values, in order. The last segment also takes the 0.0
-    sentinel as one more value, which can regroup its additions.
+    its values, in order. The last segment also takes a 0.0 sentinel as one
+    more value. The sentinel stays: dropping it changes the rounding of the
+    last segment at some lengths (8 values, for example), so the mass of the
+    last vertex or edge, and the results that read it, would change.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    # A sentinel element keeps every reduceat index valid; it only joins the
-    # final segment.
-    # Empty segments (reduceat returns the element at the start index) are
-    # masked to the identity afterwards.
     if values.size == 0:
         return np.zeros(ptr.shape[0] - 1, dtype=np.float64)
+    # The sentinel also keeps every reduceat index valid. Empty segments
+    # (reduceat returns the element at the start index) are masked to the
+    # identity afterwards.
     padded = np.append(values, 0.0)
     reduced = np.add.reduceat(padded, ptr[:-1])
     return np.where(ptr[:-1] < ptr[1:], reduced, 0.0)
 
 
 def segment_prod(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Per-segment products of `values` under CSR pointer `ptr`.
+
+    numpy multiplies a segment left to right, so reducing over the
+    non-empty segments only is exact; an empty segment gives 1.0.
+    """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.size == 0:
-        return np.ones(ptr.shape[0] - 1, dtype=np.float64)
-    padded = np.append(values, 1.0)
-    reduced = np.multiply.reduceat(padded, ptr[:-1])
-    return np.where(ptr[:-1] < ptr[1:], reduced, 1.0)
-
-
-def _mask_counts(ptr: np.ndarray, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    if idx.size == 0:
-        return np.zeros(ptr.shape[0] - 1, dtype=np.int64)
-    counts = segment_sum(mask[idx].astype(np.float64), ptr)
-    return counts.astype(np.int64)
+    out = np.ones(ptr.shape[0] - 1, dtype=np.float64)
+    nonempty = ptr[:-1] < ptr[1:]
+    if nonempty.any():
+        out[nonempty] = np.multiply.reduceat(values, ptr[:-1][nonempty])
+    return out
 
 
 def mask_counts(ptr: np.ndarray, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-segment count of indices whose mask bit is set."""
-    return _mask_counts(ptr, idx, np.ascontiguousarray(mask))
+    running = np.zeros(idx.size + 1, dtype=np.int64)
+    np.cumsum(mask[idx], out=running[1:])
+    return running[ptr[1:]] - running[ptr[:-1]]
 
 
 def reduct_core(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
     """One weight-update pass over all colors.
+
+    `nbr_ptr`, `nbr_idx` is the color adjacency in CSR form and must be
+    symmetric (y is a neighbour of x exactly when x is one of y), as
+    `Cover.arrays` is: the hit counts are taken from the sampled side.
 
     Returns (p_prime, in_s, s_nbr_count, k_factor):
       p_prime     updated weight per color (capped values stored as exactly p_hat)
@@ -71,15 +82,13 @@ def reduct_core(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
     u_promote = np.ascontiguousarray(u_promote, dtype=np.float64)
 
     in_b = p == p_hat
-    in_s = (~in_b) & (u_sample < alpha * p)
-    # The private helper, not the public name, so that a wrapper around
-    # `mask_counts` sees only the callers outside this module.
-    s_count = _mask_counts(nbr_ptr, nbr_idx, in_s)
-    if nbr_idx.size:
-        factors = np.where(in_b[nbr_idx], 1.0, 1.0 - alpha * p[nbr_idx])
-    else:
-        factors = np.empty(0, dtype=np.float64)
-    k_factor = segment_prod(factors, nbr_ptr)
+    ap = alpha * p
+    in_s = (~in_b) & (u_sample < ap)
+    sampled = np.flatnonzero(in_s)
+    starts = nbr_ptr[sampled]
+    hit = nbr_idx[_ranges(starts, nbr_ptr[sampled + 1] - starts)]
+    s_count = np.bincount(hit, minlength=p.size)
+    k_factor = segment_prod(np.where(in_b, 1.0, 1.0 - ap)[nbr_idx], nbr_ptr)
     ratio = p / k_factor
     case4 = (~in_b) & (s_count > 0) & (ratio > p_hat)
     if np.any(case4 & (k_factor >= 1.0)):

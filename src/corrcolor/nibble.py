@@ -29,7 +29,7 @@ from .errors import (
     IstarInfeasibleError,
 )
 from .graphs import Graph, is_triangle_free, max_degree
-from .rng import derive_int_seed, derive_rng
+from .rng import check_seed, derive_int_seed, derive_rng
 from .solver import check_coloring, coloring_to_json
 from .weights import (
     ReductRecord,
@@ -141,7 +141,8 @@ class StepStats:
 
     Updated weights are defined for every color, so masses, entropy, and
     surviving-neighbor counts are reported for removed vertices too; target
-    checks then restrict to survivors.
+    checks then restrict to survivors. p(uv) is 0 at an edge that had a
+    removed end before the step.
     """
 
     post_alive: np.ndarray
@@ -209,7 +210,10 @@ def reduct_step(
     post_alive = state.alive & ~removed_mask
     new_p = p_prime.copy()
     new_p[removed_mask[cover.owner]] = 0.0
-    p_v, q_v, d_v, p_uv = state_stats(state.graph, cover, p_prime, post_alive)
+    # p(uv) over the pre-step graph, where a step preserves its expectation
+    p_v, q_v, d_v, p_uv = state_stats(
+        state.graph, cover, p_prime, post_alive, state.alive
+    )
     # In the new weights only a removed vertex's colors differ from p_prime
     # (they are 0), so these are the new state's statistics exactly once
     # zeroed at removed vertices and their edges; degrees need no change.
@@ -576,6 +580,7 @@ def run_nibble(
     whose replay alone can finish the coloring). Steps whose target checks
     fail are resampled with fresh derived seeds up to max_retries_per_step.
     """
+    check_seed(seed)
     problems = validate_cover(g, cover)
     if problems:
         raise DomainError(f"invalid cover: {problems[0]}")

@@ -21,10 +21,15 @@ def _label_word(label) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:4], "big")
 
 
-def derive_seed_sequence(seed: int, *labels) -> np.random.SeedSequence:
-    """SeedSequence for the stream named by `labels` under the root `seed`."""
+def check_seed(seed: int) -> None:
+    """Raise DomainError unless `seed` can root a stream."""
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
+
+
+def derive_seed_sequence(seed: int, *labels) -> np.random.SeedSequence:
+    """SeedSequence for the stream named by `labels` under the root `seed`."""
+    check_seed(seed)
     key = tuple(_label_word(lab) for lab in labels)
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 

@@ -2,15 +2,17 @@
 
 A weighting assigns every color a value in [0, p_hat]. Masses are computed
 for all vertices or all cover edges at once from one per-color array:
-`vertex_mass_all` sums it over each vertex's list, and `edge_mass_all` sums
-its products over each edge's matched pairs, in cover edge order. Given
+`vertex_mass_all` sums it over each vertex's list; `edge_mass_all` sums
+its products over each edge's matched pairs, in cover edge order, and
+`live_edge_mass` does so only at the edges between surviving vertices. Given
 `moderate_values(w)` they yield the moderate masses. "Moderate" colors are
 those strictly between 0 and the cap; the final coloring stage only ever
 uses moderate colors, so the niceness check runs on moderate masses.
 
 `state_stats` alone computes p(v), the entropy Q(v), the degrees among
-survivors and p(uv). A state reads them as `ReductState.stats`, which
-`reduct_step` fills for each state it makes from its own report.
+survivors and p(uv) at the edges between survivors. A state reads them as
+`ReductState.stats`, which `reduct_step` fills for each state it makes from
+its own report.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels as kernels
+from ._arrays import _ptr, _ranges
 from .covers import Cover
 from .errors import DomainError
 from .graphs import Graph
@@ -166,15 +169,46 @@ def edge_mass_all(cover: Cover, values: np.ndarray) -> np.ndarray:
     return kernels.segment_sum(products, cover.edge_ptr)
 
 
+def live_edge_mass(cover: Cover, values: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """`edge_mass_all` at the edges whose two ends are in `alive`, 0 elsewhere.
+
+    Reads only the pairs of those edges. Each one sums the same products in
+    the same order, and the last edge keeps `segment_sum`'s 0.0 sentinel, so
+    every live value is bit for bit that of `edge_mass_all`.
+    """
+    live = alive[cover.edge_u] & alive[cover.edge_v]
+    if live.all():
+        return edge_mass_all(cover, values)
+    ptr = cover.edge_ptr
+    edges = np.flatnonzero(live & (ptr[:-1] < ptr[1:]))
+    out = np.zeros(live.size, dtype=np.float64)
+    if edges.size:
+        sizes = ptr[edges + 1] - ptr[edges]
+        pairs = _ranges(ptr[edges], sizes)
+        products = values[cover.pair_x[pairs]] * values[cover.pair_y[pairs]]
+        if edges[-1] == live.size - 1:
+            products = np.append(products, 0.0)
+        out[edges] = np.add.reduceat(products, _ptr(sizes)[:-1])
+    return out
+
+
 def state_stats(
-    graph: Graph, cover: Cover, p: np.ndarray, alive: np.ndarray
+    graph: Graph,
+    cover: Cover,
+    p: np.ndarray,
+    alive: np.ndarray,
+    edges_alive: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """p(v), Q(v), degree among `alive` and p(uv), as StepStats orders them."""
+    """p(v), Q(v), degree among `alive` and p(uv), as StepStats orders them.
+
+    p(uv) is summed at the edges whose two ends are in `edges_alive`
+    (default `alive`) and is 0 elsewhere.
+    """
     return (
         vertex_mass_all(cover, p),
         vertex_mass_all(cover, entropy_terms(p)),
         kernels.mask_counts(*graph.csr, alive),
-        edge_mass_all(cover, p),
+        live_edge_mass(cover, p, alive if edges_alive is None else edges_alive),
     )
 
 
@@ -230,8 +264,7 @@ def check_nice(state: ReductState) -> NiceCheck:
     mod_live = w.moderate & state.live_color_mask()
     b = 2.0 * float(w.p[mod_live].max()) if mod_live.any() else 0.0
 
-    pm_uv = edge_mass_all(state.cover, pm)
-    pm_uv = np.where(state.live_edge_mask(), pm_uv, 0.0)
+    pm_uv = live_edge_mass(state.cover, pm, live)
     # Two passes in this order fix the rounding of each vertex's sum.
     sums = np.zeros(state.graph.n, dtype=np.float64)
     np.add.at(sums, state.cover.edge_u, pm_uv)

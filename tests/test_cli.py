@@ -703,6 +703,19 @@ class TestNibbleCli:
         assert (code, out) == (1, "")
         assert err == "error: the graph has no vertices; the nibble needs at least one\n"
 
+    def test_negative_seed_on_edgeless_graph_is_exit_1(self, tmp_path, capsys):
+        # no edge means no step and no rounding, so no stream is ever derived
+        gpath = write(tmp_path, "g.json", {"n": 2, "edges": []})
+        cpath = write(
+            tmp_path, "c.json", {"k_per_vertex": [2, 2], "lists": [[0, 1], [2, 3]],
+                                 "matchings": {}}
+        )
+        argv = ["nibble", "--graph", gpath, "--cover", cpath]
+        assert run_cli(capsys, *argv, "--seed", "0")[0] == 0
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_triangle_is_domain_error(self, tmp_path, capsys):
         gpath = write(tmp_path, "g.json", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
         cpath = str(tmp_path / "c.json")

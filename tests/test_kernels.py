@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from corrcolor import _kernels as kernels
-from corrcolor import gen_complete_bipartite, random_cover
+from corrcolor import (
+    gen_complete_bipartite,
+    gen_random_bipartite_regular,
+    random_cover,
+    run_nibble,
+)
+from corrcolor.nibble import relaxed_params
 from corrcolor.rng import derive_rng
+from corrcolor.weights import edge_mass_all, live_edge_mass
+
+from .test_reduct import sparse_ids
 
 
 def seg_oracle(values, ptr, op, init):
@@ -50,6 +59,46 @@ def reduct_core_oracle(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
         np.array(s_count, dtype=np.int64),
         np.array(k_factor),
     )
+
+
+def reduct_core_reference(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
+    """reduct_core by the whole-adjacency numpy formula it replaced.
+
+    Every output is read off all adjacency entries: each color sums the
+    sampled bits of its own neighbours and multiplies their factors, over
+    copies padded with a sentinel so that every reduceat index is valid.
+    """
+    in_b = p == p_hat
+    in_s = (~in_b) & (u_sample < alpha * p)
+    starts = nbr_ptr[:-1]
+    nonempty = starts < nbr_ptr[1:]
+    hits = np.add.reduceat(np.append(in_s[nbr_idx].astype(np.float64), 0.0), starts)
+    s_count = np.where(nonempty, hits, 0.0).astype(np.int64)
+    factors = np.where(in_b[nbr_idx], 1.0, 1.0 - alpha * p[nbr_idx])
+    k_factor = np.where(
+        nonempty, np.multiply.reduceat(np.append(factors, 1.0), starts), 1.0
+    )
+    ratio = p / k_factor
+    case4 = (~in_b) & (s_count > 0) & (ratio > p_hat)
+    q = np.where(case4, (p / p_hat - k_factor) / np.where(case4, 1.0 - k_factor, 1.0), 0.0)
+    p_prime = np.where(
+        in_b,
+        p_hat,
+        np.where(
+            s_count == 0,
+            np.minimum(ratio, p_hat),
+            np.where(ratio <= p_hat, 0.0, np.where(u_promote < q, p_hat, 0.0)),
+        ),
+    )
+    return p_prime, in_s, s_count, k_factor
+
+
+def assert_core_exact(*args):
+    got = kernels.reduct_core(*args)
+    want = reduct_core_reference(*args)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got
 
 
 class TestSegmentOps:
@@ -147,3 +196,104 @@ class TestReductCoreAgreement:
         # color 0 is unhit: rescaled by 1/(1 - alpha p) = 1/0.95
         assert pp[0] == pytest.approx(0.1 / 0.95, rel=1e-15)
 
+
+
+class TestReductCoreExact:
+    """reduct_core equals the whole-adjacency formula bit for bit."""
+
+    P_HAT, ALPHA = 0.3, 0.5
+
+    def _weights(self, n_colors, seed):
+        rng = derive_rng(seed, "core-exact")
+        p = rng.uniform(0.0, self.P_HAT, n_colors)
+        p[rng.random(n_colors) < 0.1] = 0.0
+        p[rng.random(n_colors) < 0.1] = self.P_HAT
+        return p, rng.random(n_colors), rng.random(n_colors)
+
+    def _cover(self, kind, seed):
+        g = gen_random_bipartite_regular(15, 4, seed=seed)
+        if kind == "perfect":
+            return random_cover(g, 6, seed=seed)
+        if kind == "bernoulli":
+            return random_cover(g, 6, seed=seed, mode="bernoulli", q=0.3)
+        if kind == "empty":
+            return random_cover(g, 6, seed=seed, mode="bernoulli", q=0.0)
+        return sparse_ids(random_cover(g, 6, seed=seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["perfect", "bernoulli", "empty", "sparse"])
+    def test_covers(self, kind, seed):
+        cover = self._cover(kind, seed)
+        nbr_ptr, nbr_idx = cover.arrays
+        p, u1, u2 = self._weights(cover.n_colors, seed)
+        assert (p == 0.0).any() and (p == self.P_HAT).any()
+        _, in_s, s_count, _ = assert_core_exact(
+            p, self.P_HAT, self.ALPHA, nbr_ptr, nbr_idx, u1, u2
+        )
+        if kind == "sparse":
+            # ids 0 and 1, and two of every three ids, are in no list
+            assert cover.n_colors > cover.vlist_colors.size
+        elif kind == "empty":
+            assert nbr_idx.size == 0 and in_s.any()
+        else:
+            assert (s_count > 0).any()
+
+    @pytest.mark.parametrize("kind", ["perfect", "sparse"])
+    def test_isolated_colors_at_the_end(self, kind):
+        cover = self._cover(kind, 5)
+        nbr_ptr, nbr_idx = cover.arrays
+        extra = 7
+        nbr_ptr = np.append(nbr_ptr, np.full(extra, nbr_ptr[-1]))
+        p, u1, u2 = self._weights(cover.n_colors + extra, 5)
+        _, _, s_count, k_factor = assert_core_exact(
+            p, self.P_HAT, self.ALPHA, nbr_ptr, nbr_idx, u1, u2
+        )
+        assert (s_count[-extra:] == 0).all() and (k_factor[-extra:] == 1.0).all()
+
+    def test_no_sampled_color(self):
+        cover = self._cover("perfect", 6)
+        nbr_ptr, nbr_idx = cover.arrays
+        p, _, u2 = self._weights(cover.n_colors, 6)
+        never = np.ones(cover.n_colors)
+        p_prime, in_s, s_count, _ = assert_core_exact(
+            p, self.P_HAT, self.ALPHA, nbr_ptr, nbr_idx, never, u2
+        )
+        assert not in_s.any() and not s_count.any() and (p_prime >= p).all()
+
+    def test_every_step_of_a_run(self, monkeypatch):
+        calls = []
+        core = kernels.reduct_core
+
+        def checked(*args):
+            calls.append(1)
+            got = core(*args)
+            want = reduct_core_reference(*args)
+            assert all(map(np.array_equal, got, want))
+            return got
+
+        monkeypatch.setattr(kernels, "reduct_core", checked)
+        g = gen_random_bipartite_regular(100, 12, seed=1)
+        cover = random_cover(g, 30, seed=1)
+        result = run_nibble(g, cover, relaxed_params(), seed=1)
+        assert result.steps > 0 and len(calls) >= result.steps
+
+
+class TestLiveEdgeMass:
+    def test_equals_edge_mass_all_at_live_edges(self):
+        g = gen_random_bipartite_regular(6, 3, seed=1)
+        cover = random_cover(g, 8, seed=1)
+        values = derive_rng(1, "live-edges").uniform(0.0, 0.2, cover.n_colors)
+        full = edge_mass_all(cover, values)
+        # At 8 pairs the trailing 0.0 of segment_sum regroups the last edge's
+        # additions, so a sum without it would differ there.
+        ptr = cover.edge_ptr
+        products = values[cover.pair_x] * values[cover.pair_y]
+        assert np.add.reduceat(products, ptr[:-1])[-1] != full[-1]
+        last = {int(cover.edge_u[-1]), int(cover.edge_v[-1])}
+        alive = np.ones(g.n, dtype=bool)
+        alive[[v for v in range(g.n) if v not in last][:3]] = False
+        live = alive[cover.edge_u] & alive[cover.edge_v]
+        assert live[-1] and not live.all()
+        got = live_edge_mass(cover, values, alive)
+        assert np.array_equal(got, np.where(live, full, 0.0))
+        assert np.array_equal(live_edge_mass(cover, values, np.ones(g.n, bool)), full)

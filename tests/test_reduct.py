@@ -319,27 +319,54 @@ class TestTargets:
         ]
         assert not chk.ok
 
-    @pytest.mark.parametrize("tol_scale", [0.5, 0.3])
-    def test_every_step_of_a_run_matches_the_loop_oracle(self, monkeypatch, tol_scale):
-        g = gen_random_bipartite_regular(100, 12, seed=1)
-        cover = random_cover(g, 30, seed=1)
-        params = relaxed_params(tol_scale=tol_scale)
+    @staticmethod
+    def run_against_oracle(monkeypatch, g, cover, params, seed):
+        """run_nibble, checking every target check against the loop oracle.
+
+        Returns the result and, per check, the steps committed before it
+        and its outcome.
+        """
         checked = []
 
         def compared(old_state, stats, params):
             chk = check_reduct_targets(old_state, stats, params)
             assert chk.violations == oracle_targets(old_state, stats, params)
-            checked.append(chk)
+            checked.append((len(old_state.history), chk))
             return chk
 
         monkeypatch.setattr(nibble, "check_reduct_targets", compared)
-        result = run_nibble(g, cover, params, seed=1)
-        committed = sum(chk.ok for chk in checked)
-        retried = [chk for chk in checked if not chk.ok]
-        assert committed == result.steps and retried
+        result = run_nibble(g, cover, params, seed=seed)
+        assert sum(chk.ok for _, chk in checked) == result.steps
+        return result, checked
+
+    @pytest.mark.parametrize("tol_scale", [0.5, 0.3])
+    def test_every_step_of_a_run_matches_the_loop_oracle(self, monkeypatch, tol_scale):
+        g = gen_random_bipartite_regular(100, 12, seed=1)
+        cover = random_cover(g, 30, seed=1)
+        params = relaxed_params(tol_scale=tol_scale)
+        _, checked = self.run_against_oracle(monkeypatch, g, cover, params, seed=1)
+        retried = [chk for _, chk in checked if not chk.ok]
+        assert retried
         if tol_scale == 0.3:
             kinds = {kind for chk in retried for kind, *_ in chk.violations}
             assert kinds == {"vertex-mass", "entropy", "degree", "edge-mass"}
+
+    def test_tight_checks_after_committed_steps_match_the_loop_oracle(
+        self, monkeypatch
+    ):
+        # At tol_scale=0.3 the run above commits no step, so every check reads
+        # the initial state. This one commits four, and its later checks trip
+        # entropy targets, whose bounds read the degrees and entropies that a
+        # committed step handed on.
+        g = gen_random_bipartite_regular(60, 12, seed=3)
+        cover = random_cover(g, 40, seed=3)
+        params = relaxed_params(tol_scale=0.3)
+        result, checked = self.run_against_oracle(monkeypatch, g, cover, params, 1)
+        assert result.ok and result.steps == 4
+        later = {
+            kind for steps, chk in checked if steps for kind, *_ in chk.violations
+        }
+        assert "entropy" in later
 
     def test_needs_parameters(self):
         g = gen_cycle(4)
