@@ -13,9 +13,9 @@ owner are cached beside it. Covers are immutable after construction;
 generation is pure in (inputs, seed).
 
 The tuple/dict views `lists`, `matchings`, `color_neighbors` and `partners`
-are read-only accessors for callers outside the library; no library code
-reads them, and they stay only because the benchmark code under
-`corrbench/` does.
+are conversions for callers outside the library, built from the arrays on
+every access and never stored. No library code reads them; they stay only
+because the benchmark code under `corrbench/` does.
 
 JSON documents of covers are read and written in `coverjson`.
 """
@@ -71,8 +71,8 @@ class Cover:
     wrong views.
 
     The views `lists`, `matchings`, `color_neighbors` and `partners` are
-    read-only accessors for callers; no library code reads them, and they
-    stay only because the benchmark code under `corrbench/` does.
+    built on every access and never stored, so read one once, not in a
+    loop; only `n_colors`, `owner` and `arrays` are cached.
     """
 
     vlist_ptr: np.ndarray
@@ -191,45 +191,33 @@ class Cover:
             nbr_ptr, nbr_idx = np.zeros(nc + 1, dtype=np.int64), key
         return _freeze(nbr_ptr), _freeze(nbr_idx)
 
-    @cached_property
-    def _color_ints(self) -> list[int]:
-        """One int object per color id, shared by the views to save memory."""
-        return list(range(self.n_colors))
-
-    def _ints(self, ids: np.ndarray) -> list[int]:
-        """ids.tolist(), with each id of a list color as its shared int object."""
-        table = self._color_ints
-        if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
-            return ids.tolist()
-        return list(map(table.__getitem__, ids.tolist()))
-
-    @cached_property
+    @property
     def lists(self) -> tuple[tuple[int, ...], ...]:
         """Vertex -> sorted tuple of its color ids."""
-        return _split(self._ints(self.vlist_colors), self.vlist_ptr)
+        return _split(self.vlist_colors.tolist(), self.vlist_ptr)
 
-    @cached_property
+    @property
     def matchings(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
         """Canonical vertex pair (u, v) -> sorted matched pairs (x, y)."""
-        pairs = zip(self._ints(self.pair_x), self._ints(self.pair_y))
+        pairs = zip(self.pair_x.tolist(), self.pair_y.tolist())
         keys = zip(self.edge_u.tolist(), self.edge_v.tolist())
         sizes = _sizes_of(self.edge_ptr).tolist()
         return {key: tuple(islice(pairs, size)) for key, size in zip(keys, sizes)}
 
-    @cached_property
+    @property
     def color_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Color id -> sorted matched color ids, mirrored from all matchings."""
         nbr_ptr, nbr_idx = self.arrays
-        return _split(self._ints(nbr_idx), nbr_ptr)
+        return _split(nbr_idx.tolist(), nbr_ptr)
 
-    @cached_property
+    @property
     def partners(self) -> tuple[dict[int, int], ...]:
         """Color id -> {neighbor vertex: matched color there}.
 
         Well-defined only for covers satisfying the matching condition.
         """
         nbr_ptr, nbr_idx = self.arrays
-        it = zip(self.owner[nbr_idx].tolist(), self._ints(nbr_idx))
+        it = zip(self.owner[nbr_idx].tolist(), nbr_idx.tolist())
         sizes = _sizes_of(nbr_ptr).tolist()
         return tuple(dict(islice(it, size)) for size in sizes)
 

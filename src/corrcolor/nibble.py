@@ -162,8 +162,9 @@ def _resolve_alpha(state: ReductState, alpha: float | None) -> float:
         if state.max_deg < 2:
             raise DomainError("degree bound must be at least 2")
         alpha = 1.0 / math.log(state.max_deg)
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    # False for NaN as well as for values out of range.
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if alpha * state.weighting.p_hat > 1.0:
         raise DomainError(
             "alpha * p_hat exceeds 1; sampling probabilities would be invalid"
@@ -209,7 +210,9 @@ def reduct_step(
 
     post_alive = state.alive & ~removed_mask
     new_p = p_prime.copy()
-    new_p[removed_mask[cover.owner]] = 0.0
+    # An id in no list (owner -1) belongs to no removed vertex.
+    owner = cover.owner
+    new_p[removed_mask[owner] & (owner >= 0)] = 0.0
     # p(uv) over the pre-step graph, where a step preserves its expectation
     p_v, q_v, d_v, p_uv = state_stats(
         state.graph, cover, p_prime, post_alive, state.alive
@@ -395,8 +398,8 @@ def final_color(
     call. The cover must pass `validate_cover`, as `run_nibble` checks: a
     color in two lists would be one color with two holders.
     """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}")
     w = state.weighting
     cover = state.cover
     eligible = w.moderate & state.live_color_mask()

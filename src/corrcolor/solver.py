@@ -178,9 +178,10 @@ def _search(
     # Vertices become local indices 0..n-1 in id order, and colors become bit
     # positions in their vertex's domain, in ascending id order; color_bit[y]
     # is 0 for a color in no domain. conflicts[i][a] lists (j, bit) for each
-    # neighbor color that color a of vertex i rules out. It is built when
-    # vertex i is first picked, so set-up follows the nodes explored, not
-    # the size of the cover.
+    # neighbor color that color a of vertex i rules out. Only these lists
+    # are built lazily, when vertex i is first picked. The rest of the set-up
+    # reads the whole cover however few nodes are explored: the list arrays
+    # in `_prepared_domains`, `cover.arrays`, `owner` and `color_bit`.
     nbr_ptr, nbr_idx = cover.arrays
     owner = cover.owner.tolist()
     local = [-1] * g.n

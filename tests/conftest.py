@@ -70,8 +70,9 @@ def brute_force_colorings(g: Graph, cover: Cover, allowed=None) -> list[dict]:
             conflicts.add((x, y))
             conflicts.add((y, x))
     domains = []
+    lists = cover.lists
     for v in range(g.n):
-        dom = list(cover.lists[v])
+        dom = list(lists[v])
         if allowed is not None:
             dom = [x for x in dom if x in allowed]
         domains.append(dom)
@@ -102,7 +103,8 @@ def reference_search(g: Graph, cover: Cover, restrict=None, vertices=None, count
             partner[x, b] = y
             partner[y, a] = x
     verts = sorted(set(vertices)) if vertices is not None else list(range(g.n))
-    domains = {v: set(cover.lists[v]) for v in verts}
+    lists = cover.lists
+    domains = {v: set(lists[v]) for v in verts}
     for v, allowed in (restrict or {}).items():
         if v in domains and allowed is not None:
             domains[v] = set(allowed)

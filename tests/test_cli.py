@@ -300,7 +300,8 @@ class TestValidateAndSolve:
     def test_solve_restrict(self, tmp_path, capsys, c6_files):
         gpath, cpath = c6_files
         cover = random_cover(gen_cycle(6), 3, seed=5)
-        restrict = {str(v): [cover.lists[v][0]] for v in range(6)}
+        lists = cover.lists
+        restrict = {str(v): [lists[v][0]] for v in range(6)}
         rpath = write(tmp_path, "r.json", restrict)
         code, out, _ = run_cli(
             capsys,
@@ -316,7 +317,7 @@ class TestValidateAndSolve:
         doc = json.loads(out)
         if doc["status"] == "colorable":
             assert all(
-                doc["coloring"][str(v)] == cover.lists[v][0] for v in range(6)
+                doc["coloring"][str(v)] == lists[v][0] for v in range(6)
             )
 
     def test_solve_restrict_unknown_vertex_is_exit_1(self, tmp_path, capsys, c6_files):
@@ -425,18 +426,19 @@ class TestStats:
         )
         assert code == 0
         doc = json.loads(out)
+        lists, matchings = cover.lists, cover.matchings
         for v in range(4):
-            want = fsum_by_color([p[x] for x in cover.lists[v]], order_seed=v)
+            want = fsum_by_color([p[x] for x in lists[v]], order_seed=v)
             assert doc["p_v"][v] == pytest.approx(want, rel=1e-12)
             want_q = fsum_by_color(
-                [-p[x] * math.log(p[x]) for x in cover.lists[v] if p[x] > 0],
+                [-p[x] * math.log(p[x]) for x in lists[v] if p[x] > 0],
                 order_seed=v,
             )
             assert doc["Q_v"][v] == pytest.approx(want_q, rel=1e-12)
         for key, val in doc["p_uv"].items():
             u, vv = map(int, key.split(","))
             want = fsum_by_color(
-                [p[x] * p[y] for x, y in cover.matchings[(u, vv)]], order_seed=u
+                [p[x] * p[y] for x, y in matchings[(u, vv)]], order_seed=u
             )
             assert val == pytest.approx(want, rel=1e-12)
         assert doc["nice"] is None or doc["nice"] > 0

@@ -117,9 +117,10 @@ class TestRandomCover:
     def test_perfect_mode_every_color_matched_once_per_edge(self):
         g = gen_cycle(5)
         cover = random_cover(g, 3, seed=1)
+        lists = cover.lists
         for (u, v), pairs in cover.matchings.items():
-            assert sorted(x for x, _ in pairs) == list(cover.lists[u])
-            assert sorted(y for _, y in pairs) == list(cover.lists[v])
+            assert sorted(x for x, _ in pairs) == list(lists[u])
+            assert sorted(y for _, y in pairs) == list(lists[v])
 
     def test_k1_single_edge_forces_conflict(self):
         g = build_graph(2, [(0, 1)])
@@ -155,9 +156,10 @@ class TestRandomCover:
     def test_color_neighbor_degree_bounded_by_graph_degree(self):
         g = random_graph(6, 8, 0.5)
         cover = random_cover(g, 3, seed=2)
+        color_neighbors = cover.color_neighbors
         for x in range(cover.n_colors):
             owner = int(cover.owner[x])
-            assert len(cover.color_neighbors[x]) <= g.degree(owner)
+            assert len(color_neighbors[x]) <= g.degree(owner)
 
     def test_uniformity_chi_squared(self):
         # 2 matchings per edge on the 4-cycle: 16 equally likely covers.
@@ -167,10 +169,10 @@ class TestRandomCover:
         counts = {}
         samples = 100_000
         for i in range(samples):
-            cover = random_cover(g, 2, seed=i)
+            matchings = random_cover(g, 2, seed=i).matchings
             sig = []
             for u, v in g.edges:
-                pairs = cover.matchings[(u, v)]
+                pairs = matchings[(u, v)]
                 sig.append(1 if (2 * u, 2 * v) in pairs else 0)
             key = tuple(sig)
             counts[key] = counts.get(key, 0) + 1
@@ -814,9 +816,10 @@ def test_reader_turns_reversed_keys_round():
 # stored arrays, equality and laziness
 
 DERIVED = (
-    "n_colors", "owner", "arrays", "_color_ints",
+    "n_colors", "owner", "arrays",
     "lists", "matchings", "color_neighbors", "partners",
 )
+VIEWS = ("lists", "matchings", "color_neighbors", "partners")
 
 
 def test_replace_gives_equal_cover_with_cold_caches():
@@ -825,6 +828,8 @@ def test_replace_gives_equal_cover_with_cold_caches():
     assert not set(DERIVED) & set(vars(cover))
     for name in DERIVED:
         getattr(cover, name)
+    # The views are conversions: reading them stores nothing on the cover.
+    assert not set(VIEWS) & set(vars(cover))
     fresh = dataclasses.replace(cover)
     assert fresh == cover and hash(fresh) == hash(cover)
     assert not set(DERIVED) & set(vars(fresh))

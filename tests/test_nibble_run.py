@@ -124,6 +124,15 @@ class TestFinalColor:
         with pytest.raises(DomainError):
             final_color(st, 0.01, seed=0, max_retries=5)  # probabilities > 1
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_delta_rejected(self, delta):
+        g = gen_cycle(4)
+        cover = random_cover(g, 70, seed=0)
+        st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.01, 0.02))
+        msg = f"delta must be positive and finite, got {delta}"
+        with pytest.raises(DomainError, match=msg):
+            final_color(st, delta, seed=0, max_retries=5)
+
     def test_deterministic(self):
         g = gen_cycle(4)
         cover = random_cover(g, 70, seed=0)

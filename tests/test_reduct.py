@@ -19,6 +19,7 @@ from corrcolor import (
     gen_cycle,
     gen_random_bipartite_regular,
     is_valid_coloring,
+    make_cover,
     random_cover,
     reduct_step,
     relaxed_params,
@@ -150,11 +151,40 @@ class TestStepBasics:
             reduct_step(st, seed=0, alpha=3.0)  # alpha * p_hat > 1
 
     def test_removed_colors_zeroed_in_new_state(self):
+        _, cover, st = toy_state(seed=1)
+        lists = cover.lists
         for seed in range(30):
-            _, cover, st = toy_state(seed=1)
             st2, stats = reduct_step(st, seed=seed)
             for v in stats.removed:
-                assert all(st2.weighting.p[x] == 0.0 for x in cover.lists[v])
+                assert all(st2.weighting.p[x] == 0.0 for x in lists[v])
+
+    def test_ids_in_no_list_are_not_zeroed(self):
+        # Ids 2 and 3 are in no list, so their owner is -1; removing the last
+        # vertex (seed 5) or the first (seed 0) must leave them alone.
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        cover = make_cover(
+            [[0, 1], [4, 5], [6, 7], [8, 9]],
+            {
+                (0, 1): [(0, 4), (1, 5)],
+                (1, 2): [(4, 6), (5, 7)],
+                (2, 3): [(6, 8), (7, 9)],
+            },
+        )
+        w = Weighting.uniform(cover, 0.3, 0.45)
+        st = ReductState.initial(g, cover, w, max_deg=2, k=2)
+        removed = set()
+        for seed in range(8):
+            st2, stats = reduct_step(st, seed=seed, alpha=1.0)
+            removed.update(stats.removed)
+            assert st2.weighting.p[[2, 3]].tolist() == [0.3, 0.3]
+        assert {0, 3} <= removed
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_alpha_rejected_by_step(self, alpha):
+        _, _, st = toy_state()
+        msg = f"alpha must be positive and finite, got {alpha}"
+        with pytest.raises(DomainError, match=msg):
+            reduct_step(st, seed=0, alpha=alpha)
 
 
 class TestForcedSets:
@@ -165,14 +195,15 @@ class TestForcedSets:
         record = st2.history[-1]
         p, p_hat = st.weighting.p, st.weighting.p_hat
         forced_all = [x for xs in record.forced.values() for x in xs]
+        lists, color_neighbors = cover.lists, cover.color_neighbors
         for v in record.removed:
             assert record.forced[v]
             for x in record.forced[v]:
-                assert x in cover.lists[v]
+                assert x in lists[v]
                 assert 0.0 < p[x] < p_hat
         forced_set = set(forced_all)
         for x in forced_all:
-            assert not forced_set & set(cover.color_neighbors[x])
+            assert not forced_set & set(color_neighbors[x])
 
 
 class TestExpectedPprime:
@@ -190,6 +221,13 @@ class TestExpectedPprime:
             g, cover, Weighting.uniform(cover, 0.2, 0.5), max_deg=4, k=2
         )
         assert expected_pprime(st, 0, alpha=0.5) == pytest.approx(0.2, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        _, _, st = toy_state()
+        msg = f"alpha must be positive and finite, got {alpha}"
+        with pytest.raises(DomainError, match=msg):
+            expected_pprime(st, 0, alpha=alpha)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_identity_on_random_states(self, seed):
@@ -528,6 +566,13 @@ class TestDegreeBound:
             degree_expectation_bound(st, 0.99, 0.995, 1.0)  # masses are 1.0
         with pytest.raises(HypothesisViolationError):
             degree_expectation_bound(st, 0.5, 1.5, 1e-9)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        _, _, st = toy_state()
+        msg = f"alpha must be positive and finite, got {alpha}"
+        with pytest.raises(DomainError, match=msg):
+            degree_expectation_bound(st, 1.0, 1.0, 0.25, alpha=alpha)
 
     def test_formula(self):
         g, cover, st = toy_state()

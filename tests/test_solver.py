@@ -176,7 +176,8 @@ class TestSolveExact:
     def test_restrict_honored(self):
         g = gen_cycle(5)
         cover = lift_from_lists(g, [[1, 2, 3]] * 5)
-        restrict = {v: cover.lists[v][:2] for v in range(5)}
+        lists = cover.lists
+        restrict = {v: lists[v][:2] for v in range(5)}
         coloring = solve_exact(g, cover, restrict=restrict)
         # restricting an odd cycle to two labels per vertex kills it
         assert coloring is None
@@ -254,8 +255,9 @@ def _reference_case(seed):
     cover = random_cover(g, k, seed=seed, mode=mode)
     restrict = None
     if seed // 8 % 2:
+        lists = cover.lists
         restrict = {
-            v: [x for x in cover.lists[v] if rng.random() < 0.7]
+            v: [x for x in lists[v] if rng.random() < 0.7]
             for v in range(g.n)
             if rng.random() < 0.5
         }
@@ -389,7 +391,8 @@ def _check_case(seed):
     else:
         labels = [rng.choice(4, size=k, replace=False) for _ in range(g.n)]
         cover = lift_from_lists(g, labels)
-    coloring = {v: int(rng.choice(cover.lists[v])) for v in range(g.n)}
+    lists = cover.lists
+    coloring = {v: int(rng.choice(lists[v])) for v in range(g.n)}
     v = int(rng.integers(g.n))
     flaw = seed // 3 % 4
     if flaw == 1:
@@ -401,7 +404,7 @@ def _check_case(seed):
     vertices = None
     if rng.random() < 0.3:
         vertices = [u for u in range(g.n) if rng.random() < 0.7]
-    want = reference_check_coloring(g, cover.lists, cover.matchings, coloring, vertices)
+    want = reference_check_coloring(g, lists, cover.matchings, coloring, vertices)
     return g, cover, coloring, vertices, want
 
 

@@ -103,13 +103,14 @@ class TestMasses:
         p = rng.uniform(0, 0.3, cover.n_colors)
         st = ReductState.initial(g, cover, Weighting(p=p, p_hat=0.3))
         p_v = vertex_mass_all(cover, st.weighting.p)
+        lists, matchings = cover.lists, cover.matchings
         for v in range(g.n):
-            oracle = fsum_by_color([p[x] for x in cover.lists[v]], order_seed=v)
+            oracle = fsum_by_color([p[x] for x in lists[v]], order_seed=v)
             assert p_v[v] == pytest.approx(oracle, rel=1e-12)
         p_uv = edge_mass_all(cover, st.weighting.p)
         for i, (u, v) in enumerate(zip(cover.edge_u.tolist(), cover.edge_v.tolist())):
             oracle = fsum_by_color(
-                [p[x] * p[y] for x, y in cover.matchings[(u, v)]], order_seed=i
+                [p[x] * p[y] for x, y in matchings[(u, v)]], order_seed=i
             )
             assert p_uv[i] == pytest.approx(oracle, rel=1e-12)
 
@@ -173,8 +174,9 @@ class TestModerate:
         w = Weighting(p=p, p_hat=p_hat)
         p_m_v = vertex_mass_all(cover, moderate_values(w))
         p_v = vertex_mass_all(cover, w.p)
+        lists = cover.lists
         for v in range(4):
-            capped = sum(1 for x in cover.lists[v] if p[x] == p_hat)
+            capped = sum(1 for x in lists[v] if p[x] == p_hat)
             assert p_m_v[v] == p_v[v] - capped * p_hat
 
     def test_all_capped_gives_zero(self):
