@@ -580,8 +580,9 @@ def random_cover(
         raise DomainError(f"list size must be >= 1, got {k}")
     if mode not in ("perfect", "bernoulli"):
         raise DomainError(f"unknown cover mode {mode!r}")
-    if mode == "bernoulli" and not (0.0 <= q <= 1.0):
-        raise DomainError(f"bernoulli keep-probability must be in [0,1], got {q}")
+    # Checked in every mode, since callers record q beside the cover.
+    if not 0.0 <= q <= 1.0:
+        raise DomainError(f"keep-probability q must be in [0,1], got {q}")
     rng = derive_rng(seed, "random-cover", mode)
     # One permutation per edge, then (bernoulli) one keep draw, edge by edge:
     # this order is the random stream that fixes every generated cover.

@@ -37,7 +37,6 @@ from .weights import (
     Weighting,
     check_nice,
     moderate_values,
-    state_stats,
     vertex_mass_all,
 )
 
@@ -86,7 +85,12 @@ class NibbleParams:
                 raise DomainError(f"{name} must be at least 1")
 
     def k_for(self, max_deg: int) -> int:
-        return math.ceil(self.ck * max_deg / math.log(max_deg))
+        k = self.ck * max_deg / math.log(max_deg)
+        if k == math.inf:
+            raise DomainError(
+                f"ck={self.ck} with max_deg={max_deg} gives no finite list size"
+            )
+        return math.ceil(k)
 
     def p_hat_for(self, max_deg: int) -> float:
         return max_deg ** (-PHAT_EXP)
@@ -137,22 +141,15 @@ def relaxed_params(**overrides) -> NibbleParams:
 
 @dataclass(frozen=True, eq=False)
 class StepStats:
-    """Post-step quantities evaluated over the whole pre-step graph.
+    """What a step drew, beside the state it makes.
 
-    Updated weights are defined for every color, so masses, entropy, and
-    surviving-neighbor counts are reported for removed vertices too; target
-    checks then restrict to survivors. p(uv) is 0 at an edge that had a
-    removed end before the step.
+    `p_prime` holds the updated weight of every color, a removed vertex's
+    too; the new state zeroes those. `sampled` marks the sampled set S. The
+    new state's `alive`, `stats` and `history[-1].removed` give the rest.
     """
 
-    post_alive: np.ndarray
-    p_v: np.ndarray
-    q_v: np.ndarray
-    d_v: np.ndarray
-    p_uv: np.ndarray
     p_prime: np.ndarray
     sampled: np.ndarray
-    removed: tuple[int, ...]
 
 
 def _resolve_alpha(state: ReductState, alpha: float | None) -> float:
@@ -213,19 +210,8 @@ def reduct_step(
     # An id in no list (owner -1) belongs to no removed vertex.
     owner = cover.owner
     new_p[removed_mask[owner] & (owner >= 0)] = 0.0
-    # p(uv) over the pre-step graph, where a step preserves its expectation
-    p_v, q_v, d_v, p_uv = state_stats(
-        state.graph, cover, p_prime, post_alive, state.alive
-    )
-    # In the new weights only a removed vertex's colors differ from p_prime
-    # (they are 0), so these are the new state's statistics exactly once
-    # zeroed at removed vertices and their edges; degrees need no change.
-    new_p_v, new_q_v = np.where(removed_mask, 0.0, (p_v, q_v))
-    gone = removed_mask[cover.edge_u] | removed_mask[cover.edge_v]
-    carried = (new_p_v, new_q_v, d_v, np.where(gone, 0.0, p_uv))
-    new_state = state.with_step(Weighting(new_p, w.p_hat), post_alive, record, carried)
-    stats = StepStats(post_alive, p_v, q_v, d_v, p_uv, p_prime, in_s, removed)
-    return new_state, stats
+    new_state = state.with_step(Weighting(new_p, w.p_hat), post_alive, record)
+    return new_state, StepStats(p_prime, in_s)
 
 
 def expected_pprime(state: ReductState, x: int, alpha: float | None = None) -> float:
@@ -268,14 +254,16 @@ class TargetCheck:
 
 
 def check_reduct_targets(
-    old_state: ReductState, stats: StepStats, params: NibbleParams
+    old_state: ReductState, new_state: ReductState, params: NibbleParams
 ) -> TargetCheck:
-    """Verify the four per-step conclusions on survivors.
+    """Verify the four per-step conclusions on the survivors of `new_state`.
 
     Vertex mass stays within dev_vertex of its old value; edge mass grows by
     at most dev_edge; entropy loses at most 2 deg/(k ln D) plus dev_entropy;
     the surviving degree is at most the shrunken old degree plus dev_degree.
-    Degrees mean degrees in the graph at the start of the step.
+    Degrees mean degrees in the graph at the start of the step. At a
+    survivor the new weights are the step's p', so these are the step's
+    conclusions.
     """
     if old_state.max_deg is None or old_state.k is None:
         raise DomainError("target checks need the state's max_deg and k")
@@ -290,25 +278,26 @@ def check_reduct_targets(
     tol_d = params.dev_degree(dmax)
     shrink = params.shrink(dmax)
 
-    alive = stats.post_alive
-    dv = np.abs(stats.p_v - old_p_v)
+    alive = new_state.alive
+    p_v, q_v, d_v, p_uv = new_state.stats
+    dv = np.abs(p_v - old_p_v)
     q_floor = old_q_v - 2.0 * old_deg / (k * ln_d) - tol_q
     d_ceil = old_deg * (1.0 - shrink) + tol_d
     bad_v = alive & (dv > tol_v)
-    bad_q = alive & (stats.q_v < q_floor)
-    bad_d = alive & (stats.d_v > d_ceil)
+    bad_q = alive & (q_v < q_floor)
+    bad_d = alive & (d_v > d_ceil)
     violations = []
     for v in np.flatnonzero(bad_v | bad_q | bad_d).tolist():
         if bad_v[v]:
             violations.append(("vertex-mass", v, float(dv[v]), float(tol_v)))
         if bad_q[v]:
-            violations.append(("entropy", v, float(stats.q_v[v]), float(q_floor[v])))
+            violations.append(("entropy", v, float(q_v[v]), float(q_floor[v])))
         if bad_d[v]:
-            violations.append(("degree", v, float(stats.d_v[v]), float(d_ceil[v])))
+            violations.append(("degree", v, float(d_v[v]), float(d_ceil[v])))
     ceil_e = old_p_uv + tol_e
-    bad_e = alive[cover.edge_u] & alive[cover.edge_v] & (stats.p_uv > ceil_e)
+    bad_e = alive[cover.edge_u] & alive[cover.edge_v] & (p_uv > ceil_e)
     for e in np.flatnonzero(bad_e).tolist():
-        violations.append(("edge-mass", e, float(stats.p_uv[e]), float(ceil_e[e])))
+        violations.append(("edge-mass", e, float(p_uv[e]), float(ceil_e[e])))
     return TargetCheck(ok=not violations, violations=tuple(violations))
 
 
@@ -478,6 +467,9 @@ def degree_expectation_bound(
     alpha = _resolve_alpha(state, alpha)
     if state.max_deg is None:
         raise DomainError("degree bound needs the state's max_deg")
+    for name, value in (("p1", p1), ("p2", p2), ("edge_cap", edge_cap)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     tol = 1e-12
     pm_v = vertex_mass_all(state.cover, moderate_values(state.weighting))
     live_idx = state.alive_vertices()
@@ -548,13 +540,14 @@ class NibbleResult:
         return {**asdict(self), "coloring": coloring_to_json(self.coloring)}
 
 
-def _trajectory_row(step: int, stats: StepStats, retries: int) -> TrajectoryRow:
-    live = np.flatnonzero(stats.post_alive)
+def _trajectory_row(step: int, state: ReductState, retries: int) -> TrajectoryRow:
+    live = state.alive_vertices()
     if live.size:
-        min_pv = float(stats.p_v[live].min())
-        max_pv = float(stats.p_v[live].max())
-        min_Q = float(stats.q_v[live].min())
-        max_deg = int(stats.d_v[live].max())
+        p_v, q_v, d_v, _ = state.stats
+        min_pv = float(p_v[live].min())
+        max_pv = float(p_v[live].max())
+        min_Q = float(q_v[live].min())
+        max_deg = int(d_v[live].max())
     else:
         min_pv = max_pv = min_Q = 0.0
         max_deg = 0
@@ -564,7 +557,7 @@ def _trajectory_row(step: int, stats: StepStats, retries: int) -> TrajectoryRow:
         max_pv=max_pv,
         min_Q=min_Q,
         max_deg=max_deg,
-        removed=len(stats.removed),
+        removed=len(state.history[-1].removed),
         retries=retries,
     )
 
@@ -705,10 +698,10 @@ def run_nibble(
                 )
                 return result("not-nice", i, detail=detail)
         for attempt in range(params.max_retries_per_step):
-            cand, stats = reduct_step(state, derive_int_seed(seed, "step", i, attempt))
-            chk = check_reduct_targets(state, stats, params)
+            cand, _ = reduct_step(state, derive_int_seed(seed, "step", i, attempt))
+            chk = check_reduct_targets(state, cand, params)
             if chk.ok:
-                trajectory.append(_trajectory_row(i, stats, attempt + 1))
+                trajectory.append(_trajectory_row(i, cand, attempt + 1))
                 state = cand
                 break
         else:

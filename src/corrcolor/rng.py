@@ -22,9 +22,13 @@ def _label_word(label) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """Raise DomainError unless `seed` can root a stream."""
-    if seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    """Raise DomainError unless `seed` can root a stream.
+
+    Only integers qualify: SeedSequence would truncate a float, and a bool
+    would stand for 0 or 1.
+    """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def derive_seed_sequence(seed: int, *labels) -> np.random.SeedSequence:

@@ -9,10 +9,11 @@ its products over each edge's matched pairs, in cover edge order, and
 those strictly between 0 and the cap; the final coloring stage only ever
 uses moderate colors, so the niceness check runs on moderate masses.
 
-`state_stats` alone computes p(v), the entropy Q(v), the degrees among
-survivors and p(uv) at the edges between survivors. A state reads them as
-`ReductState.stats`, which `reduct_step` fills for each state it makes from
-its own report.
+`state_stats` computes p(v), the entropy Q(v), the degrees among survivors
+and p(uv) at the edges between survivors. Its one caller is
+`ReductState.stats`, which computes them on first read: a state's
+statistics come from its own weights and survivors, never from the step
+that made it.
 """
 
 from __future__ import annotations
@@ -140,11 +141,9 @@ class ReductState:
         """`state_stats` of this state; a cache, so `replace` never copies it."""
         return state_stats(self.graph, self.cover, self.weighting.p, self.alive)
 
-    def with_step(self, weighting, alive, record, stats) -> "ReductState":
+    def with_step(self, weighting, alive, record) -> "ReductState":
         history = self.history + (record,)
-        new = replace(self, weighting=weighting, alive=alive, history=history)
-        new.__dict__["stats"] = stats
-        return new
+        return replace(self, weighting=weighting, alive=alive, history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +192,18 @@ def live_edge_mass(cover: Cover, values: np.ndarray, alive: np.ndarray) -> np.nd
 
 
 def state_stats(
-    graph: Graph,
-    cover: Cover,
-    p: np.ndarray,
-    alive: np.ndarray,
-    edges_alive: np.ndarray | None = None,
+    graph: Graph, cover: Cover, p: np.ndarray, alive: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """p(v), Q(v), degree among `alive` and p(uv), as StepStats orders them.
+    """p(v), Q(v), degree among `alive` and p(uv), in that order.
 
-    p(uv) is summed at the edges whose two ends are in `edges_alive`
-    (default `alive`) and is 0 elsewhere.
+    p(uv) is summed at the edges whose two ends are in `alive` and is 0
+    elsewhere.
     """
     return (
         vertex_mass_all(cover, p),
         vertex_mass_all(cover, entropy_terms(p)),
         kernels.mask_counts(*graph.csr, alive),
-        live_edge_mass(cover, p, alive if edges_alive is None else edges_alive),
+        live_edge_mass(cover, p, alive),
     )
 
 

@@ -51,7 +51,14 @@ from corrcolor import (
 from corrcolor.cli import main
 from corrcolor.errors import IstarInfeasibleError
 from corrcolor.rng import derive_int_seed, derive_rng
-from corrcolor.weights import ReductState, Weighting, moderate_restrict
+from corrcolor.weights import (
+    ReductState,
+    Weighting,
+    entropy_terms,
+    live_edge_mass,
+    moderate_restrict,
+    vertex_mass_all,
+)
 
 from .conftest import (
     adjacency,
@@ -208,11 +215,12 @@ def mc_harness():
     p_uv = np.empty((n_steps, g.m))
     t0 = time.monotonic()
     for i in range(n_steps):
-        _, stats = reduct_step(state, seed=derive_int_seed(2024, "mc", i))
-        p_v[i] = stats.p_v
-        q_v[i] = stats.q_v
-        d_v[i] = stats.d_v
-        p_uv[i] = stats.p_uv
+        new, stats = reduct_step(state, seed=derive_int_seed(2024, "mc", i))
+        # masses over p', removed vertices included; degrees among survivors
+        p_v[i] = vertex_mass_all(cover, stats.p_prime)
+        q_v[i] = vertex_mass_all(cover, entropy_terms(stats.p_prime))
+        d_v[i] = new.stats[2]
+        p_uv[i] = live_edge_mass(cover, stats.p_prime, state.alive)
     elapsed = time.monotonic() - t0
     return g, cover, state, p_v, q_v, d_v, p_uv, elapsed
 

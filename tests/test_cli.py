@@ -698,6 +698,20 @@ class TestNibbleCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be positive and finite" in err
 
+    def test_list_size_constant_overflow_is_exit_1(self, tmp_path, capsys):
+        # ck * max_deg overflows to inf, so no list size exists
+        gpath, cpath = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+        main(["gen-graph", "random-bipartite-regular", "--n-side", "8", "--d", "3",
+              "--seed", "1", "--out", gpath])
+        main(["gen-cover", "--graph", gpath, "--k", "6", "--seed", "1", "--out", cpath])
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "nibble", "--graph", gpath, "--cover", cpath, "--preset",
+            "relaxed", "--seed", "1", "--ck", "1e308",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: ck=1e+308 with max_deg=3 gives no finite list size\n"
+
     def test_graph_without_vertices_is_exit_1(self, tmp_path, capsys):
         gpath = write(tmp_path, "g.json", {"n": 0, "edges": []})
         cpath = write(tmp_path, "c.json", {"k_per_vertex": [], "lists": [], "matchings": {}})
@@ -750,6 +764,22 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert (code, out) == (1, "")
         assert err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("q", ["nan", "-0.5"])
+    @pytest.mark.parametrize("command", ["gen-cover", "lb-experiment"])
+    def test_bad_q_in_perfect_mode_is_exit_1(self, tmp_path, capsys, c6_files, command, q):
+        # q would be written into the manifest, and NaN is not strict JSON
+        gpath, _ = c6_files
+        out = str(tmp_path / "out.json")
+        argv = {
+            "gen-cover": ["gen-cover", "--graph", gpath, "--k", "3"],
+            "lb-experiment": ["lb-experiment", "--graph", gpath, "--k", "2",
+                              "--trials", "1"],
+        }[command]
+        code, stdout, err = run_cli(capsys, *argv, "--q", q, "--out", out)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: keep-probability q must be in [0,1], got {float(q)}\n"
+        assert not Path(out).exists() and not Path(out + ".manifest.json").exists()
 
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(

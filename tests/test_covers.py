@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 from collections import Counter
 
@@ -146,6 +147,9 @@ class TestRandomCover:
             random_cover(g, 2, 0, mode="nope")
         with pytest.raises(DomainError):
             random_cover(g, 2, 0, mode="bernoulli", q=1.5)
+        for q in (math.nan, 1.5):
+            with pytest.raises(DomainError, match="keep-probability q"):
+                random_cover(g, 2, 0, q=q)
         with pytest.raises(DomainError):
             random_cover(g, 0, 0)
 

@@ -296,6 +296,26 @@ class TestGenerators:
         with pytest.raises(DomainError, match="got -3$"):
             gen_random_bipartite_regular(5, 2, -3)
 
+    @pytest.mark.parametrize(
+        "seed", [1.9, 2.0, np.float64(2.0), True, "2"], ids=repr
+    )
+    def test_non_integer_seed_is_domain_error(self, seed):
+        # a float would be truncated by SeedSequence, a bool read as 0 or 1
+        g = gen_cycle(4)
+        calls = [
+            lambda: derive_rng(seed, "x"),
+            lambda: gen_random_bipartite_regular(5, 2, seed),
+            lambda: random_cover(g, 3, seed=seed),
+            lambda: run_nibble(g, random_cover(g, 3, seed=0), relaxed_params(), seed),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+                call()
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        draws = [derive_rng(s, "x").random(3).tolist() for s in (2, np.int64(2))]
+        assert draws[0] == draws[1]
+
 
 class TestIO:
     def test_json_round_trip(self):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from corrcolor.weights import (
     Weighting,
     edge_mass_all,
     entropy_terms,
+    live_edge_mass,
     moderate_restrict,
-    state_stats,
     vertex_mass_all,
 )
 
@@ -72,7 +73,7 @@ class TestStepBasics:
         st = ReductState.initial(g, cover, Weighting.zeros(cover, 0.4), max_deg=4, k=3)
         st2, stats = reduct_step(st, seed=0, alpha=0.3)
         assert not stats.sampled.any()
-        assert stats.removed == ()
+        assert st2.history[-1].removed == ()
         assert np.array_equal(st2.alive, st.alive)
         assert np.array_equal(st2.weighting.p, st.weighting.p)
 
@@ -86,7 +87,7 @@ class TestStepBasics:
         for seed in range(40):
             st2, stats = reduct_step(st, seed=seed, alpha=0.9)
             sampled = stats.sampled.any()
-            assert (0 in stats.removed) == sampled
+            assert (0 in st2.history[-1].removed) == sampled
             # survival product over an empty neighborhood is 1, so an unhit
             # color keeps its weight exactly
             keep = stats.p_prime[~stats.sampled & (st.weighting.p > 0)]
@@ -140,7 +141,7 @@ class TestStepBasics:
         a2, s2 = reduct_step(st, seed=77)
         assert np.array_equal(s1.p_prime, s2.p_prime)
         assert np.array_equal(s1.sampled, s2.sampled)
-        assert s1.removed == s2.removed
+        assert a1.history[-1].removed == a2.history[-1].removed
         assert np.array_equal(a1.weighting.p, a2.weighting.p)
 
     def test_alpha_validation(self):
@@ -154,8 +155,8 @@ class TestStepBasics:
         _, cover, st = toy_state(seed=1)
         lists = cover.lists
         for seed in range(30):
-            st2, stats = reduct_step(st, seed=seed)
-            for v in stats.removed:
+            st2, _ = reduct_step(st, seed=seed)
+            for v in st2.history[-1].removed:
                 assert all(st2.weighting.p[x] == 0.0 for x in lists[v])
 
     def test_ids_in_no_list_are_not_zeroed(self):
@@ -174,8 +175,8 @@ class TestStepBasics:
         st = ReductState.initial(g, cover, w, max_deg=2, k=2)
         removed = set()
         for seed in range(8):
-            st2, stats = reduct_step(st, seed=seed, alpha=1.0)
-            removed.update(stats.removed)
+            st2, _ = reduct_step(st, seed=seed, alpha=1.0)
+            removed.update(st2.history[-1].removed)
             assert st2.weighting.p[[2, 3]].tolist() == [0.3, 0.3]
         assert {0, 3} <= removed
 
@@ -248,9 +249,8 @@ class TestExpectedPprime:
         p_uv = np.zeros((n_steps, g.m))
         for i in range(n_steps):
             _, stats = reduct_step(st, seed=i)
-            p_v[i] = stats.p_v
-            p_uv[i] = stats.p_uv
-        from corrcolor.weights import edge_mass_all, vertex_mass_all
+            p_v[i] = vertex_mass_all(cover, stats.p_prime)
+            p_uv[i] = live_edge_mass(cover, stats.p_prime, st.alive)
 
         want_v = vertex_mass_all(cover, st.weighting.p)
         want_uv = edge_mass_all(cover, st.weighting.p)
@@ -260,11 +260,11 @@ class TestExpectedPprime:
         assert np.all(np.abs(p_uv.mean(axis=0) - want_uv) <= 4.5 * se_uv)
 
 
-def oracle_targets(st, stats, params):
-    """`reference_check_reduct_targets` on the pre-step arrays of state st.
+def oracle_targets(st, new, params):
+    """`reference_check_reduct_targets` of the step from state st to new.
 
-    They are recomputed from st's weights, and its degrees counted by a plain
-    loop, so they check the statistics that st carries.
+    The pre-step arrays are recomputed from st's weights, and its degrees
+    counted by a plain loop, so they check the statistics that st carries.
     """
     cover, p, dmax, k = st.cover, st.weighting.p, st.max_deg, st.k
     alive = st.alive.tolist()
@@ -281,11 +281,20 @@ def oracle_targets(st, stats, params):
         "degree": params.dev_degree(dmax),
         "shrink": params.shrink(dmax),
     }
+    p_v, q_v, d_v, p_uv = new.stats
+    post = SimpleNamespace(post_alive=new.alive, p_v=p_v, q_v=q_v, d_v=d_v, p_uv=p_uv)
     return tuple(
         reference_check_reduct_targets(
-            old, stats, tol, k, math.log(dmax), cover.edge_u, cover.edge_v
+            old, post, tol, k, math.log(dmax), cover.edge_u, cover.edge_v
         )
     )
+
+
+def planted(state, stats):
+    """A copy of state whose statistics read `stats`."""
+    out = replace(state)
+    vars(out)["stats"] = stats
+    return out
 
 
 class TestTargets:
@@ -293,36 +302,38 @@ class TestTargets:
         g = gen_cycle(5)
         cover = random_cover(g, 3, seed=1)
         st = ReductState.initial(g, cover, Weighting.zeros(cover, 0.4), max_deg=4, k=3)
-        _, stats = reduct_step(st, seed=0, alpha=0.3)
-        chk = check_reduct_targets(st, stats, relaxed_params())
+        new, _ = reduct_step(st, seed=0, alpha=0.3)
+        chk = check_reduct_targets(st, new, relaxed_params())
         assert chk.ok
 
     @pytest.mark.parametrize(
         "field, shift, kind",
         [
-            ("p_v", 10.0, "vertex-mass"),
-            ("q_v", -10.0, "entropy"),
-            ("d_v", 50, "degree"),
-            ("p_uv", 10.0, "edge-mass"),
+            (0, 10.0, "vertex-mass"),
+            (1, -10.0, "entropy"),
+            (2, 50, "degree"),
+            (3, 10.0, "edge-mass"),
         ],
         ids=["vertex-mass", "entropy", "degree", "edge-mass"],
     )
     def test_fabricated_violation(self, field, shift, kind):
         g, cover, st = toy_state()
-        _, stats = reduct_step(st, seed=0)
-        bad = replace(stats, **{field: getattr(stats, field) + shift})
-        assert check_reduct_targets(st, stats, relaxed_params()).ok
+        new, _ = reduct_step(st, seed=0)
+        stats = list(new.stats)
+        stats[field] = stats[field] + shift
+        bad = planted(new, tuple(stats))
+        assert check_reduct_targets(st, new, relaxed_params()).ok
         chk = check_reduct_targets(st, bad, relaxed_params())
         assert {k for k, *_ in chk.violations} == {kind}
 
     def test_fabricated_violations_match_the_loop_oracle(self):
         g, cover, st = toy_state(seed=3, n_left=4, n_right=4)
-        _, stats = reduct_step(st, seed=0)
-        alive = np.flatnonzero(stats.post_alive)
+        new, _ = reduct_step(st, seed=0)
+        alive = np.flatnonzero(new.alive)
         assert alive.size >= 4
         a = alive.tolist()
         live_edges = np.flatnonzero(
-            stats.post_alive[cover.edge_u] & stats.post_alive[cover.edge_v]
+            new.alive[cover.edge_u] & new.alive[cover.edge_v]
         ).tolist()
         dead_edges = sorted(set(range(cover.edge_u.size)) - set(live_edges))
         assert len(live_edges) >= 3 and dead_edges
@@ -332,14 +343,15 @@ class TestTargets:
             out[where] += by
             return out
 
-        bad = replace(
-            stats,
-            p_v=shifted(stats.p_v, [a[0], a[2]], 10.0),
-            q_v=shifted(stats.q_v, [a[0], a[1]], -10.0),
-            d_v=shifted(stats.d_v, [a[3], a[0]], 50),
-            # the dead edge is not a survivor's, so it reports nothing
-            p_uv=shifted(
-                stats.p_uv, [live_edges[2], live_edges[0], dead_edges[0]], 10.0
+        p_v, q_v, d_v, p_uv = new.stats
+        bad = planted(
+            new,
+            (
+                shifted(p_v, [a[0], a[2]], 10.0),
+                shifted(q_v, [a[0], a[1]], -10.0),
+                shifted(d_v, [a[3], a[0]], 50),
+                # the dead edge is not a survivor's, so it reports nothing
+                shifted(p_uv, [live_edges[2], live_edges[0], dead_edges[0]], 10.0),
             ),
         )
         params = relaxed_params()
@@ -366,9 +378,9 @@ class TestTargets:
         """
         checked = []
 
-        def compared(old_state, stats, params):
-            chk = check_reduct_targets(old_state, stats, params)
-            assert chk.violations == oracle_targets(old_state, stats, params)
+        def compared(old_state, new_state, params):
+            chk = check_reduct_targets(old_state, new_state, params)
+            assert chk.violations == oracle_targets(old_state, new_state, params)
             checked.append((len(old_state.history), chk))
             return chk
 
@@ -410,9 +422,9 @@ class TestTargets:
         g = gen_cycle(4)
         cover = random_cover(g, 2, seed=0)
         st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.3, 0.6))
-        _, stats = reduct_step(st, seed=0, alpha=0.4)
+        new, _ = reduct_step(st, seed=0, alpha=0.4)
         with pytest.raises(DomainError):
-            check_reduct_targets(st, stats, relaxed_params())
+            check_reduct_targets(st, new, relaxed_params())
 
 
 def sparse_ids(cover):
@@ -426,9 +438,26 @@ def sparse_ids(cover):
     return cover_from_json_dict(doc)
 
 
+def carried_stats(old, new, p_prime):
+    """A new state's statistics by the hand-over formula, as a reference.
+
+    Masses over p' on the pre-step graph, then zeroed at the vertices the
+    step removed and at their edges; degrees among survivors by a loop.
+    """
+    cover = old.cover
+    removed = old.alive & ~new.alive
+    p_v = np.where(removed, 0.0, vertex_mass_all(cover, p_prime))
+    q_v = np.where(removed, 0.0, vertex_mass_all(cover, entropy_terms(p_prime)))
+    alive = new.alive.tolist()
+    d_v = np.array([sum(alive[u] for u in nbrs) for nbrs in adjacency(old.graph)])
+    gone = removed[cover.edge_u] | removed[cover.edge_v]
+    p_uv = np.where(gone, 0.0, live_edge_mass(cover, p_prime, old.alive))
+    return p_v, q_v, d_v, p_uv
+
+
 class TestCarriedStats:
     @pytest.mark.parametrize("kind", ["perfect", "bernoulli", "sparse"])
-    def test_each_step_hands_on_exact_stats(self, monkeypatch, kind):
+    def test_each_state_computes_the_carried_stats(self, monkeypatch, kind):
         g = gen_random_bipartite_regular(100, 12, seed=1)
         cover, tol_scale, seed = {
             # tight tolerances, so steps are retried
@@ -441,11 +470,13 @@ class TestCarriedStats:
 
         def stepped(state, step_seed, alpha=None):
             cand, stats = step(state, step_seed, alpha)
-            made.append(cand)
+            # computed on first read, not handed on by the step
+            assert "stats" not in vars(cand)
+            made.append((cand, carried_stats(state, cand, stats.p_prime)))
             return cand, stats
 
-        def checked(old_state, stats, params):
-            chk = check(old_state, stats, params)
+        def checked(old_state, new_state, params):
+            chk = check(old_state, new_state, params)
             committed.append(chk.ok)
             return chk
 
@@ -453,12 +484,9 @@ class TestCarriedStats:
         monkeypatch.setattr(nibble, "check_reduct_targets", checked)
         result = run_nibble(g, cover, relaxed_params(tol_scale=tol_scale), seed=seed)
         assert len(made) == len(committed) and sum(committed) == result.steps > 0
-        for st in made:
-            # handed on by the step, not computed on first use
-            carried = vars(st)["stats"]
-            want = state_stats(st.graph, st.cover, st.weighting.p, st.alive)
-            assert all(map(np.array_equal, carried, want))
-        assert any(len(st.history[-1].removed) for st in made)
+        for st, want in made:
+            assert all(map(np.array_equal, st.stats, want))
+        assert any(len(st.history[-1].removed) for st, _ in made)
         sizes = np.diff(cover.edge_ptr)
         if kind == "perfect":
             assert not all(committed)
@@ -518,8 +546,10 @@ class TestDiagnostics:
         for seed in range(10):
             g, cover, st = toy_state(seed=seed)
             for j in range(8):
-                st, stats = reduct_step(st, seed=derive_int_seed(seed, "q", j))
-                assert np.all(stats.q_v >= 0.0)
+                st2, stats = reduct_step(st, seed=derive_int_seed(seed, "q", j))
+                q_v = vertex_mass_all(cover, entropy_terms(stats.p_prime))
+                assert np.all(q_v >= 0.0)
+                st = st2
 
     def test_desk_scale_deviation_rates_recorded(self, capsys):
         # empirical frequency of each per-step deviation event at desk scale;
@@ -530,13 +560,10 @@ class TestDiagnostics:
         events = {"vertex-mass": 0, "edge-mass": 0, "entropy": 0, "degree": 0}
         checks = {"vertex-mass": 0, "edge-mass": 0, "entropy": 0, "degree": 0}
         for i in range(n_steps):
-            _, stats = reduct_step(st, seed=i)
-            chk = check_reduct_targets(st, stats, params)
-            survivors = int(stats.post_alive.sum())
-            edges = int(
-                (stats.post_alive[cover.edge_u]
-                 & stats.post_alive[cover.edge_v]).sum()
-            )
+            new, _ = reduct_step(st, seed=i)
+            chk = check_reduct_targets(st, new, params)
+            survivors = int(new.alive.sum())
+            edges = int((new.alive[cover.edge_u] & new.alive[cover.edge_v]).sum())
             for kind in ("vertex-mass", "entropy", "degree"):
                 checks[kind] += survivors
             checks["edge-mass"] += edges
@@ -557,8 +584,8 @@ class TestDegreeBound:
         st = ReductState.initial(g, cover, Weighting.zeros(cover, 0.4), max_deg=4, k=3)
         bounds = degree_expectation_bound(st, 0.0, 0.0, 0.0, alpha=0.3)
         assert bounds == {v: 2.0 for v in range(6)}
-        _, stats = reduct_step(st, seed=0, alpha=0.3)
-        assert np.all(stats.d_v == 2)
+        new, _ = reduct_step(st, seed=0, alpha=0.3)
+        assert np.all(new.stats[2] == 2)
 
     def test_hypothesis_violation(self):
         g, cover, st = toy_state()
@@ -573,6 +600,14 @@ class TestDegreeBound:
         msg = f"alpha must be positive and finite, got {alpha}"
         with pytest.raises(DomainError, match=msg):
             degree_expectation_bound(st, 1.0, 1.0, 0.25, alpha=alpha)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["p1", "p2", "edge_cap"])
+    def test_nonfinite_hypothesis_rejected(self, name, value):
+        _, _, st = toy_state()
+        args = {"p1": 1.0, "p2": 1.0, "edge_cap": 0.25, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be finite, got {value}"):
+            degree_expectation_bound(st, **args)
 
     def test_formula(self):
         g, cover, st = toy_state()
