@@ -40,7 +40,7 @@ from .graphs import (
     parse_dimacs,
 )
 from .nibble import CSV_HEADER, paper_params, relaxed_params, run_nibble
-from .solver import solve_report
+from .solver import DEFAULT_NODE_BUDGET, solve_report
 from .weights import (
     ReductState,
     Weighting,
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", required=True)
     p.add_argument("--count", action="store_true")
     p.add_argument("--restrict")
-    p.add_argument("--node-budget", type=int, default=10**8)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
 
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["perfect", "bernoulli"], default="perfect")
     p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--node-budget", type=int, default=10**8)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--witness-out")
     p.add_argument("--trials-csv")
     p.add_argument("--out")

@@ -38,7 +38,7 @@ from ._arrays import (
     _segment_ids,
     _sizes_of,
 )
-from .errors import DomainError, MalformedInputError
+from .errors import DomainError, MalformedInputError, check_int
 from .graphs import Graph, gen_cycle
 from .rng import derive_rng
 
@@ -576,6 +576,7 @@ def random_cover(
     of the drawn matching independently with probability q, yielding partial
     matchings (the general cover definition requires only matchings).
     """
+    check_int("k", k)
     if k < 1:
         raise DomainError(f"list size must be >= 1, got {k}")
     if mode not in ("perfect", "bernoulli"):

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check."""
+
+import numpy as np
 
 
 class CorrColorError(Exception):
@@ -37,3 +39,18 @@ class HypothesisViolationError(DomainError):
 
 class InternalConsistencyError(CorrColorError):
     """An invariant that honest inputs cannot break was violated; indicates a bug."""
+
+
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer.
+
+    A float would fail deep inside a loop or be truncated, and a bool would
+    stand for 0 or 1, so neither counts.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(name: str, value) -> None:
+    """Raise DomainError naming the parameter unless `value` is an integer."""
+    if not is_integer(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")

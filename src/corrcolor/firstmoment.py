@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .covers import Cover, random_cover
-from .errors import DomainError, SearchBudgetExceeded
+from .errors import DomainError, SearchBudgetExceeded, check_int
 from .graphs import Graph, average_degree
 from .rng import derive_int_seed
 from .solver import DEFAULT_NODE_BUDGET, count_colorings
@@ -117,44 +117,29 @@ def run_lb_experiment(
     under any execution order. Budget blow-ups are recorded per trial, not
     fatal.
     """
+    check_int("trials", trials)
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     d = average_degree(g)
     counts: list[int | None] = []
-    colorable = 0
-    noncolorable = 0
-    capped = 0
     witness: Cover | None = None
-    witness_trial: int | None = None
     for i in range(trials):
         cover = random_cover(g, k, seed=derive_int_seed(seed, "lb-trial", i), mode=mode, q=q)
         try:
             c = count_colorings(g, cover, node_budget=node_budget)
         except SearchBudgetExceeded:
-            counts.append(None)
-            capped += 1
-            continue
+            c = None
         counts.append(c)
-        if c > 0:
-            colorable += 1
-        else:
-            noncolorable += 1
-            if witness is None:
-                witness = cover
-                witness_trial = i
+        if c == 0 and witness is None:
+            witness = cover
     valid = [c for c in counts if c is not None]
-    if valid:
-        mean = sum(valid) / len(valid)
-        if len(valid) > 1:
-            var = sum((c - mean) ** 2 for c in valid) / (len(valid) - 1)
-            sem = math.sqrt(var / len(valid))
-        else:
-            sem = None
-    else:
-        mean = None
-        sem = None
+    mean = sum(valid) / len(valid) if valid else None
+    sem = None
+    if len(valid) > 1:
+        var = sum((c - mean) ** 2 for c in valid) / (len(valid) - 1)
+        sem = math.sqrt(var / len(valid))
     fm = first_moment_bound(g.n, g.m, k)
-    report = LowerBoundReport(
+    return LowerBoundReport(
         n=g.n,
         m=g.m,
         avg_degree=d,
@@ -165,13 +150,12 @@ def run_lb_experiment(
         bound_below_one=fm.below_one,
         expected_colorings_exact=expected_colorings(g.n, g.m, k),
         trials=trials,
-        colorable_count=colorable,
-        noncolorable_count=noncolorable,
-        cap_exceeded_count=capped,
+        colorable_count=len(valid) - valid.count(0),
+        noncolorable_count=valid.count(0),
+        cap_exceeded_count=trials - len(valid),
         mean_colorings_empirical=mean,
         std_error_mean=sem,
-        witness_trial=witness_trial,
+        witness_trial=None if witness is None else counts.index(0),
         seed=seed,
         per_trial_counts=tuple(counts),
-    )
-    return report, witness
+    ), witness

@@ -27,6 +27,7 @@ from .errors import (
     HypothesisViolationError,
     InternalConsistencyError,
     IstarInfeasibleError,
+    check_int,
 )
 from .graphs import Graph, is_triangle_free, max_degree
 from .rng import check_seed, derive_int_seed, derive_rng
@@ -81,6 +82,7 @@ class NibbleParams:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be positive and finite")
         for name in ("max_retries_per_step", "max_final_retries", "max_steps"):
+            check_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1")
 
@@ -352,7 +354,8 @@ def compute_istar(max_deg: int, params: NibbleParams) -> int:
     dev = params.dev_degree(max_deg)
     prev = math.inf
     for i in range(ISTAR_CAP + 1):
-        lhs = max_deg * (1.0 - shrink) ** i + i * dev
+        # At i = 0 the term i * dev would be 0 * inf = NaN if dev overflowed.
+        lhs = max_deg * (1.0 - shrink) ** i + i * dev if i else float(max_deg)
         if lhs <= target:
             return i
         if lhs > prev:
@@ -389,6 +392,7 @@ def final_color(
     """
     if not 0.0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta}")
+    check_int("max_retries", max_retries)
     w = state.weighting
     cover = state.cover
     eligible = w.moderate & state.live_color_mask()
@@ -445,9 +449,10 @@ def extend_coloring(
                 raise InternalConsistencyError(
                     f"vertex {v} colored both inside and by a removal record"
                 )
-            if not record.forced[v]:
+            forced = record.forced.get(v)
+            if not forced:
                 raise InternalConsistencyError(f"empty forced set for vertex {v}")
-            out[v] = min(record.forced[v])
+            out[v] = min(forced)
     return out
 
 
@@ -593,14 +598,14 @@ def run_nibble(
     mode, istar, dmax = "edgeless", None, 0
 
     def result(
-        status: str, steps: int, coloring=None, nice_delta=None, detail=None
+        status: str, coloring=None, nice_delta=None, detail=None
     ) -> NibbleResult:
         return NibbleResult(
             status=status,
             coloring=coloring,
             mode=mode,
             istar=istar,
-            steps=steps,
+            steps=len(trajectory),
             trajectory=tuple(trajectory),
             nice_delta=nice_delta,
             final_attempts=total_final_attempts,
@@ -612,7 +617,7 @@ def run_nibble(
 
     if g.m == 0:
         coloring = dict(enumerate(cover.vlist_colors[cover.vlist_ptr[:-1]].tolist()))
-        return result("success", 0, coloring)
+        return result("success", coloring)
 
     dmax = max_degree(g)
     if dmax < 2:
@@ -637,16 +642,14 @@ def run_nibble(
         except IstarInfeasibleError:
             pass
 
-    def extended(
-        state: ReductState, inner, steps: int, nice_delta, detail
-    ) -> NibbleResult:
+    def extended(state: ReductState, inner, nice_delta, detail) -> NibbleResult:
         coloring = extend_coloring(inner, state.history)
         violation = check_coloring(g, cover, coloring)
         if violation is not None:
             raise InternalConsistencyError(
                 f"extended coloring is invalid ({violation}); this is a bug"
             )
-        return result("success", steps, coloring, nice_delta, detail)
+        return result("success", coloring, nice_delta, detail)
 
     adaptive = mode == "adaptive"
     budget = params.max_steps if adaptive else istar
@@ -658,7 +661,7 @@ def run_nibble(
         if adaptive or end:
             if state.n_alive == 0:
                 return extended(
-                    state, {}, i, None, "all vertices drained into removal records"
+                    state, {}, None, "all vertices drained into removal records"
                 )
             nice = check_nice(state)
             if nice.ok:
@@ -670,11 +673,10 @@ def run_nibble(
                 )
                 total_final_attempts += attempts
                 if inner is not None:
-                    return extended(state, inner, i, nice.delta, None)
+                    return extended(state, inner, nice.delta, None)
                 if end:
                     return result(
                         "final-color-exhausted",
-                        i,
                         nice_delta=nice.delta,
                         detail=f"rounding failed {params.max_final_retries} times",
                     )
@@ -686,7 +688,7 @@ def run_nibble(
                     detail = f"after {i} steps: {nice.reason}; entry conditions: {hyp}"
                 else:
                     detail = f"after the scheduled steps: {nice.reason}"
-                return result("not-nice", i, detail=detail)
+                return result("not-nice", detail=detail)
             elif nice.min_moderate_mass == 0.0:
                 # A surviving vertex with no moderate color can never be
                 # sampled, removed, or rounded; once weights sit at 0 or the
@@ -696,7 +698,7 @@ def run_nibble(
                     f"vertex {nice.argmin_vertex} has no moderate color left"
                     " and can never get one"
                 )
-                return result("not-nice", i, detail=detail)
+                return result("not-nice", detail=detail)
         for attempt in range(params.max_retries_per_step):
             cand, _ = reduct_step(state, derive_int_seed(seed, "step", i, attempt))
             chk = check_reduct_targets(state, cand, params)
@@ -710,4 +712,4 @@ def run_nibble(
                 f"step {i} violated targets {params.max_retries_per_step} times;"
                 f" last: {kind} at {where} ({value:.6g} vs {bound:.6g})"
             )
-            return result("step-retries-exhausted", i, detail=detail)
+            return result("step-retries-exhausted", detail=detail)

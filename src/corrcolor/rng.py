@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 
 
 def _label_word(label) -> int:
@@ -27,7 +27,7 @@ def check_seed(seed: int) -> None:
     Only integers qualify: SeedSequence would truncate a float, and a bool
     would stand for 0 or 1.
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 

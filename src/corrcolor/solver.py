@@ -3,12 +3,14 @@
 The backtracking search uses forward checking: assigning a color deletes its
 matched partners from the domains of undecided neighbors, and the assignment
 stops as soon as one of those domains is wiped out (Haralick & Elliott 1980).
-The next vertex is chosen by minimum remaining values, ties going to the
-lowest vertex id, read from buckets of undecided vertices keyed by domain
-size; colors are tried in ascending id order, so results are deterministic
-for a fixed instance. The search runs on an explicit stack, so the vertex
-count is not limited by Python's recursion limit. A node budget separates
-"no coloring" from "gave up".
+Each domain is a bitmask, and its size is the mask's popcount. The next
+vertex is chosen by minimum remaining values, ties going to the lowest vertex
+id, read from buckets of undecided vertices keyed by that popcount; colors
+are tried in ascending id order, so results are deterministic for a fixed
+instance. The search state is the masks, the buckets and an explicit stack
+of frames, one per decided vertex, so the vertex count is not limited by
+Python's recursion limit. A node budget separates "no coloring" from "gave
+up".
 
 Conflicts come from the cover's matched-color adjacency, the
 (`nbr_ptr`, `nbr_idx`) pair in `Cover.arrays`, and domains from its list
@@ -24,7 +26,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .covers import Cover
-from .errors import DomainError, MalformedInputError, SearchBudgetExceeded
+from .errors import (
+    DomainError,
+    MalformedInputError,
+    SearchBudgetExceeded,
+    check_int,
+    is_integer,
+)
 from .graphs import Graph
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -41,7 +49,8 @@ def check_coloring(
     off their list; then every matched pair is checked, and the clash at the
     lowest vertex (then lowest partner color) is reported. The check reads
     the cover's arrays, so it is meant for covers that pass `validate_cover`.
-    Raises MalformedInputError when a chosen id is not a color of the cover.
+    Raises MalformedInputError when a chosen id is not an integer or not a
+    color of the cover.
     """
     verts = sorted(vertices) if vertices is not None else list(range(g.n))
     for v in verts[:1] + verts[-1:]:
@@ -53,15 +62,22 @@ def check_coloring(
             break
         ids.append(coloring[v])
     xs = np.array(ids) if ids else np.zeros(0, dtype=np.int64)
-    if xs.dtype.kind not in "iu":
-        raise MalformedInputError(f"chosen ids must be integer color ids, got {ids}")
+    if xs.dtype.kind != "i":
+        # A non-integer id, or an integer beyond int64 that made numpy choose
+        # another dtype; such an integer is simply not a color of the cover.
+        for v, x in zip(verts, ids):
+            if not is_integer(x):
+                raise MalformedInputError(
+                    f"chosen id {x!r} at vertex {v} is not an integer color id"
+                )
+        xs = np.array([x if 0 <= x < cover.n_colors else -1 for x in ids])
     xs = xs.astype(np.int64)
     vs = np.array(verts[: len(ids)], dtype=np.int64)
     known = (xs >= 0) & (xs < cover.n_colors)
     own = np.append(cover.owner, -1)[np.where(known, xs, -1)]
     suspect = np.flatnonzero((own < 0) | (own != vs))
     for i in suspect.tolist():
-        v, x = int(vs[i]), int(xs[i])
+        v, x = int(vs[i]), int(ids[i])
         if own[i] < 0:
             raise MalformedInputError(f"chosen id {x} is not a color of the cover")
         # a color listed at several vertices (an invalid cover) is looked up
@@ -169,6 +185,7 @@ def _search(
     node_budget: int,
     count_all: bool,
 ) -> SolveOutcome:
+    check_int("node_budget", node_budget)
     if node_budget < 0:
         raise DomainError(f"node budget must be non-negative, got {node_budget}")
     verts, domains = _prepared_domains(g, cover, restrict, vertices)
@@ -199,13 +216,14 @@ def _search(
             color_bit[x] = 1 << a
     conflicts = [None] * len(verts)
 
-    # A decided vertex's mask is 0 (saved in its frame), so assignments skip it.
+    # The search state is the masks, the buckets and the stack. An undecided
+    # vertex sits in the bucket of its mask's popcount; a decided vertex's
+    # mask is 0 (saved in its frame), so assignments skip it, and the stack
+    # holds one frame per decided vertex.
     mask = [(1 << len(dom)) - 1 for dom in domains]
-    size = [len(dom) for dom in domains]
-    buckets = [set() for _ in range(max(size, default=0) + 1)]
-    for i, s in enumerate(size):
-        buckets[s].add(i)
-    n_free = len(verts)
+    buckets = [set() for _ in range(max(map(len, domains), default=0) + 1)]
+    for i, dom in enumerate(domains):
+        buckets[len(dom)].add(i)
     nodes = 0
     count = 0
     first: Coloring | None = None
@@ -214,7 +232,7 @@ def _search(
     while True:
         # Each pass first handles the node just reached: a leaf, or a new
         # frame for the MRV vertex.
-        if n_free == 0:
+        if len(stack) == len(verts):
             count += 1
             if first is None:
                 first = {verts[i]: domains[i][cs[k - 1]] for i, cs, k, _, _ in stack}
@@ -228,7 +246,6 @@ def _search(
                 s += 1
             v = min(buckets[s])
             buckets[s].remove(v)
-            n_free -= 1
             if conflicts[v] is None:
                 conflicts[v] = [
                     [
@@ -248,16 +265,15 @@ def _search(
             frame = stack[-1]
             v, colors, k, removed, m = frame
             for j, bit in removed:
-                mask[j] |= bit
-                s = size[j]
+                mj = mask[j]
+                s = mj.bit_count()
+                mask[j] = mj | bit
                 buckets[s].remove(j)
-                size[j] = s + 1
                 buckets[s + 1].add(j)
             if k == len(colors):
                 stack.pop()
                 mask[v] = m
-                buckets[size[v]].add(v)
-                n_free += 1
+                buckets[m.bit_count()].add(v)
                 continue
             frame[2] = k + 1
             nodes += 1
@@ -268,9 +284,8 @@ def _search(
                 mj = mask[j]
                 if mj & bit:
                     mask[j] = mj ^ bit
-                    s = size[j]
+                    s = mj.bit_count()
                     buckets[s].remove(j)
-                    size[j] = s - 1
                     buckets[s - 1].add(j)
                     removed.append((j, bit))
                     if s == 1:

@@ -131,7 +131,8 @@ class TestByteIdentity:
     """Outputs pinned to digests recorded before covers became arrays, and
     nibble runs pinned before the analysis constants left NibbleParams,
     before both nibble modes shared one step loop and before rounding read
-    only the eligible colors."""
+    only the eligible colors; the lower-bound run is pinned from before its
+    tallies were derived from the per-trial counts."""
 
     @pytest.mark.parametrize(
         "flags, digest",
@@ -271,6 +272,39 @@ class TestByteIdentity:
         result = corrcolor.run_nibble(g, cover, params, seed=seed)
         assert (result.status, result.mode, result.steps) == expected
         assert nibble_digest(result) == digest
+
+    def test_lb_experiment_digest(self, tmp_path):
+        # colorable, refuted and budget-capped trials, so every tally, the
+        # witness index, the mean and the SEM are read
+        gpath, out = tmp_path / "g.json", tmp_path / "r.json"
+        witness, trials = tmp_path / "w.json", tmp_path / "t.csv"
+        assert main([
+            "gen-graph", "complete-bipartite", "--a", "3", "--b", "3",
+            "--out", str(gpath),
+        ]) == 0
+        assert main([
+            "lb-experiment", "--graph", str(gpath), "--k", "2", "--trials", "20",
+            "--seed", "5", "--mode", "bernoulli", "--q", "0.8",
+            "--node-budget", "10", "--witness-out", str(witness),
+            "--trials-csv", str(trials), "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert (
+            report["colorable_count"],
+            report["noncolorable_count"],
+            report["cap_exceeded_count"],
+            report["witness_trial"],
+            report["mean_colorings_empirical"],
+        ) == (7, 9, 4, 1, 0.4375)
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out, trials, witness)
+        }
+        assert digests == {
+            "r.json": "96cb46b894f44f0900cbd85a94bd653e3e7051c603f8a904885c343cad65314b",
+            "t.csv": "12953abf50cb26acae90ce1a53e87690d295147303213c42929f87a4d2e26d01",
+            "w.json": "c17ccf51ddf8d7182047d224e95f70e7343133a7f56382f38b5c4dea5fc154ce",
+        }
 
 
 class TestValidateAndSolve:

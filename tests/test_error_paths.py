@@ -1,0 +1,221 @@
+"""Error paths: integer parameters, the istar overflow, malformed coloring
+ids, and the argument checks of the library's public functions."""
+
+import re
+
+import numpy as np
+import pytest
+
+from corrcolor import (
+    DomainError,
+    InternalConsistencyError,
+    IstarInfeasibleError,
+    MalformedInputError,
+    ReductRecord,
+    build_graph,
+    canonical_cover_json,
+    check_coloring,
+    check_reduct_hypotheses,
+    compute_istar,
+    count_colorings,
+    cover_from_canonical_json,
+    degree_expectation_bound,
+    expected_colorings,
+    expected_pprime,
+    extend_coloring,
+    final_color,
+    gen_complete_bipartite,
+    gen_cycle,
+    gen_random_bipartite_regular,
+    lift_from_lists,
+    random_cover,
+    reduct_step,
+    relaxed_params,
+    run_lb_experiment,
+    run_nibble,
+    shifted_cycle_cover,
+)
+from corrcolor.weights import ReductState, Weighting
+
+
+def c6_state(**kwargs):
+    g = gen_cycle(6)
+    cover = random_cover(g, 3, seed=0)
+    return ReductState.initial(g, cover, Weighting.uniform(cover, 0.1, 0.5), **kwargs)
+
+
+def not_an_integer(name, value):
+    return pytest.raises(
+        DomainError, match=re.escape(f"{name} must be an integer, got {value!r}")
+    )
+
+
+NON_INTEGERS = [2.5, True]
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    @pytest.mark.parametrize(
+        "name", ["max_retries_per_step", "max_final_retries", "max_steps"]
+    )
+    def test_nibble_budget(self, name, value):
+        with not_an_integer(name, value):
+            relaxed_params(**{name: value})
+
+    def test_nibble_budget_float_never_reaches_the_run(self):
+        g = gen_random_bipartite_regular(8, 3, seed=0)
+        cover = random_cover(g, 6, seed=0)
+        with not_an_integer("max_steps", 2.5):
+            run_nibble(g, cover, relaxed_params(max_steps=2.5), seed=1)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_final_color_max_retries(self, value):
+        with not_an_integer("max_retries", value):
+            final_color(c6_state(), 1.0, 0, max_retries=value)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_random_cover_k(self, value):
+        with not_an_integer("k", value):
+            random_cover(gen_cycle(4), value, seed=1)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_lb_experiment_trials(self, value):
+        with not_an_integer("trials", value):
+            run_lb_experiment(gen_cycle(4), 2, value, 1)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_lb_experiment_k(self, value):
+        with not_an_integer("k", value):
+            run_lb_experiment(gen_cycle(4), value, 2, 1)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_node_budget(self, value):
+        g = gen_complete_bipartite(3, 3)
+        with not_an_integer("node_budget", value):
+            count_colorings(g, random_cover(g, 2, seed=0), node_budget=value)
+
+    def test_numpy_integers_pass(self):
+        g = gen_cycle(4)
+        cover = random_cover(g, np.int64(2), seed=1)
+        assert cover == random_cover(g, 2, seed=1)
+        assert count_colorings(g, cover, node_budget=np.int32(100)) >= 0
+        assert relaxed_params(max_steps=np.int64(3)).max_steps == 3
+
+    def test_integer_range_messages_are_kept(self):
+        with pytest.raises(DomainError, match="^max_steps must be at least 1$"):
+            relaxed_params(max_steps=0)
+        with pytest.raises(DomainError, match=r"^list size must be >= 1, got 0$"):
+            random_cover(gen_cycle(4), 0, seed=1)
+        with pytest.raises(DomainError, match="^need at least one trial, got 0$"):
+            run_lb_experiment(gen_cycle(4), 2, 0, 1)
+        g = gen_cycle(4)
+        with pytest.raises(DomainError, match="^node budget must be non-negative"):
+            count_colorings(g, random_cover(g, 2, seed=1), node_budget=-1)
+
+
+def test_istar_with_overflowing_degree_tolerance_bottoms_out_at_once():
+    params = relaxed_params(tol_scale=1e308)
+    assert params.dev_degree(3) == float("inf")
+    with pytest.raises(IstarInfeasibleError, match="bottoms out at 3 > target"):
+        compute_istar(3, params)
+
+
+class TestCheckColoringIds:
+    def test_names_only_the_first_non_integer_id(self):
+        g = gen_cycle(6)
+        cover = random_cover(g, 3, seed=0)
+        coloring = {0: 0, 1: 3.5, 2: 7.0, 3: 9, 4: 12, 5: 15}
+        with pytest.raises(MalformedInputError) as info:
+            check_coloring(g, cover, coloring)
+        assert str(info.value) == "chosen id 3.5 at vertex 1 is not an integer color id"
+
+    def test_message_does_not_grow_with_the_graph(self):
+        g = gen_cycle(500)
+        cover = random_cover(g, 3, seed=0)
+        coloring = {v: float(3 * v) for v in range(g.n)}
+        with pytest.raises(MalformedInputError) as info:
+            check_coloring(g, cover, coloring)
+        assert str(info.value) == "chosen id 0.0 at vertex 0 is not an integer color id"
+
+    @pytest.mark.parametrize("big", [2**63, 2**64, -(2**63) - 1])
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "mixed"])
+    def test_integer_beyond_int64_is_not_a_color(self, big, alone):
+        g = gen_cycle(4)
+        cover = random_cover(g, 2, seed=0)
+        coloring = {0: big} if alone else {0: 0, 1: big, 2: 4, 3: 6}
+        vertices = [0] if alone else None
+        with pytest.raises(MalformedInputError) as info:
+            check_coloring(g, cover, coloring, vertices)
+        assert str(info.value) == f"chosen id {big} is not a color of the cover"
+
+    def test_vertex_out_of_range(self):
+        g = gen_cycle(4)
+        with pytest.raises(DomainError, match="^vertex 4 out of range$"):
+            check_coloring(g, random_cover(g, 2, seed=0), {}, vertices=[0, 4])
+
+
+class TestUnreachedErrorPaths:
+    def test_alpha_needs_a_degree_bound(self):
+        with pytest.raises(DomainError, match="no degree bound; pass alpha"):
+            reduct_step(c6_state(), 0)
+        with pytest.raises(DomainError, match="^degree bound must be at least 2$"):
+            reduct_step(c6_state(max_deg=1, k=3), 0)
+
+    def test_expected_pprime_color_out_of_range(self):
+        state = c6_state(max_deg=2, k=3)
+        with pytest.raises(DomainError, match="^color id 18 out of range$"):
+            expected_pprime(state, 18)
+
+    def test_initial_state_length_mismatches(self):
+        g = gen_cycle(6)
+        cover = random_cover(g, 3, seed=0)
+        other = random_cover(gen_cycle(4), 3, seed=0)
+        with pytest.raises(DomainError, match="disagree on vertex count"):
+            ReductState.initial(g, other, Weighting.uniform(other, 0.1, 0.5))
+        with pytest.raises(DomainError, match="weighting length disagrees"):
+            ReductState.initial(g, cover, Weighting.uniform(other, 0.1, 0.5))
+
+    def test_checks_without_max_deg(self):
+        with pytest.raises(DomainError, match="need the state's max_deg and k"):
+            check_reduct_hypotheses(c6_state(), relaxed_params())
+        with pytest.raises(DomainError, match="needs the state's max_deg"):
+            degree_expectation_bound(c6_state(), 0.1, 0.5, 0.5, alpha=0.5)
+
+    @pytest.mark.parametrize("forced", [{3: ()}, {}], ids=["empty", "missing"])
+    def test_extend_without_a_forced_color(self, forced):
+        record = ReductRecord(removed=(3,), forced=forced)
+        with pytest.raises(InternalConsistencyError, match="forced set for vertex 3"):
+            extend_coloring({0: 1}, (record,))
+
+    def test_lift_wrong_number_of_lists(self):
+        with pytest.raises(DomainError, match="^expected 4 label lists, got 3$"):
+            lift_from_lists(gen_cycle(4), [[1], [2], [3]])
+
+    def test_shifted_cycle_bounds(self):
+        with pytest.raises(DomainError, match=">= 4, got 2"):
+            shifted_cycle_cover(2)
+        with pytest.raises(DomainError, match="defined for k=2"):
+            shifted_cycle_cover(6, k=3)
+
+    def test_build_graph_bounds(self):
+        with pytest.raises(DomainError, match="nonnegative, got -1"):
+            build_graph(-1, [])
+        with pytest.raises(DomainError, match=r"^edges must be vertex pairs \(u, v\)$"):
+            build_graph(3, [(0, 1, 2)])
+        with pytest.raises(DomainError, match="vertex pairs .* of integers"):
+            build_graph(3, [(0, 1), (2,)])
+
+    def test_generator_bounds(self):
+        with pytest.raises(DomainError, match="must be nonempty"):
+            gen_complete_bipartite(0, 3)
+        with pytest.raises(DomainError, match="n_side=3, d=4"):
+            gen_random_bipartite_regular(3, 4, seed=0)
+
+    def test_expected_colorings_domain(self):
+        with pytest.raises(DomainError, match="n >= 1"):
+            expected_colorings(0, 1, 2)
+
+    def test_canonical_reader_declines_a_trailing_digit(self):
+        data = canonical_cover_json(random_cover(gen_cycle(4), 2, seed=0)).encode()
+        assert cover_from_canonical_json(data) is not None
+        assert cover_from_canonical_json(data + b"7") is None
