@@ -393,6 +393,8 @@ def final_color(
     if not 0.0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta}")
     check_int("max_retries", max_retries)
+    if max_retries < 1:
+        raise DomainError(f"max_retries must be at least 1, got {max_retries}")
     w = state.weighting
     cover = state.cover
     eligible = w.moderate & state.live_color_mask()

@@ -3,14 +3,15 @@
 The backtracking search uses forward checking: assigning a color deletes its
 matched partners from the domains of undecided neighbors, and the assignment
 stops as soon as one of those domains is wiped out (Haralick & Elliott 1980).
-Each domain is a bitmask, and its size is the mask's popcount. The next
+Each domain is a bitmask, and its size is the mask's popcount, kept in a
+bytearray (capped at 255, where it is recomputed from the mask). The next
 vertex is chosen by minimum remaining values, ties going to the lowest vertex
-id, read from buckets of undecided vertices keyed by that popcount; colors
-are tried in ascending id order, so results are deterministic for a fixed
-instance. The search state is the masks, the buckets and an explicit stack
-of frames, one per decided vertex, so the vertex count is not limited by
-Python's recursion limit. A node budget separates "no coloring" from "gave
-up".
+id, found by searching the sizes for 1, 2, ... in turn; colors are tried in
+ascending id order, so results are deterministic for a fixed instance. The
+search state is the masks, the sizes and an explicit stack of frames, one per
+decided vertex, each holding its vertex's untried colors as bits, so the
+vertex count is not limited by Python's recursion limit. A node budget
+separates "no coloring" from "gave up".
 
 Conflicts come from the cover's matched-color adjacency, the
 (`nbr_ptr`, `nbr_idx`) pair in `Cover.arrays`, and domains from its list
@@ -62,9 +63,11 @@ def check_coloring(
             break
         ids.append(coloring[v])
     xs = np.array(ids) if ids else np.zeros(0, dtype=np.int64)
-    if xs.dtype.kind != "i":
+    if xs.dtype.kind != "i" or not set(map(type, ids)) <= {int}:
         # A non-integer id, or an integer beyond int64 that made numpy choose
         # another dtype; such an integer is simply not a color of the cover.
+        # A bool mixed with ints hides in an int array as 0 or 1, so any id
+        # whose type is not int is checked here too.
         for v, x in zip(verts, ids):
             if not is_integer(x):
                 raise MalformedInputError(
@@ -216,18 +219,17 @@ def _search(
             color_bit[x] = 1 << a
     conflicts = [None] * len(verts)
 
-    # The search state is the masks, the buckets and the stack. An undecided
-    # vertex sits in the bucket of its mask's popcount; a decided vertex's
-    # mask is 0 (saved in its frame), so assignments skip it, and the stack
-    # holds one frame per decided vertex.
+    # The search state is the masks, the sizes and the stack. size[i] is the
+    # popcount of an undecided vertex's mask, capped at 255 so a bytearray
+    # holds it (a capped size is recomputed from the mask when hit). A decided
+    # vertex has mask 0 (saved in its frame), so assignments skip it, and size
+    # 0, so the MRV pick skips it; the stack holds one frame per decided vertex.
     mask = [(1 << len(dom)) - 1 for dom in domains]
-    buckets = [set() for _ in range(max(map(len, domains), default=0) + 1)]
-    for i, dom in enumerate(domains):
-        buckets[len(dom)].add(i)
+    size = bytearray(min(len(dom), 255) for dom in domains)
     nodes = 0
     count = 0
     first: Coloring | None = None
-    stack = []  # frames [vertex, color positions, next index, removed, mask]
+    stack = []  # frames [vertex, untried bits, removed, mask]
 
     while True:
         # Each pass first handles the node just reached: a leaf, or a new
@@ -235,17 +237,23 @@ def _search(
         if len(stack) == len(verts):
             count += 1
             if first is None:
-                first = {verts[i]: domains[i][cs[k - 1]] for i, cs, k, _, _ in stack}
+                first = {
+                    verts[i]: domains[i][(m ^ rest).bit_length() - 1]
+                    for i, rest, _, m in stack
+                }
             if not count_all:
                 break
         else:
-            # Bucket 0 stays empty here: an assignment that wipes out a
-            # domain is undone before the search goes deeper.
+            # No undecided size is 0 here: an assignment that wipes out a
+            # domain is undone before the search goes deeper. find returns
+            # the lowest id among the smallest sizes, unless all are capped.
             s = 1
-            while not buckets[s]:
+            while (v := size.find(s)) < 0:
                 s += 1
-            v = min(buckets[s])
-            buckets[s].remove(v)
+            if s == 255:
+                capped = [i for i, c in enumerate(size) if c == 255]
+                v = min(capped, key=lambda i: mask[i].bit_count())
+            size[v] = 0
             if conflicts[v] is None:
                 conflicts[v] = [
                     [
@@ -257,38 +265,37 @@ def _search(
                 ]
             m = mask[v]
             mask[v] = 0
-            colors = [a for a in range(len(domains[v])) if m >> a & 1]
-            stack.append([v, colors, 0, (), m])
-        # Then undo the top frame's last color and try its next one, popping
-        # exhausted frames, until an assignment leaves no domain empty.
+            stack.append([v, m, (), m])
+        # Then undo the top frame's last color and try its lowest untried
+        # one, popping exhausted frames, until an assignment leaves no domain
+        # empty.
         while stack:
             frame = stack[-1]
-            v, colors, k, removed, m = frame
+            v, rest, removed, m = frame
             for j, bit in removed:
-                mj = mask[j]
-                s = mj.bit_count()
-                mask[j] = mj | bit
-                buckets[s].remove(j)
-                buckets[s + 1].add(j)
-            if k == len(colors):
+                mask[j] |= bit
+                if size[j] < 255:
+                    size[j] += 1
+            if not rest:
                 stack.pop()
                 mask[v] = m
-                buckets[m.bit_count()].add(v)
+                size[v] = min(m.bit_count(), 255)
                 continue
-            frame[2] = k + 1
+            low = rest & -rest
+            frame[1] = rest ^ low
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetExceeded(nodes, node_budget)
-            removed = frame[3] = []
-            for j, bit in conflicts[v][colors[k]]:
+            removed = frame[2] = []
+            for hit in conflicts[v][low.bit_length() - 1]:
+                j, bit = hit
                 mj = mask[j]
                 if mj & bit:
                     mask[j] = mj ^ bit
-                    s = mj.bit_count()
-                    buckets[s].remove(j)
-                    buckets[s - 1].add(j)
-                    removed.append((j, bit))
-                    if s == 1:
+                    s = size[j]
+                    size[j] = s - 1 if s < 255 else min(mj.bit_count() - 1, 255)
+                    removed.append(hit)
+                    if mj == bit:
                         break
             else:
                 break

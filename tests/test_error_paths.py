@@ -73,6 +73,12 @@ class TestIntegerParameters:
         with not_an_integer("max_retries", value):
             final_color(c6_state(), 1.0, 0, max_retries=value)
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_final_color_needs_a_round(self, value):
+        msg = f"^max_retries must be at least 1, got {value}$"
+        with pytest.raises(DomainError, match=msg):
+            final_color(c6_state(), 1.0, 0, max_retries=value)
+
     @pytest.mark.parametrize("value", NON_INTEGERS)
     def test_random_cover_k(self, value):
         with not_an_integer("k", value):
@@ -147,6 +153,17 @@ class TestCheckColoringIds:
         with pytest.raises(MalformedInputError) as info:
             check_coloring(g, cover, coloring, vertices)
         assert str(info.value) == f"chosen id {big} is not a color of the cover"
+
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "mixed"])
+    def test_bool_is_not_a_color(self, alone):
+        # Among ints, numpy would store True as the color 1.
+        g = gen_cycle(4)
+        cover = random_cover(g, 2, seed=0)
+        coloring = {0: True} if alone else {0: True, 1: 2, 2: 4, 3: 6}
+        vertices = [0] if alone else None
+        with pytest.raises(MalformedInputError) as info:
+            check_coloring(g, cover, coloring, vertices)
+        assert str(info.value) == "chosen id True at vertex 0 is not an integer color id"
 
     def test_vertex_out_of_range(self):
         g = gen_cycle(4)

@@ -13,6 +13,7 @@ from corrcolor import (
     count_colorings,
     gen_complete_bipartite,
     gen_cycle,
+    gen_random_bipartite_regular,
     greedy_color,
     is_valid_coloring,
     lift_from_lists,
@@ -288,6 +289,50 @@ def test_matches_reference_search(seed):
             search(nodes - 1)
         assert exc.value.nodes_explored == nodes
         assert search(nodes) == out
+
+
+@pytest.mark.parametrize("mode", ["perfect", "bernoulli"])
+@pytest.mark.parametrize("seed", range(30))
+def test_domains_beyond_a_byte_match_reference_search(seed, mode):
+    # Domain sizes on both sides of 255, where the search caps its stored
+    # sizes, mixed with small domains that are decided first.
+    rng = derive_rng(seed, "big-domains")
+    g = random_graph(seed, 6, 0.5)
+    cover = random_cover(g, 300, seed=seed, mode=mode)
+    sizes = [300, 299, 280, 256, 255, 254, 3]
+    restrict = {
+        v: rng.choice(lst, size=sizes[rng.integers(len(sizes))], replace=False).tolist()
+        for v, lst in enumerate(cover.lists)
+    }
+    status, coloring, _, nodes = reference_search(g, cover, restrict)
+    out = solve_report(g, cover, restrict)
+    got = (out.status, _items(out.coloring), out.count, out.nodes_explored)
+    assert got == (status, _items(coloring), None, nodes)
+
+
+@pytest.mark.parametrize("count", [False, True])
+def test_capped_sizes_survive_backtracking(count):
+    # Vertices 0-2 are a triangle whose first try at vertex 0 is undone,
+    # after taking a color from vertex 3 (255 colors) on the way. Vertex 4
+    # (254 colors) must still come before vertex 3, in the first coloring
+    # and, after the count backtracks over both, in the node total.
+    g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    cover = lift_from_lists(g, [[0, 300], [0, 1], [0, 1], range(255), range(254)])
+    status, coloring, n, nodes = reference_search(g, cover, count=count)
+    out = solve_report(g, cover, count=count)
+    got = (out.status, _items(out.coloring), out.count, out.nodes_explored)
+    assert got == (status, _items(coloring), n, nodes)
+    assert list(out.coloring)[3:] == [4, 3]
+
+
+@pytest.mark.parametrize("seed, nodes", [(0, 24528), (1, 34884), (2, 24464)])
+def test_deep_refutations_keep_their_trees(seed, nodes):
+    # Lower-bound shaped instances, refuted after tens of thousands of
+    # backtracking nodes: the node count pins the search tree.
+    g = gen_random_bipartite_regular(36, 12, seed=seed)
+    cover = random_cover(g, 4, seed=seed)
+    out = solve_report(g, cover, count=True)
+    assert (out.count, out.nodes_explored) == (0, nodes)
 
 
 class TestCount:
