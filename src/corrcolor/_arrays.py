@@ -7,10 +7,11 @@ the JSON readers apply to ids.
 from __future__ import annotations
 
 from itertools import chain
+from operator import countOf
 
 import numpy as np
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, is_integer
 
 
 def _ptr(counts) -> np.ndarray:
@@ -43,20 +44,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _int_array(values: list, what: str) -> np.ndarray:
-    """A flat list of integers as int64, or MalformedInputError."""
-    if not values:
-        return np.zeros(0, dtype=np.int64)
+    """A flat list of integers as int64, or MalformedInputError.
+
+    Each entry must pass `errors.is_integer` and fit in int64. The entries'
+    types are read at C speed: unless all are int, one entry of each other
+    type is put to `is_integer`, so a bool or a float beside ints is refused.
+    """
+    if countOf(map(type, values), int) != len(values):
+        for kind in set(map(type, values)) - {int}:
+            x = next(x for x in values if type(x) is kind)
+            if not is_integer(x):
+                raise MalformedInputError(f"{what} must be integers, got {x!r}")
     try:
-        arr = np.array(values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInputError(f"{what} must be integer data: {exc}") from exc
-    if (
-        arr.ndim != 1
-        or arr.dtype.kind not in "iu"
-        or (arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max)
-    ):
-        raise MalformedInputError(f"{what} must be integer data in the int64 range")
-    return arr.astype(np.int64, copy=False)
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        raise MalformedInputError(f"{what} must be in the int64 range") from None
 
 
 def _pair_array(pairs: list, what: str, ids: str) -> np.ndarray:

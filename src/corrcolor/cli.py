@@ -28,7 +28,7 @@ from .coverjson import (
     cover_from_json_dict,
 )
 from .covers import lift_from_lists, random_cover, validate_cover
-from .errors import CorrColorError, DomainError, MalformedInputError
+from .errors import CorrColorError, DomainError, MalformedInputError, is_integer
 from .firstmoment import run_lb_experiment
 from .graphs import (
     gen_complete_bipartite,
@@ -228,9 +228,7 @@ def _parse_restrict(doc) -> dict[int, list[int]]:
             v = _vertex_id(key)
         except ValueError:
             raise MalformedInputError(f"restrict key {key!r} is not a vertex id") from None
-        if not isinstance(xs, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in xs
-        ):
+        if not isinstance(xs, list) or not all(map(is_integer, xs)):
             raise MalformedInputError(
                 f"restrict entry for vertex {key} must be an array of color ids"
             )

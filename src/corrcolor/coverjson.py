@@ -34,9 +34,13 @@ def cover_to_json_dict(cover: Cover) -> dict:
     }
 
 
+_VERTEX_ID = r"-?[0-9]+"
+_MATCHING_KEY = re.compile(f"({_VERTEX_ID}),({_VERTEX_ID})")
+
+
 def _vertex_id(text: str) -> int:
     """A key's vertex id: ASCII digits after an optional "-"; else ValueError."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+    if not re.fullmatch(_VERTEX_ID, text):
         raise ValueError(f"not a vertex id: {text!r}")
     return int(text)
 
@@ -49,15 +53,11 @@ def cover_from_json_dict(doc) -> Cover:
         raise MalformedInputError('"lists" must be an array and "matchings" an object')
     key_u, key_v = [], []
     for key in matchings:
-        parts = key.split(",") if isinstance(key, str) else ()
-        try:
-            u, v = map(_vertex_id, parts)
-        except ValueError:
-            raise MalformedInputError(
-                f'matching key {key!r} is not of the form "u,v"'
-            ) from None
-        key_u.append(u)
-        key_v.append(v)
+        match = _MATCHING_KEY.fullmatch(key) if isinstance(key, str) else None
+        if match is None:
+            raise MalformedInputError(f'matching key {key!r} is not of the form "u,v"')
+        key_u.append(int(match[1]))
+        key_v.append(int(match[2]))
     cover = _cover_from_raw(lists, key_u, key_v, list(matchings.values()))
     if "k_per_vertex" in doc and doc["k_per_vertex"] != list(cover.k_per_vertex):
         raise MalformedInputError("k_per_vertex disagrees with list lengths")

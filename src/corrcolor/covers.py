@@ -38,7 +38,7 @@ from ._arrays import (
     _segment_ids,
     _sizes_of,
 )
-from .errors import DomainError, MalformedInputError, check_int
+from .errors import DomainError, MalformedInputError, check_int, is_integer
 from .graphs import Graph, gen_cycle
 from .rng import derive_rng
 
@@ -517,7 +517,8 @@ def lift_from_lists(g: Graph, label_lists) -> Cover:
 
     Label lists may repeat labels across vertices; per vertex they are
     deduplicated and sorted, and each (vertex, label) becomes a fresh color id.
-    Each list must be a collection of strings or of numbers, not a string.
+    Each list must be a collection of strings or of numbers, not a string;
+    a bool is not a number here, since True would equal the label 1.
     """
     if len(label_lists) != g.n:
         raise DomainError(f"expected {g.n} label lists, got {len(label_lists)}")
@@ -529,6 +530,8 @@ def lift_from_lists(g: Graph, label_lists) -> Cover:
             # a set refuses unhashable labels, a sort mixed kinds
             labels = sorted(set(lst))
             if labels and not isinstance(labels[0], (str, Real)):
+                raise TypeError
+            if any(isinstance(lab, (bool, np.bool_)) for lab in lst):
                 raise TypeError
             per_vertex.append(labels)
         except TypeError:
@@ -603,14 +606,15 @@ def cover_from_permutations(g: Graph, k: int, perms) -> Cover:
     matching color i of u with color sigma[i] of v. Missing edges get the
     identity permutation.
     """
+    check_int("k", k)
     sigma = np.tile(np.arange(k, dtype=np.int64), (g.m, 1))
     for e, edge in enumerate(map(tuple, g.edges.tolist())):
         if edge in perms:
             s = perms[edge]
-            if sorted(s) != list(range(k)):
+            if not all(map(is_integer, s)) or sorted(s) != list(range(k)):
                 u, v = edge
                 raise DomainError(f"not a permutation of 0..{k-1} on edge ({u},{v}): {s}")
-            sigma[e] = [int(i) for i in s]
+            sigma[e] = s
     return _fresh_cover(g, k, sigma)
 
 
@@ -621,6 +625,8 @@ def shifted_cycle_cover(m: int, k: int = 2) -> Cover:
     admits no coloring; it witnesses that list size 2 is not enough for
     even cycles in the cover setting.
     """
+    check_int("m", m)
+    check_int("k", k)
     if m % 2 != 0:
         raise DomainError(f"cycle length must be even, got {m}")
     if m < 4:

@@ -45,9 +45,13 @@ def is_integer(value) -> bool:
     """True for an int or a numpy integer.
 
     A float would fail deep inside a loop or be truncated, and a bool would
-    stand for 0 or 1, so neither counts.
+    stand for 0 or 1, so neither counts. This is the package's one rule for
+    an integer id or size; `_arrays._int_array` applies it to a list.
     """
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # exact ints, by far the most common, take the first test alone
+    return type(value) is int or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    )
 
 
 def check_int(name: str, value) -> None:

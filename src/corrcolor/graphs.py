@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from ._arrays import _freeze, _int_array, _pair_array, _ptr, _ranges
-from .errors import DomainError, MalformedInputError
+from .errors import DomainError, MalformedInputError, check_int
 from .rng import derive_rng
 
 PAIRING_ATTEMPT_CAP = 10_000
@@ -85,11 +85,13 @@ def _canonical(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
 def build_graph(n: int, edges) -> Graph:
     """Validate, deduplicate, and canonicalize an edge list.
 
-    Endpoints that are not integers (1.7, "1") are rejected, not converted.
-    Self-loops and out-of-range endpoints are rejected, the first bad edge
-    in input order deciding the message; duplicate and reversed edges are
-    merged silently. At most MAX_VERTICES vertices.
+    Endpoints must pass `errors.is_integer`: floats (1.7, even 1.0), bools
+    and strings ("1") are rejected, not converted. Self-loops and
+    out-of-range endpoints are rejected, the first bad edge in input order
+    deciding the message; duplicate and reversed edges are merged silently.
+    At most MAX_VERTICES vertices.
     """
+    check_int("n", n)
     if n < 0:
         raise DomainError(f"vertex count must be nonnegative, got {n}")
     if n > MAX_VERTICES:
@@ -100,12 +102,15 @@ def build_graph(n: int, edges) -> Graph:
         raise DomainError(f"an edge endpoint is out of range for n={n}") from None
     except (TypeError, ValueError):
         raise DomainError("edges must be vertex pairs (u, v) of integers") from None
-    if pairs.size and np.asarray(edges).dtype.kind not in "iub":
-        raise DomainError("edge endpoints must be integers")
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise DomainError("edges must be vertex pairs (u, v)")
+    # np.array above converts what it can; the entries themselves are checked.
+    try:
+        _int_array(np.asarray(edges, dtype=object).ravel().tolist(), "edge endpoints")
+    except MalformedInputError:
+        raise DomainError("edge endpoints must be integers") from None
     u, v = pairs.T
     bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
     if bad.any():
@@ -161,6 +166,7 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def gen_cycle(n: int) -> Graph:
+    check_int("n", n)
     if n < 3:
         raise DomainError(f"cycle needs n >= 3, got {n}")
     i = np.arange(n, dtype=np.int64)
@@ -168,6 +174,8 @@ def gen_cycle(n: int) -> Graph:
 
 
 def gen_complete_bipartite(a: int, b: int) -> Graph:
+    check_int("a", a)
+    check_int("b", b)
     if a < 1 or b < 1:
         raise DomainError("both sides of a complete bipartite graph must be nonempty")
     u, v = np.divmod(np.arange(a * b, dtype=np.int64), b)
@@ -194,6 +202,8 @@ def gen_random_regular(
     `triangle_free`, additionally resamples until the result has no
     triangle. Gives valid (not exactly uniform) samples.
     """
+    check_int("n", n)
+    check_int("d", d)
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise DomainError(f"infeasible degree sequence: n={n}, d={d}")
     rng = derive_rng(seed, "random-regular", n, d)
@@ -219,6 +229,8 @@ def gen_random_bipartite_regular(n_side: int, d: int, seed: int) -> Graph:
     degree; this is the generator to use when rejection sampling for
     triangle-freeness cannot finish (expected triangle counts grow like d^3).
     """
+    check_int("n_side", n_side)
+    check_int("d", d)
     if d < 0 or d > n_side:
         raise DomainError(f"infeasible bipartite degree: n_side={n_side}, d={d}")
     rng = derive_rng(seed, "random-bipartite-regular", n_side, d)

@@ -251,8 +251,11 @@ def expected_pprime(state: ReductState, x: int, alpha: float | None = None) -> f
 
 @dataclass(frozen=True)
 class TargetCheck:
-    ok: bool
     violations: tuple[tuple[str, int, float, float], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def check_reduct_targets(
@@ -300,7 +303,7 @@ def check_reduct_targets(
     bad_e = alive[cover.edge_u] & alive[cover.edge_v] & (p_uv > ceil_e)
     for e in np.flatnonzero(bad_e).tolist():
         violations.append(("edge-mass", e, float(p_uv[e]), float(ceil_e[e])))
-    return TargetCheck(ok=not violations, violations=tuple(violations))
+    return TargetCheck(violations=tuple(violations))
 
 
 def check_reduct_hypotheses(state: ReductState, params: NibbleParams) -> dict:

@@ -17,11 +17,14 @@ Conflicts come from the cover's matched-color adjacency, the
 (`nbr_ptr`, `nbr_idx`) pair in `Cover.arrays`, and domains from its list
 arrays, not from the graph's edges, so the search and the greedy coloring
 expect a cover that passes `validate_cover`. The search refuses a color that is
-negative or listed at two vertices with DomainError.
+negative or listed at two vertices with DomainError. Every vertex id, restriction
+key and entry, and order entry must pass `errors.is_integer`: a bool or a float
+raises DomainError, and never stands for the number it equals.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,53 +44,50 @@ DEFAULT_NODE_BUDGET = 10**8
 Coloring = dict[int, int]
 
 
+def _vertex_ids(g: Graph, vertices, what: str = "vertex") -> list:
+    """The ascending distinct ids of `vertices` (all if None), each checked."""
+    if vertices is None:
+        return list(range(g.n))
+    vertices = list(vertices)
+    for v in vertices:
+        if not is_integer(v):
+            raise DomainError(f"{what} {v!r} is not an integer")
+        if not 0 <= v < g.n:
+            raise DomainError(f"{what} {v} out of range")
+    return sorted(set(vertices))
+
+
 def check_coloring(
     g: Graph, cover: Cover, coloring: Coloring, vertices=None
 ) -> str | None:
     """First violated coloring condition, or None if the coloring is valid.
 
-    Vertices are checked in ascending order for a missing color or a color
-    off their list; then every matched pair is checked, and the clash at the
-    lowest vertex (then lowest partner color) is reported. The check reads
-    the cover's arrays, so it is meant for covers that pass `validate_cover`.
-    Raises MalformedInputError when a chosen id is not an integer or not a
-    color of the cover.
+    Vertices are checked in ascending order, and the lowest one with a
+    problem decides: a missing color, a chosen id that is not an integer or
+    not a color of the cover (MalformedInputError), or a color off its list.
+    Then every matched pair is checked, and the clash at the lowest vertex
+    (then lowest partner color) is reported. The check reads the cover's
+    arrays, so it is meant for covers that pass `validate_cover`.
     """
-    verts = sorted(vertices) if vertices is not None else list(range(g.n))
-    for v in verts[:1] + verts[-1:]:
-        if not 0 <= v < g.n:
-            raise DomainError(f"vertex {v} out of range")
+    verts = _vertex_ids(g, vertices)
+    owner, ptr = cover.owner, cover.vlist_ptr
     ids = []
     for v in verts:
         if v not in coloring:
-            break
-        ids.append(coloring[v])
-    xs = np.array(ids) if ids else np.zeros(0, dtype=np.int64)
-    if xs.dtype.kind != "i" or not set(map(type, ids)) <= {int}:
-        # A non-integer id, or an integer beyond int64 that made numpy choose
-        # another dtype; such an integer is simply not a color of the cover.
-        # A bool mixed with ints hides in an int array as 0 or 1, so any id
-        # whose type is not int is checked here too.
-        for v, x in zip(verts, ids):
-            if not is_integer(x):
-                raise MalformedInputError(
-                    f"chosen id {x!r} at vertex {v} is not an integer color id"
-                )
-        xs = np.array([x if 0 <= x < cover.n_colors else -1 for x in ids])
-    xs = xs.astype(np.int64)
-    vs = np.array(verts[: len(ids)], dtype=np.int64)
-    known = (xs >= 0) & (xs < cover.n_colors)
-    own = np.append(cover.owner, -1)[np.where(known, xs, -1)]
-    suspect = np.flatnonzero((own < 0) | (own != vs))
-    for i in suspect.tolist():
-        v, x = int(vs[i]), int(ids[i])
-        if own[i] < 0:
+            return f"vertex {v} has no color"
+        x = coloring[v]
+        if not is_integer(x):
+            raise MalformedInputError(
+                f"chosen id {x!r} at vertex {v} is not an integer color id"
+            )
+        own = owner[x] if 0 <= x < owner.size else -1
+        if own < 0:
             raise MalformedInputError(f"chosen id {x} is not a color of the cover")
         # a color listed at several vertices (an invalid cover) is looked up
-        if x not in cover.vlist_colors[cover.vlist_ptr[v] : cover.vlist_ptr[v + 1]]:
+        if own != v and x not in cover.vlist_colors[ptr[v] : ptr[v + 1]]:
             return f"color {x} at vertex {v} is not in that vertex's list"
-    if len(ids) < len(verts):
-        return f"vertex {verts[len(ids)]} has no color"
+        ids.append(x)
+    xs, vs = np.array(ids, dtype=np.int64), np.array(verts, dtype=np.int64)
 
     # chooser[x + 1] is the vertex that chose color x, -1 if none; ids
     # outside 0..n_colors-1 (only in invalid covers) read the -1 at either end.
@@ -121,7 +121,7 @@ def greedy_color(
     since each colored neighbor forbids at most one color.
     """
     order = list(order)
-    if sorted(order) != list(range(g.n)):
+    if not all(map(is_integer, order)) or sorted(order) != list(range(g.n)):
         raise DomainError("order must be a permutation of all vertices")
     ptr, colors = cover.vlist_ptr.tolist(), cover.vlist_colors.tolist()
     nbr_ptr, nbr_idx = (arr.tolist() for arr in cover.arrays)
@@ -157,25 +157,22 @@ class SolveOutcome:
 
 def _prepared_domains(g: Graph, cover: Cover, restrict, vertices):
     """The checked, sorted vertex set and each vertex's sorted domain."""
-    verts = sorted(set(vertices)) if vertices is not None else list(range(g.n))
-    for v in verts:
-        if v not in range(g.n):
-            raise DomainError(f"vertex {v} out of range")
+    verts = _vertex_ids(g, vertices)
     restrict = restrict or {}
-    for v in restrict:
-        if v not in range(g.n):
-            raise DomainError(f"restriction names vertex {v}, out of range")
+    _vertex_ids(g, restrict, "restriction names vertex")
     ptr, colors = cover.vlist_ptr.tolist(), cover.vlist_colors.tolist()
     domains = []
     for v in verts:
         dom = set(colors[ptr[v] : ptr[v + 1]])
         if restrict.get(v) is not None:
-            allowed = set(restrict[v])
-            if not allowed <= dom:
+            allowed = restrict[v]
+            if not isinstance(allowed, Collection) or not all(map(is_integer, allowed)):
+                raise DomainError(f"restriction at vertex {v} must list integer ids")
+            if not set(allowed) <= dom:
                 raise DomainError(
                     f"restriction at vertex {v} contains non-list colors"
                 )
-            dom = allowed
+            dom = set(allowed)
         domains.append(sorted(dom))
     return verts, domains
 

@@ -430,11 +430,12 @@ class TestValidateAndSolve:
             ([[1], [2], [3], [{"a": 1}]], "label list of vertex 3 "),
             ([["a", 1], [1], [2], [3]], "label list of vertex 0 "),
             ([[1], [None], [2], [3]], "label list of vertex 1 "),
+            ([[1, 2], [True, 2], [2, 3], [3, 1]], "label list of vertex 1 "),
             ({"0": [1]}, "lists document must be a JSON array"),
         ],
         ids=[
             "number", "string", "array-label", "object-label", "mixed", "null-label",
-            "object",
+            "bool-label", "object",
         ],
     )
     def test_lift_malformed_lists_is_exit_2(self, tmp_path, capsys, lists, message):

@@ -553,6 +553,7 @@ MALFORMED_COVERS = {
     "float-id": {"lists": [[0.5], [1]], "matchings": {"0,1": []}},
     "string-id": {"lists": [["0"], [1]], "matchings": {"0,1": []}},
     "bool-ids": {"lists": [[True], [False]], "matchings": {"0,1": []}},
+    "bool-beside-ints": {"lists": [[0, True], [2, 3]], "matchings": {"0,1": []}},
     "float-pair-id": {"lists": [[0], [1]], "matchings": {"0,1": [[0, 1.0]]}},
     "huge-id": {"lists": [[2**64], [1]], "matchings": {"0,1": []}},
     "list-is-number": {"lists": [5, [1]], "matchings": {"0,1": []}},

@@ -1,12 +1,15 @@
-"""Error paths: integer parameters, the istar overflow, malformed coloring
-ids, and the argument checks of the library's public functions."""
+"""Error paths: integer parameters and ids, the istar overflow, malformed
+coloring ids, and the argument checks of the library's public functions."""
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcolor import (
+    CorrColorError,
     DomainError,
     InternalConsistencyError,
     IstarInfeasibleError,
@@ -19,6 +22,7 @@ from corrcolor import (
     compute_istar,
     count_colorings,
     cover_from_canonical_json,
+    cover_from_permutations,
     degree_expectation_bound,
     expected_colorings,
     expected_pprime,
@@ -27,6 +31,8 @@ from corrcolor import (
     gen_complete_bipartite,
     gen_cycle,
     gen_random_bipartite_regular,
+    gen_random_regular,
+    greedy_color,
     lift_from_lists,
     random_cover,
     reduct_step,
@@ -34,8 +40,11 @@ from corrcolor import (
     run_lb_experiment,
     run_nibble,
     shifted_cycle_cover,
+    solve_exact,
 )
 from corrcolor.weights import ReductState, Weighting
+
+from .conftest import reference_check_coloring
 
 
 def c6_state(**kwargs):
@@ -107,6 +116,32 @@ class TestIntegerParameters:
         assert count_colorings(g, cover, node_budget=np.int32(100)) >= 0
         assert relaxed_params(max_steps=np.int64(3)).max_steps == 3
 
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [
+            (lambda: gen_cycle(5.0), "n", 5.0),
+            (lambda: gen_complete_bipartite(2.0, 2), "a", 2.0),
+            (lambda: gen_complete_bipartite(2, True), "b", True),
+            (lambda: gen_random_regular(10, 3.0, 1), "d", 3.0),
+            (lambda: gen_random_regular(10.0, 3, 1), "n", 10.0),
+            (lambda: gen_random_bipartite_regular(5, 2.0, 1), "d", 2.0),
+            (lambda: gen_random_bipartite_regular(5.0, 2, 1), "n_side", 5.0),
+            (lambda: gen_random_bipartite_regular(5, True, 1), "d", True),
+            (lambda: build_graph(3.0, []), "n", 3.0),
+            (lambda: cover_from_permutations(gen_cycle(4), 2.0, {}), "k", 2.0),
+            (lambda: shifted_cycle_cover(4.0), "m", 4.0),
+            (lambda: shifted_cycle_cover(4, k=2.0), "k", 2.0),
+        ],
+        ids=[
+            "cycle", "bipartite-a", "bipartite-b", "regular-d", "regular-n",
+            "bip-regular-d", "bip-regular-n", "bip-regular-bool", "build-graph",
+            "permutations", "shifted-m", "shifted-k",
+        ],
+    )
+    def test_sizes(self, make, name, value):
+        with not_an_integer(name, value):
+            make()
+
     def test_integer_range_messages_are_kept(self):
         with pytest.raises(DomainError, match="^max_steps must be at least 1$"):
             relaxed_params(max_steps=0)
@@ -124,6 +159,110 @@ def test_istar_with_overflowing_degree_tolerance_bottoms_out_at_once():
     assert params.dev_degree(3) == float("inf")
     with pytest.raises(IstarInfeasibleError, match="bottoms out at 3 > target"):
         compute_istar(3, params)
+
+
+C4 = gen_cycle(4)
+C4_COVER = random_cover(C4, 2, seed=0)  # colors 2v and 2v + 1 at vertex v
+
+
+class TestIntegerIds:
+    """Every id the library is handed is an int or a numpy integer; a bool,
+    a float or anything else is refused with DomainError, never converted."""
+
+    @pytest.mark.parametrize(
+        "restrict, message",
+        [
+            ({0: 5}, "restriction at vertex 0 must list integer ids"),
+            ({0: [1.0]}, "restriction at vertex 0 must list integer ids"),
+            ({0: [True]}, "restriction at vertex 0 must list integer ids"),
+            ({True: [2]}, "restriction names vertex True is not an integer"),
+            ({1.0: [2]}, "restriction names vertex 1.0 is not an integer"),
+        ],
+        ids=["scalar", "float", "bool", "bool-key", "float-key"],
+    )
+    @pytest.mark.parametrize("solve", [solve_exact, count_colorings])
+    def test_restriction(self, solve, restrict, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            solve(C4, C4_COVER, restrict=restrict)
+
+    @pytest.mark.parametrize(
+        "vertices", [[1.0], [True], [0, None]], ids=["float", "bool", "none"]
+    )
+    @pytest.mark.parametrize("solve", [solve_exact, count_colorings])
+    def test_vertices(self, solve, vertices):
+        bad = vertices[-1]
+        with pytest.raises(DomainError, match=f"^vertex {bad} is not an integer$"):
+            solve(C4, C4_COVER, vertices=vertices)
+        with pytest.raises(DomainError, match=f"^vertex {bad} is not an integer$"):
+            check_coloring(C4, C4_COVER, {0: 0, 1: 2}, vertices=vertices)
+
+    @pytest.mark.parametrize(
+        "order", [[True, False, 2, 3], [1.0, 0, 2, 3]], ids=["bool", "float"]
+    )
+    def test_greedy_order(self, order):
+        with pytest.raises(DomainError, match="^order must be a permutation"):
+            greedy_color(C4, C4_COVER, order)
+
+    @pytest.mark.parametrize("perm", [[True, False], [1.0, 0]], ids=["bool", "float"])
+    def test_permutation_entries(self, perm):
+        with pytest.raises(DomainError, match=r"^not a permutation of 0\.\.1"):
+            cover_from_permutations(C4, 2, {(0, 1): perm})
+
+    @pytest.mark.parametrize(
+        "edges", [[(True, False)], [(0, 1), (1, True)]], ids=["bools", "mixed"]
+    )
+    def test_graph_endpoints(self, edges):
+        with pytest.raises(DomainError, match="^edge endpoints must be integers$"):
+            build_graph(3, edges)
+
+    def test_numpy_ids_pass(self):
+        restrict = {np.int64(0): [np.int32(1)]}
+        assert solve_exact(C4, C4_COVER, restrict=restrict, vertices=[np.int64(0)]) == {
+            0: 1
+        }
+        order = np.arange(4)
+        assert greedy_color(C4, C4_COVER, order) == greedy_color(C4, C4_COVER, range(4))
+        perms = {(0, 1): np.array([1, 0])}
+        assert cover_from_permutations(C4, 2, perms) == cover_from_permutations(
+            C4, 2, {(0, 1): (1, 0)}
+        )
+        assert build_graph(3, np.array([[0, 1]], dtype=np.int32)).m == 1
+
+
+# In-range and out-of-range ints, numpy ints, bools, integral and other
+# floats, ints beyond int64, None and strings.
+IDS = st.one_of(
+    st.integers(-1, 8),
+    st.integers(-1, 8).map(np.int64),
+    st.booleans(),
+    st.integers(-1, 8).map(float),
+    st.floats(allow_nan=True),
+    st.sampled_from([2**63, 2**64, -(2**63) - 1]),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@given(st.lists(IDS, max_size=5))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_any_id_ends_in_a_result_or_a_library_error(ids):
+    head = ids[:4]
+    coloring = {0: 0, 1: 2, 2: 4, 3: 6}
+    calls = [
+        lambda: check_coloring(C4, C4_COVER, {**coloring, **dict(enumerate(head))}),
+        lambda: check_coloring(C4, C4_COVER, coloring, vertices=ids),
+        lambda: solve_exact(C4, C4_COVER, vertices=ids),
+        lambda: count_colorings(C4, C4_COVER, vertices=ids),
+        lambda: solve_exact(C4, C4_COVER, restrict=dict(zip(ids, ids))),
+        lambda: count_colorings(C4, C4_COVER, restrict={0: ids}, vertices=head),
+        lambda: greedy_color(C4, C4_COVER, [*head, *range(len(head), 4)]),
+        lambda: cover_from_permutations(C4, 2, {(0, 1): ids[:2]}),
+    ]
+    for call in calls:
+        try:
+            call()
+        except CorrColorError:
+            pass
 
 
 class TestCheckColoringIds:
@@ -164,6 +303,27 @@ class TestCheckColoringIds:
         with pytest.raises(MalformedInputError) as info:
             check_coloring(g, cover, coloring, vertices)
         assert str(info.value) == "chosen id True at vertex 0 is not an integer color id"
+
+    @pytest.mark.parametrize(
+        "coloring, want",
+        [
+            (
+                {0: 2, 1: 3.5, 2: 4, 3: 6},
+                "color 2 at vertex 0 is not in that vertex's list",
+            ),
+            (
+                {0: 0, 1: 0, 2: None},
+                "color 0 at vertex 1 is not in that vertex's list",
+            ),
+            ({0: 0, 2: "4"}, "vertex 1 has no color"),
+        ],
+        ids=["off-list", "off-list-later", "missing"],
+    )
+    def test_lowest_vertex_with_a_problem_decides(self, coloring, want):
+        # A non-integer id above the first problem is not reached.
+        lists, matchings = C4_COVER.lists, C4_COVER.matchings
+        assert reference_check_coloring(C4, lists, matchings, coloring) == want
+        assert check_coloring(C4, C4_COVER, coloring) == want
 
     def test_vertex_out_of_range(self):
         g = gen_cycle(4)

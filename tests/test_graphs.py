@@ -375,6 +375,7 @@ MALFORMED_GRAPHS = {
     "integral-float-endpoint": {"n": 2, "edges": [[0, 1.0]]},
     "string-endpoints": {"n": 2, "edges": [["0", "1"]]},
     "bool-endpoints": {"n": 2, "edges": [[False, True]]},
+    "bool-beside-int-endpoints": {"n": 3, "edges": [[0, True], [1, 2]]},
     "huge-endpoint": {"n": 2, "edges": [[0, 2**64]]},
     "string-n": {"n": "3", "edges": []},
     "bool-n": {"n": True, "edges": []},
