@@ -1,7 +1,7 @@
-"""Flat int64 array helpers shared by the graph and cover models.
+"""Flat int64 array helpers shared across the package.
 
 CSR pointers and index ranges, read-only freezing, and the integer rules
-the JSON readers apply to ids.
+the JSON readers and `check_coloring` apply to ids.
 """
 
 from __future__ import annotations
@@ -38,23 +38,37 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ptr[:-1], sizes) + np.arange(ptr[-1], dtype=np.int64)
 
 
+def _segment_entries(ptr: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Indices of the entries of the given segments of a CSR array, in order."""
+    starts = ptr[segments]
+    return _ranges(starts, ptr[segments + 1] - starts)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
-def _int_array(values: list, what: str) -> np.ndarray:
-    """A flat list of integers as int64, or MalformedInputError.
+def _check_integers(values, what: str) -> None:
+    """MalformedInputError unless every entry of `values` passes `is_integer`.
 
-    Each entry must pass `errors.is_integer` and fit in int64. The entries'
-    types are read at C speed: unless all are int, one entry of each other
-    type is put to `is_integer`, so a bool or a float beside ints is refused.
+    `values` is a sized iterable, read more than once. The entries' types
+    are read at C speed: unless all are int, one entry of each other type is
+    put to `is_integer`, so a bool or a float beside ints is refused.
     """
     if countOf(map(type, values), int) != len(values):
         for kind in set(map(type, values)) - {int}:
             x = next(x for x in values if type(x) is kind)
             if not is_integer(x):
                 raise MalformedInputError(f"{what} must be integers, got {x!r}")
+
+
+def _int_array(values: list, what: str) -> np.ndarray:
+    """A flat list of integers as int64, or MalformedInputError.
+
+    Each entry must pass `_check_integers` and fit in int64.
+    """
+    _check_integers(values, what)
     try:
         return np.fromiter(values, dtype=np.int64, count=len(values))
     except OverflowError:

@@ -1,10 +1,10 @@
 """Numeric kernels for the randomized weight-update step and its statistics.
 
-Vectorized numpy segmented reductions over CSR layouts, no compilation.
-All randomness comes in as pre-drawn uniforms, so the kernels are pure
-functions of their inputs; tests/test_kernels.py checks them against
-plain-Python loop oracles and `reduct_core` against the whole-adjacency
-formula it replaced, bit for bit.
+Vectorized numpy segmented reductions over CSR layouts, no compilation;
+`segment_sum` is the package's one segmented sum. All randomness comes in
+as pre-drawn uniforms, so the kernels are pure functions of their inputs;
+tests/test_kernels.py checks them against plain-Python loop oracles and
+`reduct_core` against the whole-adjacency formula it replaced, bit for bit.
 
 One step reads the color adjacency about once: `reduct_core` gathers one
 survival factor per adjacency entry and reads the neighbour ranges of the
@@ -15,30 +15,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import _ranges
+from ._arrays import _ptr, _segment_entries
 from .errors import InternalConsistencyError
 
 
-def segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per-segment sums of `values` under CSR pointer `ptr`.
+def segment_sum(values: np.ndarray, ptr: np.ndarray, segments=None) -> np.ndarray:
+    """Per-segment sums under CSR pointer `ptr`, 0.0 outside `segments`.
 
-    `np.add.reduceat` adds a segment's first value to numpy's pairwise sum of
-    the rest, which runs left to right only below 8 values. So a segment of 3
-    or more values is not added left to right, but its sum depends only on
-    its values, in order. The last segment also takes a 0.0 sentinel as one
-    more value. The sentinel stays: dropping it changes the rounding of the
-    last segment at some lengths (8 values, for example), so the mass of the
-    last vertex or edge, and the results that read it, would change.
+    `values` holds the entries of the ascending segment ids `segments` (all
+    when None), in order; an empty segment also reads 0.0. `np.add.reduceat`
+    adds a segment's first value to numpy's pairwise sum of the rest, which
+    runs left to right only below 8 values, so a sum depends only on its
+    values, in order. The global last segment takes a 0.0 sentinel as one
+    more value: dropping it would change its rounding at some lengths (8
+    values, for example), and so the mass of the last vertex or edge.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.size == 0:
-        return np.zeros(ptr.shape[0] - 1, dtype=np.float64)
-    # The sentinel also keeps every reduceat index valid. Empty segments
-    # (reduceat returns the element at the start index) are masked to the
-    # identity afterwards.
-    padded = np.append(values, 0.0)
-    reduced = np.add.reduceat(padded, ptr[:-1])
-    return np.where(ptr[:-1] < ptr[1:], reduced, 0.0)
+    out = np.zeros(ptr.size - 1, dtype=np.float64)
+    if segments is None:
+        segments = np.arange(out.size)
+    sizes = ptr[segments + 1] - ptr[segments]
+    full = sizes > 0
+    chosen = segments[full]
+    if chosen.size:
+        if chosen[-1] == out.size - 1:
+            values = np.append(values, 0.0)
+        out[chosen] = np.add.reduceat(values, _ptr(sizes)[:-1][full])
+    return out
 
 
 def segment_prod(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -85,8 +88,7 @@ def reduct_core(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
     ap = alpha * p
     in_s = (~in_b) & (u_sample < ap)
     sampled = np.flatnonzero(in_s)
-    starts = nbr_ptr[sampled]
-    hit = nbr_idx[_ranges(starts, nbr_ptr[sampled + 1] - starts)]
+    hit = nbr_idx[_segment_entries(nbr_ptr, sampled)]
     s_count = np.bincount(hit, minlength=p.size)
     k_factor = segment_prod(np.where(in_b, 1.0, 1.0 - ap)[nbr_idx], nbr_ptr)
     ratio = p / k_factor

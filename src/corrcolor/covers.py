@@ -22,6 +22,7 @@ JSON documents of covers are read and written in `coverjson`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice
@@ -38,7 +39,7 @@ from ._arrays import (
     _segment_ids,
     _sizes_of,
 )
-from .errors import DomainError, MalformedInputError, check_int, is_integer
+from .errors import DomainError, MalformedInputError, check_int, integer_list
 from .graphs import Graph, gen_cycle
 from .rng import derive_rng
 
@@ -607,13 +608,17 @@ def cover_from_permutations(g: Graph, k: int, perms) -> Cover:
     identity permutation.
     """
     check_int("k", k)
+    if not isinstance(perms, Mapping):
+        msg = f"perms must map edges to permutations, got {type(perms).__name__}"
+        raise DomainError(msg)
     sigma = np.tile(np.arange(k, dtype=np.int64), (g.m, 1))
     for e, edge in enumerate(map(tuple, g.edges.tolist())):
         if edge in perms:
-            s = perms[edge]
-            if not all(map(is_integer, s)) or sorted(s) != list(range(k)):
+            s = integer_list(perms[edge])
+            if s is None or sorted(s) != list(range(k)):
                 u, v = edge
-                raise DomainError(f"not a permutation of 0..{k-1} on edge ({u},{v}): {s}")
+                msg = f"not a permutation of 0..{k-1} on edge ({u},{v}): {perms[edge]}"
+                raise DomainError(msg)
             sigma[e] = s
     return _fresh_cover(g, k, sigma)
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the integer check."""
+"""Exception hierarchy shared across the package, and the integer checks."""
 
 import numpy as np
 
@@ -52,6 +52,19 @@ def is_integer(value) -> bool:
     return type(value) is int or (
         isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     )
+
+
+def integer_list(values) -> list | None:
+    """The entries of `values` as a list if each passes `is_integer`.
+
+    None if any does not, or if `values` cannot be iterated: a scalar where
+    a collection of ids belongs is the wrong kind of container.
+    """
+    try:
+        values = list(values)
+    except TypeError:
+        return None
+    return values if all(map(is_integer, values)) else None
 
 
 def check_int(name: str, value) -> None:

@@ -82,6 +82,31 @@ def _canonical(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     return Graph(n=n, edges=_freeze(np.column_stack(np.divmod(keys, n))))
 
 
+def _check_vertex_count(n) -> None:
+    check_int("n", n)
+    if n < 0:
+        raise DomainError(f"vertex count must be nonnegative, got {n}")
+    if n > MAX_VERTICES:
+        raise DomainError(f"vertex count {n} exceeds {MAX_VERTICES}")
+
+
+def _graph_of_pairs(n: int, pairs: np.ndarray) -> Graph:
+    """The graph on n vertices of an (m, 2) int64 array of endpoint pairs.
+
+    Self-loops and out-of-range endpoints raise DomainError, the first bad
+    pair deciding the message; duplicate and reversed pairs merge.
+    """
+    u, v = pairs.T
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        e = int(np.argmax(bad))
+        a, b = int(u[e]), int(v[e])
+        if a == b:
+            raise DomainError(f"self-loop at vertex {a}")
+        raise DomainError(f"edge ({a},{b}) out of range for n={n}")
+    return _canonical(n, u, v)
+
+
 def build_graph(n: int, edges) -> Graph:
     """Validate, deduplicate, and canonicalize an edge list.
 
@@ -91,11 +116,7 @@ def build_graph(n: int, edges) -> Graph:
     deciding the message; duplicate and reversed edges are merged silently.
     At most MAX_VERTICES vertices.
     """
-    check_int("n", n)
-    if n < 0:
-        raise DomainError(f"vertex count must be nonnegative, got {n}")
-    if n > MAX_VERTICES:
-        raise DomainError(f"vertex count {n} exceeds {MAX_VERTICES}")
+    _check_vertex_count(n)
     try:
         pairs = np.array(edges, dtype=np.int64)
     except OverflowError:
@@ -111,15 +132,7 @@ def build_graph(n: int, edges) -> Graph:
         _int_array(np.asarray(edges, dtype=object).ravel().tolist(), "edge endpoints")
     except MalformedInputError:
         raise DomainError("edge endpoints must be integers") from None
-    u, v = pairs.T
-    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    if bad.any():
-        e = int(np.argmax(bad))
-        a, b = int(u[e]), int(v[e])
-        if a == b:
-            raise DomainError(f"self-loop at vertex {a}")
-        raise DomainError(f"edge ({a},{b}) out of range for n={n}")
-    return _canonical(n, u, v)
+    return _graph_of_pairs(n, pairs)
 
 
 def average_degree(g: Graph) -> float:
@@ -273,7 +286,8 @@ def graph_from_json_dict(doc) -> Graph:
     if not isinstance(doc["edges"], list):
         raise MalformedInputError('"edges" must be an array')
     n = int(_int_array([doc["n"]], "vertex count n")[0])
-    return build_graph(n, _pair_array(doc["edges"], "edge", "edge endpoints"))
+    _check_vertex_count(n)
+    return _graph_of_pairs(n, _pair_array(doc["edges"], "edge", "edge endpoints"))
 
 
 def _dimacs_int(field: str, lineno: int) -> int:

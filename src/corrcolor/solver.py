@@ -19,22 +19,27 @@ arrays, not from the graph's edges, so the search and the greedy coloring
 expect a cover that passes `validate_cover`. The search refuses a color that is
 negative or listed at two vertices with DomainError. Every vertex id, restriction
 key and entry, and order entry must pass `errors.is_integer`: a bool or a float
-raises DomainError, and never stands for the number it equals.
+raises DomainError, and never stands for the number it equals. So does a
+`vertices`, `order` or restriction entry that cannot be iterated, and a
+`restrict` that is not a mapping; a coloring that is not a mapping, or has a
+key that is not an integer, raises MalformedInputError.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._arrays import _check_integers
 from .covers import Cover
 from .errors import (
     DomainError,
     MalformedInputError,
     SearchBudgetExceeded,
     check_int,
+    integer_list,
     is_integer,
 )
 from .graphs import Graph
@@ -48,7 +53,11 @@ def _vertex_ids(g: Graph, vertices, what: str = "vertex") -> list:
     """The ascending distinct ids of `vertices` (all if None), each checked."""
     if vertices is None:
         return list(range(g.n))
-    vertices = list(vertices)
+    try:
+        vertices = list(vertices)
+    except TypeError:
+        msg = f"vertices must be a collection of ids, got {vertices!r}"
+        raise DomainError(msg) from None
     for v in vertices:
         if not is_integer(v):
             raise DomainError(f"{what} {v!r} is not an integer")
@@ -70,6 +79,11 @@ def check_coloring(
     arrays, so it is meant for covers that pass `validate_cover`.
     """
     verts = _vertex_ids(g, vertices)
+    if not isinstance(coloring, Mapping):
+        kind = type(coloring).__name__
+        msg = f"a coloring must map vertices to color ids, got {kind}"
+        raise MalformedInputError(msg)
+    _check_integers(coloring.keys(), "the vertices of a coloring")
     owner, ptr = cover.owner, cover.vlist_ptr
     ids = []
     for v in verts:
@@ -120,8 +134,8 @@ def greedy_color(
     stuck vertex. Succeeds whenever every list beats the vertex degree,
     since each colored neighbor forbids at most one color.
     """
-    order = list(order)
-    if not all(map(is_integer, order)) or sorted(order) != list(range(g.n)):
+    order = integer_list(order)
+    if order is None or sorted(order) != list(range(g.n)):
         raise DomainError("order must be a permutation of all vertices")
     ptr, colors = cover.vlist_ptr.tolist(), cover.vlist_colors.tolist()
     nbr_ptr, nbr_idx = (arr.tolist() for arr in cover.arrays)
@@ -158,15 +172,19 @@ class SolveOutcome:
 def _prepared_domains(g: Graph, cover: Cover, restrict, vertices):
     """The checked, sorted vertex set and each vertex's sorted domain."""
     verts = _vertex_ids(g, vertices)
-    restrict = restrict or {}
+    restrict = {} if restrict is None else restrict
+    if not isinstance(restrict, Mapping):
+        kind = type(restrict).__name__
+        msg = f"a restriction must map vertices to color ids, got {kind}"
+        raise DomainError(msg)
     _vertex_ids(g, restrict, "restriction names vertex")
     ptr, colors = cover.vlist_ptr.tolist(), cover.vlist_colors.tolist()
     domains = []
     for v in verts:
         dom = set(colors[ptr[v] : ptr[v + 1]])
         if restrict.get(v) is not None:
-            allowed = restrict[v]
-            if not isinstance(allowed, Collection) or not all(map(is_integer, allowed)):
+            allowed = integer_list(restrict[v])
+            if allowed is None:
                 raise DomainError(f"restriction at vertex {v} must list integer ids")
             if not set(allowed) <= dom:
                 raise DomainError(

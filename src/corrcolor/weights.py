@@ -1,16 +1,17 @@
 """Color weightings, masses, entropy, and the niceness check.
 
 A weighting assigns every color a value in [0, p_hat]. Masses are computed
-for all vertices or all cover edges at once from one per-color array:
-`vertex_mass_all` sums it over each vertex's list; `edge_mass_all` sums
-its products over each edge's matched pairs, in cover edge order, and
-`live_edge_mass` does so only at the edges between surviving vertices. Given
-`moderate_values(w)` they yield the moderate masses. "Moderate" colors are
-those strictly between 0 and the cap; the final coloring stage only ever
-uses moderate colors, so the niceness check runs on moderate masses.
+for all vertices or all cover edges at once from one per-color array, each
+by `_kernels.segment_sum`: `vertex_mass_all` sums it over each vertex's
+list; `edge_mass_all` sums its products over each edge's matched pairs, in
+cover edge order, and `live_edge_mass` does so only at the edges between
+surviving vertices, with the same bits. Given `moderate_values(w)` they
+yield the moderate masses. "Moderate" colors are those strictly between 0
+and the cap; the final coloring stage only ever uses moderate colors, so the
+niceness check runs on moderate masses.
 
 `state_stats` computes p(v), the entropy Q(v), the degrees among survivors
-and p(uv) at the edges between survivors. Its one caller is
+and p(uv), the masses at survivors only and 0 elsewhere. Its one caller is
 `ReductState.stats`, which computes them on first read: a state's
 statistics come from its own weights and survivors, never from the step
 that made it.
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels as kernels
-from ._arrays import _ptr, _ranges
+from ._arrays import _segment_entries
 from .covers import Cover
 from .errors import DomainError
 from .graphs import Graph
@@ -171,24 +172,16 @@ def edge_mass_all(cover: Cover, values: np.ndarray) -> np.ndarray:
 def live_edge_mass(cover: Cover, values: np.ndarray, alive: np.ndarray) -> np.ndarray:
     """`edge_mass_all` at the edges whose two ends are in `alive`, 0 elsewhere.
 
-    Reads only the pairs of those edges. Each one sums the same products in
-    the same order, and the last edge keeps `segment_sum`'s 0.0 sentinel, so
-    every live value is bit for bit that of `edge_mass_all`.
+    Reads only the pairs of those edges, and each live value is bit for bit
+    that of `edge_mass_all`, as `segment_sum` guarantees.
     """
     live = alive[cover.edge_u] & alive[cover.edge_v]
     if live.all():
         return edge_mass_all(cover, values)
-    ptr = cover.edge_ptr
-    edges = np.flatnonzero(live & (ptr[:-1] < ptr[1:]))
-    out = np.zeros(live.size, dtype=np.float64)
-    if edges.size:
-        sizes = ptr[edges + 1] - ptr[edges]
-        pairs = _ranges(ptr[edges], sizes)
-        products = values[cover.pair_x[pairs]] * values[cover.pair_y[pairs]]
-        if edges[-1] == live.size - 1:
-            products = np.append(products, 0.0)
-        out[edges] = np.add.reduceat(products, _ptr(sizes)[:-1])
-    return out
+    edges = np.flatnonzero(live)
+    pairs = _segment_entries(cover.edge_ptr, edges)
+    products = values[cover.pair_x[pairs]] * values[cover.pair_y[pairs]]
+    return kernels.segment_sum(products, cover.edge_ptr, edges)
 
 
 def state_stats(
@@ -196,12 +189,16 @@ def state_stats(
 ) -> tuple[np.ndarray, ...]:
     """p(v), Q(v), degree among `alive` and p(uv), in that order.
 
-    p(uv) is summed at the edges whose two ends are in `alive` and is 0
-    elsewhere.
+    The masses are summed at the survivors only: p(v) and Q(v) over the
+    lists of the vertices in `alive`, p(uv) at the edges whose two ends are
+    in `alive`, each 0 elsewhere.
     """
+    vertices = np.flatnonzero(alive)
+    ptr = cover.vlist_ptr
+    p_live = p[cover.vlist_colors[_segment_entries(ptr, vertices)]]
     return (
-        vertex_mass_all(cover, p),
-        vertex_mass_all(cover, entropy_terms(p)),
+        kernels.segment_sum(p_live, ptr, vertices),
+        kernels.segment_sum(entropy_terms(p_live), ptr, vertices),
         kernels.mask_counts(*graph.csr, alive),
         live_edge_mass(cover, p, alive),
     )

@@ -229,6 +229,75 @@ class TestIntegerIds:
         assert build_graph(3, np.array([[0, 1]], dtype=np.int32)).m == 1
 
 
+FULL_COLORING = {0: 0, 1: 2, 2: 4, 3: 6}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: solve_exact(C4, C4_COVER, vertices=3),
+            DomainError,
+            "vertices must be a collection of ids, got 3",
+        ),
+        (
+            lambda: greedy_color(C4, C4_COVER, 3),
+            DomainError,
+            "order must be a permutation of all vertices",
+        ),
+        (
+            lambda: check_coloring(C4, C4_COVER, FULL_COLORING, vertices=2),
+            DomainError,
+            "vertices must be a collection of ids, got 2",
+        ),
+        (
+            lambda: cover_from_permutations(C4, 2, {(0, 1): 5}),
+            DomainError,
+            "not a permutation of 0..1 on edge (0,1): 5",
+        ),
+        (
+            lambda: solve_exact(C4, C4_COVER, restrict=[0]),
+            DomainError,
+            "a restriction must map vertices to color ids, got list",
+        ),
+        (
+            lambda: solve_exact(C4, C4_COVER, restrict=5),
+            DomainError,
+            "a restriction must map vertices to color ids, got int",
+        ),
+        (
+            lambda: cover_from_permutations(C4, 2, [(0, 1)]),
+            DomainError,
+            "perms must map edges to permutations, got list",
+        ),
+        (
+            lambda: check_coloring(C4, C4_COVER, {0: 0, True: 2, 2: 4, 3: 6}),
+            MalformedInputError,
+            "the vertices of a coloring must be integers, got True",
+        ),
+        (
+            lambda: check_coloring(C4, C4_COVER, [0, 2, 4, 6]),
+            MalformedInputError,
+            "a coloring must map vertices to color ids, got list",
+        ),
+    ],
+    ids=[
+        "solve-vertices-scalar",
+        "greedy-order-scalar",
+        "check-vertices-scalar",
+        "permutation-scalar",
+        "restrict-list",
+        "restrict-scalar",
+        "perms-list",
+        "coloring-bool-key",
+        "coloring-list",
+    ],
+)
+def test_wrong_container_is_a_library_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # In-range and out-of-range ints, numpy ints, bools, integral and other
 # floats, ints beyond int64, None and strings.
 IDS = st.one_of(

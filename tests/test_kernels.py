@@ -1,16 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrcolor import _kernels as kernels
 from corrcolor import (
     gen_complete_bipartite,
     gen_random_bipartite_regular,
+    nibble,
     random_cover,
     run_nibble,
 )
 from corrcolor.nibble import relaxed_params
 from corrcolor.rng import derive_rng
-from corrcolor.weights import edge_mass_all, live_edge_mass
+from corrcolor.weights import (
+    edge_mass_all,
+    entropy_terms,
+    live_edge_mass,
+    state_stats,
+    vertex_mass_all,
+)
 
 from .test_reduct import sparse_ids
 
@@ -59,6 +68,15 @@ def reduct_core_oracle(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
         np.array(s_count, dtype=np.int64),
         np.array(k_factor),
     )
+
+
+def segment_sum_reference(values, ptr):
+    """segment_sum by the whole-array formula it had before it took chosen
+    segments: one reduceat over every segment of a copy padded with a 0.0
+    sentinel, which joins the last segment, and empty segments masked to 0.
+    """
+    reduced = np.add.reduceat(np.append(values, 0.0), ptr[:-1])
+    return np.where(ptr[:-1] < ptr[1:], reduced, 0.0)
 
 
 def reduct_core_reference(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
@@ -137,6 +155,33 @@ class TestSegmentOps:
         idx = np.array([0, 1, 2, 0, 1], dtype=np.int64)
         mask = np.array([True, False, True])
         assert list(kernels.mask_counts(ptr, idx, mask)) == [1, 0, 2]
+
+
+# Segment sizes: empty, 8 (where the sentinel changes the rounding) and 1-20.
+SEGMENT_SIZES = st.lists(
+    st.one_of(st.just(0), st.just(8), st.integers(1, 20)), min_size=1, max_size=24
+)
+
+
+@given(
+    sizes=SEGMENT_SIZES,
+    picks=st.lists(st.booleans(), min_size=24, max_size=24),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_chosen_segments_sum_to_the_same_bits(sizes, picks, seed):
+    ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    values = derive_rng(seed, "segment-sum").uniform(0.0, 1.0, int(ptr[-1]))
+    full = kernels.segment_sum(values, ptr)
+    assert full.tobytes() == segment_sum_reference(values, ptr).tobytes()
+    # an ascending subset, the last segment in it or not
+    chosen = np.flatnonzero(picks[: len(sizes)])
+    entries = [j for s in chosen.tolist() for j in range(ptr[s], ptr[s + 1])]
+    got = kernels.segment_sum(values[entries], ptr, chosen)
+    want = np.zeros_like(full)
+    want[chosen] = full[chosen]
+    assert got.tobytes() == want.tobytes()
 
 
 class TestReductCoreAgreement:
@@ -297,3 +342,33 @@ class TestLiveEdgeMass:
         got = live_edge_mass(cover, values, alive)
         assert np.array_equal(got, np.where(live, full, 0.0))
         assert np.array_equal(live_edge_mass(cover, values, np.ones(g.n, bool)), full)
+
+
+class TestStateStats:
+    def test_vertex_masses_are_summed_at_survivors_only(self, monkeypatch):
+        made = []
+        step = nibble.reduct_step
+
+        def stepped(*args):
+            made.append(step(*args))
+            return made[-1]
+
+        monkeypatch.setattr(nibble, "reduct_step", stepped)
+        g = gen_random_bipartite_regular(100, 12, seed=1)
+        cover = random_cover(g, 30, seed=1)
+        run_nibble(g, cover, relaxed_params(), seed=1)
+        # a mid-run state: some vertices removed, some alive
+        state = next(s for s, _ in made if 0 < s.n_alive < g.n / 2)
+        alive, p = state.alive, state.weighting.p
+        p_v, q_v, _, _ = state.stats
+        want_p = np.where(alive, vertex_mass_all(cover, p), 0.0)
+        want_q = np.where(alive, vertex_mass_all(cover, entropy_terms(p)), 0.0)
+        assert p_v.tobytes() == want_p.tobytes()
+        assert q_v.tobytes() == want_q.tobytes()
+        # the step zeroed the removed vertices' colors, so nothing changed there
+        assert not vertex_mass_all(cover, p)[~alive].any()
+        # A hand-built state whose removed vertices keep weight reads 0 there.
+        weight = np.full(cover.n_colors, 0.01)
+        p_v, q_v, _, _ = state_stats(g, cover, weight, alive)
+        assert (vertex_mass_all(cover, weight)[~alive] > 0.0).all()
+        assert not p_v[~alive].any() and not q_v[~alive].any()
