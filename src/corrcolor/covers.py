@@ -39,7 +39,13 @@ from ._arrays import (
     _segment_ids,
     _sizes_of,
 )
-from .errors import DomainError, MalformedInputError, check_int, integer_list
+from .errors import (
+    DomainError,
+    MalformedInputError,
+    check_int,
+    check_list_size,
+    integer_list,
+)
 from .graphs import Graph, gen_cycle
 from .rng import derive_rng
 
@@ -485,31 +491,23 @@ def validate_cover(g: Graph, cover: Cover) -> list[str]:
     return problems
 
 
-def _fresh_cover(
-    g: Graph, k: int, sigma: np.ndarray, keep: np.ndarray | None = None
-) -> Cover:
+def _fresh_cover(g: Graph, k: int, sigma: np.ndarray, keep: np.ndarray) -> Cover:
     """Fresh k-lists (vertex v owns v*k .. v*k+k-1) with permutation matchings.
 
     On the e-th edge (u, v), color i of u is matched with color sigma[e, i]
-    of v, for each i with keep[e, i] (all i when keep is None).
+    of v, for each i with keep[e, i].
     """
     edge_u, edge_v = g.edges.T.copy()
     pair_x = edge_u[:, None] * k + np.arange(k, dtype=np.int64)
     pair_y = edge_v[:, None] * k + sigma
-    if keep is None:
-        edge_ptr = np.arange(g.m + 1, dtype=np.int64) * k
-        pair_x, pair_y = pair_x.ravel(), pair_y.ravel()
-    else:
-        edge_ptr = _ptr(keep.sum(axis=1))
-        pair_x, pair_y = pair_x[keep], pair_y[keep]
     return _frozen_cover(
         np.arange(g.n + 1, dtype=np.int64) * k,
         np.arange(g.n * k, dtype=np.int64),
         edge_u,
         edge_v,
-        edge_ptr,
-        pair_x,
-        pair_y,
+        _ptr(keep.sum(axis=1)),
+        pair_x[keep],
+        pair_y[keep],
     )
 
 
@@ -580,47 +578,50 @@ def random_cover(
     of the drawn matching independently with probability q, yielding partial
     matchings (the general cover definition requires only matchings).
     """
-    check_int("k", k)
-    if k < 1:
-        raise DomainError(f"list size must be >= 1, got {k}")
+    check_list_size(k)
     if mode not in ("perfect", "bernoulli"):
         raise DomainError(f"unknown cover mode {mode!r}")
     # Checked in every mode, since callers record q beside the cover.
-    if not 0.0 <= q <= 1.0:
+    if not (isinstance(q, Real) and 0.0 <= q <= 1.0):
         raise DomainError(f"keep-probability q must be in [0,1], got {q}")
     rng = derive_rng(seed, "random-cover", mode)
-    # One permutation per edge, then (bernoulli) one keep draw, edge by edge:
-    # this order is the random stream that fixes every generated cover.
-    sigma = np.empty((g.m, k), dtype=np.int64)
-    keep = np.empty((g.m, k), dtype=bool) if mode == "bernoulli" else None
-    for e in range(g.m):
-        sigma[e] = rng.permutation(k)
-        if keep is not None:
-            keep[e] = rng.random(k) < q
+    # The stream that fixes every cover: one permutation per edge in edge
+    # order (`permuted` shuffles row after row, drawing what one
+    # `permutation(k)` per row would), then in bernoulli mode the keep table.
+    sigma = rng.permuted(np.tile(np.arange(k, dtype=np.int64), (g.m, 1)), axis=1)
+    keep = np.ones((g.m, k), dtype=bool)
+    if mode == "bernoulli":
+        keep = rng.random((g.m, k)) < q
     return _fresh_cover(g, k, sigma, keep)
 
 
 def cover_from_permutations(g: Graph, k: int, perms) -> Cover:
     """Cover with fresh k-lists whose edge matchings are given permutations.
 
-    `perms` maps each canonical edge (u, v) to a length-k sequence sigma,
-    matching color i of u with color sigma[i] of v. Missing edges get the
-    identity permutation.
+    `perms` maps edges (u, v) of g, u < v, to length-k sequences sigma,
+    matching color i of u with color sigma[i] of v; every edge it does not
+    name gets the identity. A key that is not such an edge (a pair turned
+    round, a pair that is no edge, anything but a tuple of two integers)
+    raises DomainError rather than being ignored.
     """
-    check_int("k", k)
+    check_list_size(k)
     if not isinstance(perms, Mapping):
         msg = f"perms must map edges to permutations, got {type(perms).__name__}"
         raise DomainError(msg)
+    edge_index = {edge: e for e, edge in enumerate(map(tuple, g.edges.tolist()))}
     sigma = np.tile(np.arange(k, dtype=np.int64), (g.m, 1))
-    for e, edge in enumerate(map(tuple, g.edges.tolist())):
-        if edge in perms:
-            s = integer_list(perms[edge])
-            if s is None or sorted(s) != list(range(k)):
-                u, v = edge
-                msg = f"not a permutation of 0..{k-1} on edge ({u},{v}): {perms[edge]}"
-                raise DomainError(msg)
-            sigma[e] = s
-    return _fresh_cover(g, k, sigma)
+    for key, perm in perms.items():
+        pair = integer_list(key) if isinstance(key, tuple) else None
+        e = None if pair is None else edge_index.get(tuple(pair))
+        if e is None:
+            msg = f"perms key {key!r} is not an edge (u, v), u < v, of the graph"
+            raise DomainError(msg)
+        s = integer_list(perm)
+        if s is None or sorted(s) != list(range(k)):
+            msg = f"not a permutation of 0..{k-1} on edge ({pair[0]},{pair[1]}): {perm}"
+            raise DomainError(msg)
+        sigma[e] = s
+    return _fresh_cover(g, k, sigma, np.ones((g.m, k), dtype=bool))
 
 
 def shifted_cycle_cover(m: int, k: int = 2) -> Cover:
@@ -638,8 +639,4 @@ def shifted_cycle_cover(m: int, k: int = 2) -> Cover:
         raise DomainError(f"cycle length must be >= 4, got {m}")
     if k != 2:
         raise DomainError("the shifted construction is defined for k=2")
-    g = gen_cycle(m)
-    swap_edge = (0, m - 1)
-    perms = {e: (0, 1) for e in map(tuple, g.edges.tolist())}
-    perms[swap_edge] = (1, 0)
-    return cover_from_permutations(g, k, perms)
+    return cover_from_permutations(gen_cycle(m), k, {(0, m - 1): (1, 0)})

@@ -71,3 +71,17 @@ def check_int(name: str, value) -> None:
     """Raise DomainError naming the parameter unless `value` is an integer."""
     if not is_integer(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+# One past the largest int64. Graph and cover arrays are int64, so no count,
+# degree or list size of one reaches it.
+INT64_END = 1 << 63
+
+
+def check_list_size(k) -> None:
+    """Raise DomainError unless the list size `k` is an integer in [1, 2**63)."""
+    check_int("k", k)
+    if k < 1:
+        raise DomainError(f"list size must be >= 1, got {k}")
+    if k >= INT64_END:
+        raise DomainError(f"list size must be below 2**63, got {k}")

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from ._arrays import _freeze, _int_array, _pair_array, _ptr, _ranges
-from .errors import DomainError, MalformedInputError, check_int
+from .errors import DomainError, MalformedInputError, check_int, is_integer
 from .rng import derive_rng
 
 PAIRING_ATTEMPT_CAP = 10_000
@@ -64,6 +64,8 @@ class Graph:
         return _freeze(ptr), _freeze(dst[np.lexsort((dst, src))])
 
     def degree(self, v: int) -> int:
+        if not is_integer(v):
+            raise DomainError(f"vertex {v!r} is not an integer")
         if not 0 <= v < self.n:
             raise DomainError(f"vertex {v} out of range for n={self.n}")
         ptr = self.csr[0]

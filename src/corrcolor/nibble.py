@@ -23,11 +23,14 @@ from . import _kernels as kernels
 from ._arrays import _ptr, _ranges
 from .covers import Cover, validate_cover
 from .errors import (
+    INT64_END,
     DomainError,
     HypothesisViolationError,
     InternalConsistencyError,
     IstarInfeasibleError,
     check_int,
+    check_list_size,
+    is_integer,
 )
 from .graphs import Graph, is_triangle_free, max_degree
 from .rng import check_seed, derive_int_seed, derive_rng
@@ -56,6 +59,18 @@ DEV_DEGREE_EXP = 2.0 / 3.0
 EDGE_MASS_CAP_FACTOR = math.sqrt(2.0)
 NICENESS_TARGET_FACTOR = (3.0 / 5.0) ** 2 * 0.25 / math.sqrt(2.0)
 ISTAR_CAP = 10**6
+
+
+def _check_degree_bound(max_deg, least: int = 2) -> None:
+    """Raise DomainError unless `max_deg` is an integer in [least, 2**63).
+
+    The one check of every formula below: each divides by ln(max_deg) or
+    takes a power of it, and a degree is an int64 count.
+    """
+    check_int("max_deg", max_deg)
+    if not least <= max_deg < INT64_END:
+        msg = f"degree bound must be from {least} to 2**63 - 1, got {max_deg}"
+        raise DomainError(msg)
 
 
 @dataclass(frozen=True)
@@ -87,6 +102,7 @@ class NibbleParams:
                 raise DomainError(f"{name} must be at least 1")
 
     def k_for(self, max_deg: int) -> int:
+        _check_degree_bound(max_deg)
         k = self.ck * max_deg / math.log(max_deg)
         if k == math.inf:
             raise DomainError(
@@ -95,27 +111,36 @@ class NibbleParams:
         return math.ceil(k)
 
     def p_hat_for(self, max_deg: int) -> float:
+        _check_degree_bound(max_deg)
         return max_deg ** (-PHAT_EXP)
 
     def dev_vertex(self, max_deg: int) -> float:
+        _check_degree_bound(max_deg)
         return self.tol_scale * max_deg ** (-DEV_VERTEX_EXP)
 
     def dev_edge(self, max_deg: int, k: int) -> float:
+        _check_degree_bound(max_deg)
+        check_list_size(k)
         return self.tol_scale * max_deg ** (-DEV_EDGE_EXP) / k
 
     def dev_entropy(self, max_deg: int) -> float:
+        _check_degree_bound(max_deg)
         return self.tol_scale * math.log(max_deg) * max_deg ** (-DEV_ENTROPY_EXP)
 
     def dev_degree(self, max_deg: int) -> float:
+        _check_degree_bound(max_deg)
         return self.tol_scale * max_deg ** DEV_DEGREE_EXP
 
     def shrink(self, max_deg: int) -> float:
+        _check_degree_bound(max_deg)
         return self.shrink_factor / math.log(max_deg)
 
     def edge_mass_cap(self, k: int) -> float:
+        check_list_size(k)
         return EDGE_MASS_CAP_FACTOR / k
 
     def niceness_target(self, k: int) -> float:
+        check_list_size(k)
         return NICENESS_TARGET_FACTOR * k
 
 
@@ -226,6 +251,8 @@ def expected_pprime(state: ReductState, x: int, alpha: float | None = None) -> f
     alpha = _resolve_alpha(state, alpha)
     w = state.weighting
     p, p_hat = w.p, w.p_hat
+    if not is_integer(x):
+        raise DomainError(f"color id {x!r} is not an integer")
     if not (0 <= x < state.cover.n_colors):
         raise DomainError(f"color id {x} out of range")
     if p[x] == p_hat:
@@ -349,8 +376,7 @@ def compute_istar(max_deg: int, params: NibbleParams) -> int:
     growing while still above the target; small degree bounds where the
     additive term outgrows the target raise IstarInfeasibleError.
     """
-    if max_deg < 3:
-        raise DomainError(f"degree bound must be at least 3, got {max_deg}")
+    _check_degree_bound(max_deg, least=3)
     k = params.k_for(max_deg)
     target = params.niceness_target(k)
     shrink = params.shrink(max_deg)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -20,7 +21,9 @@ from corrcolor import (
     cover_from_json_dict,
     cover_from_permutations,
     cover_to_json_dict,
+    gen_complete_bipartite,
     gen_cycle,
+    gen_random_bipartite_regular,
     lift_from_lists,
     make_cover,
     random_cover,
@@ -183,6 +186,71 @@ class TestRandomCover:
         assert len(counts) == 16
         stat = chisquare(list(counts.values()))
         assert stat.pvalue > 1e-4
+
+
+def loop_cover_arrays(g, k, seed, mode="perfect", q=0.5):
+    """The arrays of `random_cover(g, k, seed, mode, q)`, drawn the old way:
+    one `permutation(k)` call per edge, in edge order, and in bernoulli mode
+    then one `random(k)` keep row per edge, in edge order."""
+    rng = derive_rng(seed, "random-cover", mode)
+    edges = g.edges.tolist()
+    sigmas = [rng.permutation(k).tolist() for _ in edges]
+    if mode == "bernoulli":
+        keeps = [(rng.random(k) < q).tolist() for _ in edges]
+    else:
+        keeps = [[True] * k for _ in edges]
+    pairs = [
+        [(u * k + i, v * k + s) for i, (s, kept) in enumerate(zip(sigma, keep)) if kept]
+        for (u, v), sigma, keep in zip(edges, sigmas, keeps)
+    ]
+    flat = [pair for edge_pairs in pairs for pair in edge_pairs]
+    return {
+        "vlist_ptr": [v * k for v in range(g.n + 1)],
+        "vlist_colors": list(range(g.n * k)),
+        "edge_u": [u for u, _ in edges],
+        "edge_v": [v for _, v in edges],
+        "edge_ptr": list(itertools.accumulate(map(len, pairs), initial=0)),
+        "pair_x": [x for x, _ in flat],
+        "pair_y": [y for _, y in flat],
+    }
+
+
+LOOP_CASES = [
+    (lambda: gen_cycle(4), 2),
+    (lambda: gen_complete_bipartite(3, 3), 2),
+    (lambda: gen_random_bipartite_regular(36, 12, seed=3), 4),
+    (lambda: build_graph(5, []), 3),
+    (lambda: gen_cycle(5), 1),
+    (lambda: gen_complete_bipartite(2, 3), 300),
+]
+LOOP_IDS = ["C4-k2", "K33-k2", "36-per-side-d12-k4", "edgeless", "k1", "k300"]
+
+
+def assert_arrays(cover, want):
+    for name, values in want.items():
+        got = getattr(cover, name)
+        assert got.dtype == np.int64 and got.tolist() == values, name
+
+
+@pytest.mark.parametrize("make, k", LOOP_CASES, ids=LOOP_IDS)
+def test_perfect_cover_equals_the_per_edge_loop(make, k):
+    g = make()
+    for seed in (0, 1, 7):
+        assert_arrays(random_cover(g, k, seed=seed), loop_cover_arrays(g, k, seed))
+
+
+@pytest.mark.parametrize("make, k", LOOP_CASES, ids=LOOP_IDS)
+def test_bernoulli_cover_keeps_after_every_permutation(make, k):
+    # The permutations are drawn first, then the whole keep table.
+    g = make()
+    for seed, q in ((0, 0.8), (5, 0.4)):
+        cover = random_cover(g, k, seed=seed, mode="bernoulli", q=q)
+        assert_arrays(cover, loop_cover_arrays(g, k, seed, "bernoulli", q))
+
+
+def test_cover_with_no_list_entries_has_no_colors():
+    assert make_cover([[], []], {}).n_colors == 0
+    assert make_cover([], {}).n_colors == 0
 
 
 class TestShiftedCycle:

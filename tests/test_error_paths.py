@@ -1,6 +1,7 @@
 """Error paths: integer parameters and ids, the istar overflow, malformed
 coloring ids, and the argument checks of the library's public functions."""
 
+import math
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from corrcolor import (
     IstarInfeasibleError,
     MalformedInputError,
     ReductRecord,
+    alon_bound,
     build_graph,
     canonical_cover_json,
     check_coloring,
@@ -28,12 +30,15 @@ from corrcolor import (
     expected_pprime,
     extend_coloring,
     final_color,
+    first_moment_bound,
     gen_complete_bipartite,
     gen_cycle,
     gen_random_bipartite_regular,
     gen_random_regular,
     greedy_color,
     lift_from_lists,
+    make_cover,
+    paper_params,
     random_cover,
     reduct_step,
     relaxed_params,
@@ -334,6 +339,140 @@ def test_any_id_ends_in_a_result_or_a_library_error(ids):
             pass
 
 
+@pytest.mark.parametrize(
+    "key",
+    [(1, 0), (0, 2), 0, (0, 1, 2), (True, 2), (1.0, 2), "0,1"],
+    ids=["reversed", "non-edge", "scalar", "triple", "bool", "float", "string"],
+)
+def test_permutation_key_that_is_not_an_edge_is_refused(key):
+    message = f"perms key {key!r} is not an edge (u, v), u < v, of the graph"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        cover_from_permutations(C4, 2, {key: (1, 0)})
+
+
+RELAXED = relaxed_params()
+DEGREE_BOUND_1 = "degree bound must be from 2 to 2**63 - 1, got 1"
+DEGREE_BOUND_0 = "degree bound must be from 2 to 2**63 - 1, got 0"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RELAXED.k_for(1), DEGREE_BOUND_1),
+        (lambda: RELAXED.shrink(1), DEGREE_BOUND_1),
+        (lambda: RELAXED.k_for(True), "max_deg must be an integer, got True"),
+        (lambda: RELAXED.p_hat_for(0), DEGREE_BOUND_0),
+        (lambda: RELAXED.dev_edge(30, 0), "list size must be >= 1, got 0"),
+        (lambda: RELAXED.k_for(0), DEGREE_BOUND_0),
+        (lambda: RELAXED.dev_entropy(0), DEGREE_BOUND_0),
+        (
+            lambda: compute_istar(10**400, RELAXED),
+            f"degree bound must be from 3 to 2**63 - 1, got {10**400}",
+        ),
+        (
+            lambda: compute_istar(3.5, paper_params()),
+            "max_deg must be an integer, got 3.5",
+        ),
+        (lambda: first_moment_bound(2.5, 3, 2), "n must be an integer, got 2.5"),
+        (lambda: first_moment_bound(3, 3, True), "k must be an integer, got True"),
+        (lambda: expected_colorings(3, 2.5, 2), "m must be an integer, got 2.5"),
+        (
+            lambda: alon_bound(math.nan),
+            "average degree must be finite and at least 2e ~ 5.43656, got nan",
+        ),
+        (
+            lambda: alon_bound(math.inf),
+            "average degree must be finite and at least 2e ~ 5.43656, got inf",
+        ),
+        (lambda: cover_from_permutations(C4, 0, {}), "list size must be >= 1, got 0"),
+        (
+            lambda: expected_pprime(c6_state(max_deg=2, k=3), 1.0),
+            "color id 1.0 is not an integer",
+        ),
+        (
+            lambda: expected_pprime(c6_state(max_deg=2, k=3), True),
+            "color id True is not an integer",
+        ),
+        (lambda: C4.degree(1.0), "vertex 1.0 is not an integer"),
+        (lambda: C4.degree(True), "vertex True is not an integer"),
+    ],
+    ids=[
+        "k_for-1",
+        "shrink-1",
+        "k_for-bool",
+        "p_hat_for-0",
+        "dev_edge-k0",
+        "k_for-0",
+        "dev_entropy-0",
+        "istar-beyond-float",
+        "istar-float",
+        "first-moment-float-n",
+        "first-moment-bool-k",
+        "expected-colorings-float-m",
+        "alon-nan",
+        "alon-inf",
+        "permutations-k0",
+        "pprime-float-id",
+        "pprime-bool-id",
+        "degree-float-id",
+        "degree-bool-id",
+    ],
+)
+def test_degree_bounds_sizes_and_ids_are_checked(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# Ints, numpy ints, bools, floats with NaN and +-inf, ints beyond int64 and
+# None, for each size, degree bound, id and probability below.
+NUMBERS = st.one_of(
+    st.integers(-2, 12),
+    st.integers(-2, 12).map(np.int64),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([2**63, 2**64, -(2**63) - 1, 10**400]),
+    st.none(),
+)
+
+
+def has_nan(value) -> bool:
+    values = value if isinstance(value, tuple) else (value,)
+    return any(isinstance(v, float) and math.isnan(v) for v in values)
+
+
+@given(NUMBERS, NUMBERS, NUMBERS)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_any_number_ends_in_a_value_or_a_library_error(a, b, c):
+    state = c6_state(max_deg=2, k=3)
+    calls = [
+        lambda: RELAXED.k_for(a),
+        lambda: RELAXED.p_hat_for(a),
+        lambda: RELAXED.dev_vertex(a),
+        lambda: RELAXED.dev_edge(a, b),
+        lambda: RELAXED.dev_entropy(a),
+        lambda: RELAXED.dev_degree(a),
+        lambda: RELAXED.shrink(a),
+        lambda: RELAXED.edge_mass_cap(a),
+        lambda: RELAXED.niceness_target(a),
+        lambda: compute_istar(a, paper_params()),
+        lambda: first_moment_bound(a, b, c),
+        lambda: expected_colorings(a, b, c),
+        lambda: alon_bound(a),
+        lambda: expected_pprime(state, a),
+        lambda: C4.degree(a),
+        lambda: random_cover(C4, a, seed=1),
+        lambda: random_cover(C4, 2, seed=1, q=a),
+        lambda: random_cover(C4, 2, seed=1, mode="bernoulli", q=a),
+        lambda: cover_from_permutations(C4, a, {}),
+    ]
+    for call in calls:
+        try:
+            value = call()
+        except CorrColorError:
+            continue
+        assert not has_nan(value)
+
+
 class TestCheckColoringIds:
     def test_names_only_the_first_non_integer_id(self):
         g = gen_cycle(6)
@@ -436,6 +575,11 @@ class TestUnreachedErrorPaths:
     def test_lift_wrong_number_of_lists(self):
         with pytest.raises(DomainError, match="^expected 4 label lists, got 3$"):
             lift_from_lists(gen_cycle(4), [[1], [2], [3]])
+
+    def test_make_cover_matching_key_not_a_pair(self):
+        for key in (5, (0, 1, 2)):
+            with pytest.raises(MalformedInputError, match="must be vertex pairs"):
+                make_cover([[0], [1]], {key: []})
 
     def test_shifted_cycle_bounds(self):
         with pytest.raises(DomainError, match=">= 4, got 2"):
