@@ -40,13 +40,14 @@ from ._arrays import (
     _sizes_of,
 )
 from .errors import (
+    ARRAY_MAX,
     DomainError,
     MalformedInputError,
     check_int,
-    check_list_size,
+    check_real,
     integer_list,
 )
-from .graphs import Graph, gen_cycle
+from .graphs import MAX_VERTICES, Graph, gen_cycle
 from .rng import derive_rng
 
 # The bound on n_colors: max(MAX_SPARSE_COLORS, SPARSE_COLOR_FACTOR * entries).
@@ -253,7 +254,6 @@ def _cover_from_raw(lists, key_u: list, key_v: list, groups: list) -> Cover:
     Anything that is not integer data of the right shape raises
     MalformedInputError; `_cover_from_arrays` does the rest.
     """
-    lists = list(lists)
     list_sizes = _sizes(lists, "color list")
     colors = _int_array(list(chain.from_iterable(lists)), "color ids")
     edge_u = _int_array(key_u, "matching keys")
@@ -326,6 +326,15 @@ def make_cover(lists, matchings) -> Cover:
     v; a key (v, u) with v > u is turned round, and of several keys naming
     the same vertex pair the last one wins.
     """
+    try:
+        lists = list(lists)
+    except TypeError:
+        msg = f"lists must be a collection of color lists, got {type(lists).__name__}"
+        raise MalformedInputError(msg) from None
+    if not isinstance(matchings, Mapping):
+        name = type(matchings).__name__
+        msg = f"matchings must map vertex pairs to matched pairs, got {name}"
+        raise MalformedInputError(msg)
     keys = list(matchings)
     try:
         key_u = [u for u, _ in keys]
@@ -519,8 +528,14 @@ def lift_from_lists(g: Graph, label_lists) -> Cover:
     Each list must be a collection of strings or of numbers, not a string;
     a bool is not a number here, since True would equal the label 1.
     """
-    if len(label_lists) != g.n:
-        raise DomainError(f"expected {g.n} label lists, got {len(label_lists)}")
+    try:
+        n_lists = len(label_lists)
+    except TypeError:
+        name = type(label_lists).__name__
+        msg = f"label_lists must be a collection of label lists, got {name}"
+        raise MalformedInputError(msg) from None
+    if n_lists != g.n:
+        raise DomainError(f"expected {g.n} label lists, got {n_lists}")
     per_vertex = []
     for v, lst in enumerate(label_lists):
         try:
@@ -578,12 +593,12 @@ def random_cover(
     of the drawn matching independently with probability q, yielding partial
     matchings (the general cover definition requires only matchings).
     """
-    check_list_size(k)
+    # The color list and permutation tables hold n * k and m * k entries.
+    check_int("k", k, 1, ARRAY_MAX // max(g.n, g.m, 1))
     if mode not in ("perfect", "bernoulli"):
         raise DomainError(f"unknown cover mode {mode!r}")
     # Checked in every mode, since callers record q beside the cover.
-    if not (isinstance(q, Real) and 0.0 <= q <= 1.0):
-        raise DomainError(f"keep-probability q must be in [0,1], got {q}")
+    check_real("q", q, 0, 1)
     rng = derive_rng(seed, "random-cover", mode)
     # The stream that fixes every cover: one permutation per edge in edge
     # order (`permuted` shuffles row after row, drawing what one
@@ -604,7 +619,7 @@ def cover_from_permutations(g: Graph, k: int, perms) -> Cover:
     round, a pair that is no edge, anything but a tuple of two integers)
     raises DomainError rather than being ignored.
     """
-    check_list_size(k)
+    check_int("k", k, 1, ARRAY_MAX // max(g.n, g.m, 1))
     if not isinstance(perms, Mapping):
         msg = f"perms must map edges to permutations, got {type(perms).__name__}"
         raise DomainError(msg)
@@ -631,12 +646,10 @@ def shifted_cycle_cover(m: int, k: int = 2) -> Cover:
     admits no coloring; it witnesses that list size 2 is not enough for
     even cycles in the cover setting.
     """
-    check_int("m", m)
-    check_int("k", k)
+    check_int("m", m, 4, MAX_VERTICES)
+    check_int("k", k, 1)
     if m % 2 != 0:
         raise DomainError(f"cycle length must be even, got {m}")
-    if m < 4:
-        raise DomainError(f"cycle length must be >= 4, got {m}")
     if k != 2:
         raise DomainError("the shifted construction is defined for k=2")
     return cover_from_permutations(gen_cycle(m), k, {(0, m - 1): (1, 0)})

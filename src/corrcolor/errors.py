@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package, and the integer checks."""
+"""Exception hierarchy shared across the package, and the parameter checks."""
+
+import math
 
 import numpy as np
 
@@ -67,21 +69,53 @@ def integer_list(values) -> list | None:
     return values if all(map(is_integer, values)) else None
 
 
-def check_int(name: str, value) -> None:
-    """Raise DomainError naming the parameter unless `value` is an integer."""
-    if not is_integer(value):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+# The largest int64. Graph and cover arrays are int64, so no count, degree or
+# list size of one exceeds it.
+INT64_MAX = (1 << 63) - 1
+# The longest int64 array numpy can make: its byte count must fit in an int64.
+ARRAY_MAX = INT64_MAX // 8
 
 
-# One past the largest int64. Graph and cover arrays are int64, so no count,
-# degree or list size of one reaches it.
-INT64_END = 1 << 63
+def _bound(x) -> str:
+    """A bound as messages show it, 2**k - 1 by its power of two."""
+    if isinstance(x, int) and x > 1 << 20 and not x & (x + 1):
+        return f"2**{x.bit_length()} - 1"
+    return str(x)
 
 
-def check_list_size(k) -> None:
-    """Raise DomainError unless the list size `k` is an integer in [1, 2**63)."""
-    check_int("k", k)
-    if k < 1:
-        raise DomainError(f"list size must be >= 1, got {k}")
-    if k >= INT64_END:
-        raise DomainError(f"list size must be below 2**63, got {k}")
+def _span(lo, hi, lo_open: bool = False) -> str:
+    """The range in words: from lo to hi, of at least lo, or above lo."""
+    if lo is None:
+        return ""
+    if hi is not None:
+        return f" from {_bound(lo)} to {_bound(hi)}"
+    return f" {'above' if lo_open else 'of at least'} {_bound(lo)}"
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise DomainError naming the parameter unless `value` passes
+    `is_integer` and lies from lo to hi; hi=None is no upper bound."""
+    if not (is_integer(value) and lo <= value and (hi is None or value <= hi)):
+        raise DomainError(f"{name} must be an integer{_span(lo, hi)}, got {value!r}")
+
+
+def check_real(name: str, value, lo=None, hi=None, lo_open: bool = False) -> None:
+    """Raise DomainError naming the parameter unless `value` is a finite
+    number from lo to hi; None is no bound, and lo_open ("above lo", with no
+    hi) leaves lo out.
+
+    An int, a float or a numpy integer or float qualifies, unless it is
+    beyond the float range; a bool, which would stand for 0 or 1, does not.
+    """
+    try:
+        real = is_integer(value) or isinstance(value, (float, np.floating))
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.nan
+    if not (
+        math.isfinite(x)
+        and (lo is None or (lo < x if lo_open else lo <= x))
+        and (hi is None or x <= hi)
+    ):
+        msg = f"{name} must be a finite number{_span(lo, hi, lo_open)}, got {value!r}"
+        raise DomainError(msg)

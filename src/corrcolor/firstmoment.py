@@ -11,13 +11,11 @@ number; a non-colorable cover is kept as a replayable certificate.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 from typing import NamedTuple
 
 from .covers import Cover, random_cover
-from .errors import INT64_END, DomainError, SearchBudgetExceeded, check_int
+from .errors import INT64_MAX, SearchBudgetExceeded, check_int, check_real
 from .graphs import Graph, average_degree
 from .rng import derive_int_seed
 from .solver import DEFAULT_NODE_BUDGET, count_colorings
@@ -27,11 +25,7 @@ MIN_AVERAGE_DEGREE = 2.0 * math.e
 
 def alon_bound(d: float) -> float:
     """(d/2) / ln(d/2), defined for finite average degree d >= 2e."""
-    if not (isinstance(d, Real) and MIN_AVERAGE_DEGREE <= d <= sys.float_info.max):
-        raise DomainError(
-            f"average degree must be finite and at least 2e ~"
-            f" {MIN_AVERAGE_DEGREE:.5f}, got {d!r}"
-        )
+    check_real("d", d, MIN_AVERAGE_DEGREE)
     return (d / 2.0) / math.log(d / 2.0)
 
 
@@ -48,23 +42,15 @@ def _exp(x: float) -> float | None:
         return None
 
 
-def _check_sizes(n: int, m: int, k: int) -> None:
-    """Raise DomainError unless n >= 1, m >= 0 and k >= 1 are integers below 2**63."""
-    for name, value in (("n", n), ("m", m), ("k", k)):
-        check_int(name, value)
-    if not (1 <= n < INT64_END and 0 <= m < INT64_END and 1 <= k < INT64_END):
-        raise DomainError(
-            f"need n >= 1, m >= 0, k >= 1, each below 2**63; got n={n}, m={m}, k={k}"
-        )
-
-
 def first_moment_bound(n: int, m: int, k: int) -> FirstMoment:
     """k^n e^{-m/k} as exp(n ln k - m/k), plus the k ln k < m/n test.
 
     The predicate is equivalent to the bound being below one. The bound is
     None when it exceeds the float range.
     """
-    _check_sizes(n, m, k)
+    check_int("n", n, 1, INT64_MAX)
+    check_int("m", m, 0, INT64_MAX)
+    check_int("k", k, 1, INT64_MAX)
     return FirstMoment(_exp(n * math.log(k) - m / k), k * math.log(k) < m / n)
 
 
@@ -74,7 +60,9 @@ def expected_colorings(n: int, m: int, k: int) -> float | None:
     Once k^n alone exceeds the float range, the product is taken in log
     space, exp(n ln k + m ln(1 - 1/k)); None when it too exceeds the range.
     """
-    _check_sizes(n, m, k)
+    check_int("n", n, 1, INT64_MAX)
+    check_int("m", m, 0, INT64_MAX)
+    check_int("k", k, 1, INT64_MAX)
     try:
         return float(k) ** n * (1.0 - 1.0 / k) ** m
     except OverflowError:
@@ -128,9 +116,7 @@ def run_lb_experiment(
     under any execution order. Budget blow-ups are recorded per trial, not
     fatal.
     """
-    check_int("trials", trials)
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
+    check_int("trials", trials, 1)
     d = average_degree(g)
     counts: list[int | None] = []
     witness: Cover | None = None

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from ._arrays import _freeze, _int_array, _pair_array, _ptr, _ranges
-from .errors import DomainError, MalformedInputError, check_int, is_integer
+from .errors import ARRAY_MAX, DomainError, MalformedInputError, check_int
 from .rng import derive_rng
 
 PAIRING_ATTEMPT_CAP = 10_000
@@ -64,10 +64,7 @@ class Graph:
         return _freeze(ptr), _freeze(dst[np.lexsort((dst, src))])
 
     def degree(self, v: int) -> int:
-        if not is_integer(v):
-            raise DomainError(f"vertex {v!r} is not an integer")
-        if not 0 <= v < self.n:
-            raise DomainError(f"vertex {v} out of range for n={self.n}")
+        check_int("v", v, 0, self.n - 1)
         ptr = self.csr[0]
         return int(ptr[v + 1] - ptr[v])
 
@@ -82,14 +79,6 @@ def _canonical(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
     keys = keys[np.diff(keys, prepend=-1) != 0]
     return Graph(n=n, edges=_freeze(np.column_stack(np.divmod(keys, n))))
-
-
-def _check_vertex_count(n) -> None:
-    check_int("n", n)
-    if n < 0:
-        raise DomainError(f"vertex count must be nonnegative, got {n}")
-    if n > MAX_VERTICES:
-        raise DomainError(f"vertex count {n} exceeds {MAX_VERTICES}")
 
 
 def _graph_of_pairs(n: int, pairs: np.ndarray) -> Graph:
@@ -118,7 +107,7 @@ def build_graph(n: int, edges) -> Graph:
     deciding the message; duplicate and reversed edges are merged silently.
     At most MAX_VERTICES vertices.
     """
-    _check_vertex_count(n)
+    check_int("n", n, 0, MAX_VERTICES)
     try:
         pairs = np.array(edges, dtype=np.int64)
     except OverflowError:
@@ -181,18 +170,16 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def gen_cycle(n: int) -> Graph:
-    check_int("n", n)
-    if n < 3:
-        raise DomainError(f"cycle needs n >= 3, got {n}")
+    check_int("n", n, 3, MAX_VERTICES)
     i = np.arange(n, dtype=np.int64)
     return _canonical(n, i, (i + 1) % n)
 
 
 def gen_complete_bipartite(a: int, b: int) -> Graph:
-    check_int("a", a)
-    check_int("b", b)
-    if a < 1 or b < 1:
-        raise DomainError("both sides of a complete bipartite graph must be nonempty")
+    check_int("a", a, 1, MAX_VERTICES)
+    check_int("b", b, 1, MAX_VERTICES)
+    check_int("a + b", a + b, 2, MAX_VERTICES)
+    check_int("2 * a * b", 2 * a * b, 2, ARRAY_MAX)
     u, v = np.divmod(np.arange(a * b, dtype=np.int64), b)
     return _canonical(a + b, u, a + v)
 
@@ -217,10 +204,11 @@ def gen_random_regular(
     `triangle_free`, additionally resamples until the result has no
     triangle. Gives valid (not exactly uniform) samples.
     """
-    check_int("n", n)
-    check_int("d", d)
-    if d < 0 or d >= n or (n * d) % 2 != 0:
+    check_int("n", n, 0, MAX_VERTICES)
+    check_int("d", d, 0)
+    if d >= n or (n * d) % 2 != 0:
         raise DomainError(f"infeasible degree sequence: n={n}, d={d}")
+    check_int("n * d", n * d, 0, ARRAY_MAX)
     rng = derive_rng(seed, "random-regular", n, d)
     for _ in range(PAIRING_ATTEMPT_CAP):
         g = _pairing_attempt(n, d, rng)
@@ -244,10 +232,11 @@ def gen_random_bipartite_regular(n_side: int, d: int, seed: int) -> Graph:
     degree; this is the generator to use when rejection sampling for
     triangle-freeness cannot finish (expected triangle counts grow like d^3).
     """
-    check_int("n_side", n_side)
-    check_int("d", d)
-    if d < 0 or d > n_side:
+    check_int("n_side", n_side, 0, MAX_VERTICES // 2)
+    check_int("d", d, 0)
+    if d > n_side:
         raise DomainError(f"infeasible bipartite degree: n_side={n_side}, d={d}")
+    check_int("2 * n_side * d", 2 * n_side * d, 0, ARRAY_MAX)
     rng = derive_rng(seed, "random-bipartite-regular", n_side, d)
     nbrs: list[set[int]] = [set() for _ in range(n_side)]
     for _ in range(d):
@@ -288,7 +277,7 @@ def graph_from_json_dict(doc) -> Graph:
     if not isinstance(doc["edges"], list):
         raise MalformedInputError('"edges" must be an array')
     n = int(_int_array([doc["n"]], "vertex count n")[0])
-    _check_vertex_count(n)
+    check_int("n", n, 0, MAX_VERTICES)
     return _graph_of_pairs(n, _pair_array(doc["edges"], "edge", "edge endpoints"))
 
 

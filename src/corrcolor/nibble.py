@@ -10,6 +10,12 @@ replays the rest.
 
 Randomized existence arguments are replaced throughout by bounded
 resampling with explicit budgets and full failure reports.
+
+Every numeric parameter goes through `errors.check_int` or `check_real`:
+the reals of `NibbleParams`, alpha and delta lie above 0, the budgets are at
+least 1, `max_deg` is from 2 (3 in `compute_istar`) and `k` from 1 to
+2**63 - 1. Only alpha * p_hat <= 1 and `k_for`'s finite list size relate two
+values and keep their own message.
 """
 
 from __future__ import annotations
@@ -23,17 +29,16 @@ from . import _kernels as kernels
 from ._arrays import _ptr, _ranges
 from .covers import Cover, validate_cover
 from .errors import (
-    INT64_END,
+    INT64_MAX,
     DomainError,
     HypothesisViolationError,
     InternalConsistencyError,
     IstarInfeasibleError,
     check_int,
-    check_list_size,
-    is_integer,
+    check_real,
 )
 from .graphs import Graph, is_triangle_free, max_degree
-from .rng import check_seed, derive_int_seed, derive_rng
+from .rng import derive_int_seed, derive_rng
 from .solver import check_coloring, coloring_to_json
 from .weights import (
     ReductRecord,
@@ -61,18 +66,6 @@ NICENESS_TARGET_FACTOR = (3.0 / 5.0) ** 2 * 0.25 / math.sqrt(2.0)
 ISTAR_CAP = 10**6
 
 
-def _check_degree_bound(max_deg, least: int = 2) -> None:
-    """Raise DomainError unless `max_deg` is an integer in [least, 2**63).
-
-    The one check of every formula below: each divides by ln(max_deg) or
-    takes a power of it, and a degree is an int64 count.
-    """
-    check_int("max_deg", max_deg)
-    if not least <= max_deg < INT64_END:
-        msg = f"degree bound must be from {least} to 2**63 - 1, got {max_deg}"
-        raise DomainError(msg)
-
-
 @dataclass(frozen=True)
 class NibbleParams:
     """The six values on which the two presets differ.
@@ -93,16 +86,12 @@ class NibbleParams:
 
     def __post_init__(self):
         for name in ("ck", "shrink_factor", "tol_scale"):
-            # False for NaN as well as for values out of range.
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be positive and finite")
+            check_real(name, getattr(self, name), 0, lo_open=True)
         for name in ("max_retries_per_step", "max_final_retries", "max_steps"):
-            check_int(name, getattr(self, name))
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be at least 1")
+            check_int(name, getattr(self, name), 1)
 
     def k_for(self, max_deg: int) -> int:
-        _check_degree_bound(max_deg)
+        check_int("max_deg", max_deg, 2, INT64_MAX)
         k = self.ck * max_deg / math.log(max_deg)
         if k == math.inf:
             raise DomainError(
@@ -111,36 +100,36 @@ class NibbleParams:
         return math.ceil(k)
 
     def p_hat_for(self, max_deg: int) -> float:
-        _check_degree_bound(max_deg)
+        check_int("max_deg", max_deg, 2, INT64_MAX)
         return max_deg ** (-PHAT_EXP)
 
     def dev_vertex(self, max_deg: int) -> float:
-        _check_degree_bound(max_deg)
+        check_int("max_deg", max_deg, 2, INT64_MAX)
         return self.tol_scale * max_deg ** (-DEV_VERTEX_EXP)
 
     def dev_edge(self, max_deg: int, k: int) -> float:
-        _check_degree_bound(max_deg)
-        check_list_size(k)
+        check_int("max_deg", max_deg, 2, INT64_MAX)
+        check_int("k", k, 1, INT64_MAX)
         return self.tol_scale * max_deg ** (-DEV_EDGE_EXP) / k
 
     def dev_entropy(self, max_deg: int) -> float:
-        _check_degree_bound(max_deg)
+        check_int("max_deg", max_deg, 2, INT64_MAX)
         return self.tol_scale * math.log(max_deg) * max_deg ** (-DEV_ENTROPY_EXP)
 
     def dev_degree(self, max_deg: int) -> float:
-        _check_degree_bound(max_deg)
+        check_int("max_deg", max_deg, 2, INT64_MAX)
         return self.tol_scale * max_deg ** DEV_DEGREE_EXP
 
     def shrink(self, max_deg: int) -> float:
-        _check_degree_bound(max_deg)
+        check_int("max_deg", max_deg, 2, INT64_MAX)
         return self.shrink_factor / math.log(max_deg)
 
     def edge_mass_cap(self, k: int) -> float:
-        check_list_size(k)
+        check_int("k", k, 1, INT64_MAX)
         return EDGE_MASS_CAP_FACTOR / k
 
     def niceness_target(self, k: int) -> float:
-        check_list_size(k)
+        check_int("k", k, 1, INT64_MAX)
         return NICENESS_TARGET_FACTOR * k
 
 
@@ -183,12 +172,9 @@ def _resolve_alpha(state: ReductState, alpha: float | None) -> float:
     if alpha is None:
         if state.max_deg is None:
             raise DomainError("state has no degree bound; pass alpha explicitly")
-        if state.max_deg < 2:
-            raise DomainError("degree bound must be at least 2")
+        check_int("max_deg", state.max_deg, 2, INT64_MAX)
         alpha = 1.0 / math.log(state.max_deg)
-    # False for NaN as well as for values out of range.
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    check_real("alpha", alpha, 0, lo_open=True)
     if alpha * state.weighting.p_hat > 1.0:
         raise DomainError(
             "alpha * p_hat exceeds 1; sampling probabilities would be invalid"
@@ -251,10 +237,7 @@ def expected_pprime(state: ReductState, x: int, alpha: float | None = None) -> f
     alpha = _resolve_alpha(state, alpha)
     w = state.weighting
     p, p_hat = w.p, w.p_hat
-    if not is_integer(x):
-        raise DomainError(f"color id {x!r} is not an integer")
-    if not (0 <= x < state.cover.n_colors):
-        raise DomainError(f"color id {x} out of range")
+    check_int("x", x, 0, state.cover.n_colors - 1)
     if p[x] == p_hat:
         return p_hat
     capped = w.capped
@@ -376,7 +359,7 @@ def compute_istar(max_deg: int, params: NibbleParams) -> int:
     growing while still above the target; small degree bounds where the
     additive term outgrows the target raise IstarInfeasibleError.
     """
-    _check_degree_bound(max_deg, least=3)
+    check_int("max_deg", max_deg, 3, INT64_MAX)
     k = params.k_for(max_deg)
     target = params.niceness_target(k)
     shrink = params.shrink(max_deg)
@@ -419,11 +402,8 @@ def final_color(
     call. The cover must pass `validate_cover`, as `run_nibble` checks: a
     color in two lists would be one color with two holders.
     """
-    if not 0.0 < delta < math.inf:
-        raise DomainError(f"delta must be positive and finite, got {delta}")
-    check_int("max_retries", max_retries)
-    if max_retries < 1:
-        raise DomainError(f"max_retries must be at least 1, got {max_retries}")
+    check_real("delta", delta, 0, lo_open=True)
+    check_int("max_retries", max_retries, 1)
     w = state.weighting
     cover = state.cover
     eligible = w.moderate & state.live_color_mask()
@@ -504,8 +484,7 @@ def degree_expectation_bound(
     if state.max_deg is None:
         raise DomainError("degree bound needs the state's max_deg")
     for name, value in (("p1", p1), ("p2", p2), ("edge_cap", edge_cap)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+        check_real(name, value)
     tol = 1e-12
     pm_v = vertex_mass_all(state.cover, moderate_values(state.weighting))
     live_idx = state.alive_vertices()
@@ -521,8 +500,10 @@ def degree_expectation_bound(
         raise HypothesisViolationError(
             f"an edge mass exceeds the stated cap {edge_cap}"
         )
-    factor = 1.0 - alpha * p1 + alpha**2 * (p2**2 + edge_cap * state.max_deg)
-    return {int(v): float(degs[v] * factor) for v in live_idx}
+    # Products, not powers: a float power past the float range raises.
+    factor = 1.0 - alpha * p1 + alpha * alpha * (p2 * p2 + edge_cap * state.max_deg)
+    # A vertex without live edges keeps bound 0 when the factor overflows to inf.
+    return {int(v): float(degs[v] * factor) if degs[v] else 0.0 for v in live_idx}
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +593,7 @@ def run_nibble(
     whose replay alone can finish the coloring). Steps whose target checks
     fail are resampled with fresh derived seeds up to max_retries_per_step.
     """
-    check_seed(seed)
+    check_int("seed", seed, 0)
     problems = validate_cover(g, cover)
     if problems:
         raise DomainError(f"invalid cover: {problems[0]}")

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import DomainError, is_integer
+from .errors import check_int
 
 
 def _label_word(label) -> int:
@@ -21,19 +21,13 @@ def _label_word(label) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:4], "big")
 
 
-def check_seed(seed: int) -> None:
-    """Raise DomainError unless `seed` can root a stream.
-
-    Only integers qualify: SeedSequence would truncate a float, and a bool
-    would stand for 0 or 1.
-    """
-    if not is_integer(seed) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def derive_seed_sequence(seed: int, *labels) -> np.random.SeedSequence:
-    """SeedSequence for the stream named by `labels` under the root `seed`."""
-    check_seed(seed)
+    """SeedSequence for the stream named by `labels` under the root `seed`.
+
+    A seed is an integer of at least 0 with no upper bound, so the 64-bit
+    seeds of `derive_int_seed` are seeds too.
+    """
+    check_int("seed", seed, 0)
     key = tuple(_label_word(lab) for lab in labels)
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 

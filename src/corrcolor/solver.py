@@ -22,7 +22,9 @@ key and entry, and order entry must pass `errors.is_integer`: a bool or a float
 raises DomainError, and never stands for the number it equals. So does a
 `vertices`, `order` or restriction entry that cannot be iterated, and a
 `restrict` that is not a mapping; a coloring that is not a mapping, or has a
-key that is not an integer, raises MalformedInputError.
+key that is not an integer, raises MalformedInputError. The node budget is an
+integer of at least 0 by `errors.check_int`, the rule of every numeric
+parameter.
 """
 
 from __future__ import annotations
@@ -203,9 +205,7 @@ def _search(
     node_budget: int,
     count_all: bool,
 ) -> SolveOutcome:
-    check_int("node_budget", node_budget)
-    if node_budget < 0:
-        raise DomainError(f"node budget must be non-negative, got {node_budget}")
+    check_int("node_budget", node_budget, 0)
     verts, domains = _prepared_domains(g, cover, restrict, vertices)
     if any(not dom for dom in domains):
         return SolveOutcome("not-colorable", None, 0 if count_all else None, 0)

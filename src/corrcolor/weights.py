@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels as kernels
 from ._arrays import _segment_entries
 from .covers import Cover
-from .errors import DomainError
+from .errors import DomainError, check_real
 from .graphs import Graph
 
 
@@ -45,9 +45,7 @@ class Weighting:
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.ascontiguousarray(self.p, dtype=np.float64))
-        if not 0.0 < self.p_hat < math.inf:
-            msg = f"weight cap must be positive and finite, got {self.p_hat}"
-            raise DomainError(msg)
+        check_real("p_hat", self.p_hat, 0, lo_open=True)
         if self.p.size and not (self.p.min() >= 0.0 and self.p.max() <= self.p_hat):
             raise DomainError("weights must lie in [0, p_hat]")
 
@@ -61,6 +59,7 @@ class Weighting:
 
     @classmethod
     def uniform(cls, cover: Cover, value: float, p_hat: float) -> "Weighting":
+        check_real("value", value)
         return cls(p=np.full(cover.n_colors, value, dtype=np.float64), p_hat=p_hat)
 
     @classmethod

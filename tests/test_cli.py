@@ -734,7 +734,8 @@ class TestNibbleCli:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "must be positive and finite" in err
+        name = flag[2:].replace("-", "_")
+        assert err == f"error: {name} must be a finite number above 0, got {value}\n"
 
     def test_list_size_constant_overflow_is_exit_1(self, tmp_path, capsys):
         # ck * max_deg overflows to inf, so no list size exists
@@ -768,7 +769,7 @@ class TestNibbleCli:
         assert run_cli(capsys, *argv, "--seed", "0")[0] == 0
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert (code, out) == (1, "")
-        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert err == "error: seed must be an integer of at least 0, got -1\n"
 
     def test_triangle_is_domain_error(self, tmp_path, capsys):
         gpath = write(tmp_path, "g.json", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
@@ -801,7 +802,21 @@ class TestErrorPaths:
         }[command]
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert (code, out) == (1, "")
-        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert err == "error: seed must be an integer of at least 0, got -1\n"
+
+    def test_vertex_count_beyond_the_limit_is_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "gen-graph", "cycle", "--n", str(2**62))
+        assert (code, out) == (1, "")
+        assert err == f"error: n must be an integer from 3 to 2**31 - 1, got {2**62}\n"
+
+    def test_list_size_beyond_the_arrays_is_exit_1(self, capsys, tmp_path):
+        # 4 * k colors would not fit in one int64 array
+        edges = [[0, 1], [1, 2], [2, 3], [0, 3]]
+        gpath = write(tmp_path, "g4.json", {"n": 4, "edges": edges})
+        argv = ["gen-cover", "--graph", gpath, "--k", str(2**62)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: k must be an integer from 1 to 2**58 - 1, got {2**62}\n"
 
     @pytest.mark.parametrize("q", ["nan", "-0.5"])
     @pytest.mark.parametrize("command", ["gen-cover", "lb-experiment"])
@@ -816,7 +831,7 @@ class TestErrorPaths:
         }[command]
         code, stdout, err = run_cli(capsys, *argv, "--q", q, "--out", out)
         assert (code, stdout) == (1, "")
-        assert err == f"error: keep-probability q must be in [0,1], got {float(q)}\n"
+        assert err == f"error: q must be a finite number from 0 to 1, got {float(q)}\n"
         assert not Path(out).exists() and not Path(out + ".manifest.json").exists()
 
     def test_missing_file_is_exit_2(self, capsys, tmp_path):

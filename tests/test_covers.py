@@ -151,7 +151,8 @@ class TestRandomCover:
         with pytest.raises(DomainError):
             random_cover(g, 2, 0, mode="bernoulli", q=1.5)
         for q in (math.nan, 1.5):
-            with pytest.raises(DomainError, match="keep-probability q"):
+            msg = f"q must be a finite number from 0 to 1, got {q}"
+            with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
                 random_cover(g, 2, 0, q=q)
         with pytest.raises(DomainError):
             random_cover(g, 0, 0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,7 +52,8 @@ class TestBuildGraph:
         g = build_graph(1, [])
         assert g.n == 1 and g.m == 0 and g.degree(0) == 0
         for v in (-1, 1):
-            with pytest.raises(DomainError, match="out of range"):
+            msg = f"^v must be an integer from 0 to 0, got {v}$"
+            with pytest.raises(DomainError, match=msg):
                 g.degree(v)
 
     def test_duplicate_edges_deduplicated(self):
@@ -67,7 +69,8 @@ class TestBuildGraph:
             build_graph(3, [(0, 3)])
         with pytest.raises(DomainError, match="out of range"):
             build_graph(3, [(0, 2**70)])
-        with pytest.raises(DomainError, match="exceeds"):
+        msg = r"^n must be an integer from 0 to 2\*\*31 - 1, got 2147483648$"
+        with pytest.raises(DomainError, match=msg):
             build_graph(2**31, [])
 
     @pytest.mark.parametrize(
@@ -309,7 +312,8 @@ class TestGenerators:
             lambda: run_nibble(g, random_cover(g, 3, seed=0), relaxed_params(), seed),
         ]
         for call in calls:
-            with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            msg = f"seed must be an integer of at least 0, got {seed!r}"
+            with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
                 call()
 
     def test_numpy_integer_seed_is_the_same_seed(self):

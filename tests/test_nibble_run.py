@@ -129,7 +129,7 @@ class TestFinalColor:
         g = gen_cycle(4)
         cover = random_cover(g, 70, seed=0)
         st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.01, 0.02))
-        msg = f"delta must be positive and finite, got {delta}"
+        msg = f"^delta must be a finite number above 0, got {delta}$"
         with pytest.raises(DomainError, match=msg):
             final_color(st, delta, seed=0, max_retries=5)
 
@@ -376,7 +376,8 @@ class TestParams:
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("name", ["ck", "shrink_factor", "tol_scale"])
     def test_nonfinite_rejected(self, name, value):
-        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+        msg = f"^{name} must be a finite number above 0, got {value}$"
+        with pytest.raises(DomainError, match=msg):
             paper_params(**{name: value})
 
     def test_terminal_regime_arithmetic(self):

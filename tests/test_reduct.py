@@ -183,7 +183,7 @@ class TestStepBasics:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
     def test_nonfinite_alpha_rejected_by_step(self, alpha):
         _, _, st = toy_state()
-        msg = f"alpha must be positive and finite, got {alpha}"
+        msg = f"^alpha must be a finite number above 0, got {alpha}$"
         with pytest.raises(DomainError, match=msg):
             reduct_step(st, seed=0, alpha=alpha)
 
@@ -226,7 +226,7 @@ class TestExpectedPprime:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
     def test_nonfinite_alpha_rejected(self, alpha):
         _, _, st = toy_state()
-        msg = f"alpha must be positive and finite, got {alpha}"
+        msg = f"^alpha must be a finite number above 0, got {alpha}$"
         with pytest.raises(DomainError, match=msg):
             expected_pprime(st, 0, alpha=alpha)
 
@@ -597,7 +597,7 @@ class TestDegreeBound:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
     def test_nonfinite_alpha_rejected(self, alpha):
         _, _, st = toy_state()
-        msg = f"alpha must be positive and finite, got {alpha}"
+        msg = f"^alpha must be a finite number above 0, got {alpha}$"
         with pytest.raises(DomainError, match=msg):
             degree_expectation_bound(st, 1.0, 1.0, 0.25, alpha=alpha)
 
@@ -606,8 +606,17 @@ class TestDegreeBound:
     def test_nonfinite_hypothesis_rejected(self, name, value):
         _, _, st = toy_state()
         args = {"p1": 1.0, "p2": 1.0, "edge_cap": 0.25, name: value}
-        with pytest.raises(DomainError, match=f"{name} must be finite, got {value}"):
+        msg = f"^{name} must be a finite number, got {value}$"
+        with pytest.raises(DomainError, match=msg):
             degree_expectation_bound(st, **args)
+
+    def test_overflowing_factor_leaves_an_isolated_vertex_at_zero(self):
+        g = build_graph(3, [(0, 1)])
+        cover = random_cover(g, 2, seed=0)
+        w = Weighting.uniform(cover, 0.25, 0.5)
+        st = ReductState.initial(g, cover, w, max_deg=2, k=2)
+        bounds = degree_expectation_bound(st, 0.0, 1e200, 1.0)
+        assert bounds == {0: math.inf, 1: math.inf, 2: 0.0}
 
     def test_formula(self):
         g, cover, st = toy_state()

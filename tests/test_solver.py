@@ -224,7 +224,8 @@ class TestSolveExact:
     def test_negative_budget(self):
         g = gen_cycle(6)
         cover = random_cover(g, 3, seed=1)
-        with pytest.raises(DomainError, match="non-negative"):
+        msg = "^node_budget must be an integer of at least 0, got -5$"
+        with pytest.raises(DomainError, match=msg):
             solve_exact(g, cover, node_budget=-5)
 
     def test_long_cycle_has_no_depth_limit(self):
