@@ -34,6 +34,7 @@ from .errors import (
     InternalConsistencyError,
     IstarInfeasibleError,
     MalformedInputError,
+    RoundingBudgetExceeded,
     SearchBudgetExceeded,
 )
 from .firstmoment import (

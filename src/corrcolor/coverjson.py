@@ -10,7 +10,7 @@ with no Python object per number, or returns None for any other text.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -72,24 +72,28 @@ def _json_array(items: list[str], indent: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{inner}\n{' ' * indent}{brackets[1]}"
 
 
-def _layout(sizes: list[int], counts: list[int], slot: str) -> str:
+def _layout(sizes: list[int], counts: list[int], slot: str):
     """The canonical cover document with `slot` in place of every number.
 
     `sizes` are the list sizes and `counts` the pair counts of the matchings
-    in key order. Blocks are rendered once per distinct size.
+    in key order. Returns (head, blocks, tail): the document is `head`, which
+    ends with the first key's block, then `blocks[c]` for each later count c,
+    then `tail`. Blocks are rendered once per distinct size and count.
     """
     lists = {s: "    " + _json_array([f"      {slot}"] * s, 4) for s in set(sizes)}
     pair = "      " + _json_array([f"        {slot}"] * 2, 6)
-    keys = {
-        c: f'    "{slot},{slot}": ' + _json_array([pair] * c, 4) for c in set(counts)
+    blocks = {
+        c: f',\n    "{slot},{slot}": ' + _json_array([pair] * c, 4) for c in set(counts)
     }
     k_per_vertex = _json_array([f"    {slot}"] * len(sizes), 2)
     lists_text = _json_array(list(map(lists.__getitem__, sizes)), 2)
-    matchings = _json_array(list(map(keys.__getitem__, counts)), 2, "{}")
-    return (
+    opening, tail = ("{\n", "\n  }\n}\n") if counts else ("{}", "\n}\n")
+    first = "".join(blocks[c][2:] for c in counts[:1])
+    head = (
         f'{{\n  "k_per_vertex": {k_per_vertex},\n  "lists": {lists_text},\n'
-        f'  "matchings": {matchings}\n}}\n'
+        f'  "matchings": {opening}{first}'
     )
+    return head, blocks, tail
 
 
 def canonical_cover_json(cover: Cover) -> str:
@@ -112,7 +116,10 @@ def canonical_cover_json(cover: Cover) -> str:
     take = _ranges(cover.edge_ptr[order], counts)
     numbers[in_pair] = np.column_stack((cover.pair_x[take], cover.pair_y[take])).ravel()
     numbers = np.concatenate((sizes, cover.vlist_colors, numbers))
-    return _layout(sizes.tolist(), counts.tolist(), "%d") % tuple(numbers.tolist())
+    counts = counts.tolist()
+    head, blocks, tail = _layout(sizes.tolist(), counts, "%d")
+    layout = "".join(chain([head], map(blocks.__getitem__, counts[1:]), [tail]))
+    return layout % tuple(numbers.tolist())
 
 
 # Every number of at most 18 digits fits in int64.
@@ -145,6 +152,21 @@ def _digit_values(buf: np.ndarray, ends: np.ndarray, length: np.ndarray) -> np.n
         place_digit *= scale
         values += place_digit
     return values
+
+
+def _is_layout(text: bytes, sizes: np.ndarray, counts: np.ndarray) -> bool:
+    """Whether `text` is the digit-free canonical layout for these list sizes
+    and pair counts, compared in place piece by piece as `_layout` gives it."""
+    counts = counts.tolist()
+    head, blocks, tail = _layout(sizes.tolist(), counts, "")
+    blocks = {c: block.encode() for c, block in blocks.items()}
+    pieces = chain([head.encode()], map(blocks.__getitem__, counts[1:]))
+    pos = 0
+    for piece in chain(pieces, [tail.encode()]):
+        if not text.startswith(piece, pos):
+            return False
+        pos += len(piece)
+    return pos == len(text)
 
 
 def cover_from_canonical_json(data: bytes) -> Cover | None:
@@ -207,8 +229,7 @@ def _canonical_arrays(data: bytes) -> tuple[np.ndarray, ...] | None:
     counts = np.diff(first, append=starts.size - n_listed) // 2 - 1
     if n_listed + 2 * (counts.size + counts.sum()) != starts.size:
         return None
-    layout = _layout(sizes.tolist(), counts.tolist(), "").encode()
-    if data.translate(None, b"0123456789") != layout:
+    if not _is_layout(data.translate(None, b"0123456789"), sizes, counts):
         return None
     keyed = values[n_listed:]
     u, v = keyed[first], keyed[first + 1]

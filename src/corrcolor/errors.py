@@ -31,6 +31,17 @@ class SearchBudgetExceeded(CorrColorError):
         self.budget = budget
 
 
+class RoundingBudgetExceeded(CorrColorError):
+    """The final rounding spent its round budget with bad edges left."""
+
+    def __init__(self, rounds: int, bad_edges: int, lowest: tuple[int, int]):
+        super().__init__(
+            f"rounding left {bad_edges} bad edges after its budget of {rounds}"
+            f" rounds; lowest: edge ({lowest[0]},{lowest[1]})"
+        )
+        self.rounds, self.bad_edges, self.lowest = rounds, bad_edges, lowest
+
+
 class IstarInfeasibleError(DomainError):
     """No iteration count satisfies the degree-decay inequality for this max degree."""
 

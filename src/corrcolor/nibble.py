@@ -5,8 +5,8 @@ sampled colors are pairwise unmatched (they keep those colors for later
 extension), zeroes the weights of colors that were hit, and rescales the
 survivors so every color's expected weight is exactly preserved. Iterating
 drives degrees down until the niceness conditions hold, at which point a
-single randomized rounding pass colors what is left and the removal history
-replays the rest.
+Moser-Tardos rounding colors what is left and the removal history replays
+the rest.
 
 Randomized existence arguments are replaced throughout by bounded
 resampling with explicit budgets and full failure reports.
@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import _kernels as kernels
-from ._arrays import _ptr, _ranges
 from .covers import Cover, validate_cover
 from .errors import (
     INT64_MAX,
@@ -34,6 +33,7 @@ from .errors import (
     HypothesisViolationError,
     InternalConsistencyError,
     IstarInfeasibleError,
+    RoundingBudgetExceeded,
     check_int,
     check_real,
 )
@@ -386,63 +386,61 @@ def compute_istar(max_deg: int, params: NibbleParams) -> int:
 
 
 def final_color(
-    state: ReductState, delta: float, seed: int, max_retries: int
-) -> tuple[dict[int, int] | None, int]:
-    """Randomized rounding over moderate colors, resampled up to max_retries.
+    state: ReductState, seed: int, max_retries: int
+) -> tuple[dict[int, int], int]:
+    """Color the live vertices from their moderate colors by Moser-Tardos.
 
-    Each round includes every live moderate color independently with
-    probability 2 p(x)/delta, then discards both endpoints of every matched
-    pair that was jointly included. If every surviving vertex retains a
-    color, the lowest id per vertex is returned. Returns (coloring, rounds)
-    or (None, max_retries) when the budget runs out.
+    Round 1 draws at each live vertex v one moderate color x with probability
+    p(x)/p_m(v): u_v from `derive_rng(seed, "final-color", r).random(n)`
+    picks the first color of v's list whose running weight (one running sum
+    over all live moderate colors, in list order) passes v's share times u_v.
+    An edge is bad when its ends' colors are matched. Each later round
+    redraws both ends of a maximal set of vertex-disjoint bad edges, taken
+    greedily in edge order: the parallel variant of Moser & Tardos (J. ACM
+    2010). Returns (coloring, rounds); raises `RoundingBudgetExceeded` with a
+    bad edge left after max_retries rounds. The cover must pass
+    `validate_cover`, as `run_nibble` checks.
 
-    A round draws one uniform per color id, so the stream does not depend on
-    which colors are eligible, but it reads only the eligible (live,
-    moderate) colors and the matched pairs among them, compacted once per
-    call. The cover must pass `validate_cover`, as `run_nibble` checks: a
-    color in two lists would be one color with two holders.
+    It stops on a nice state: with delta = a = min p_m(v), P(uv bad) <=
+    p_m(uv)/delta^2, and condition c <= a is 4 sum_u p_m(uv) <= delta^2, so
+    the bad events at a vertex sum to at most 1/4. With mu_e = 4 P(e), an independent set of events around uv
+    holds at most one edge at u and one at v, so the cluster-expansion sum
+    is at most (1 + sum_{f at u} mu_f)(1 + sum_{g at v} mu_g) <= 4, and
+    P(e) <= mu_e/4 meets the criterion of Bissacot, Fernandez, Procacci and
+    Scoppola (CPC 2011). Disjoint bad edges stay bad until redrawn, so a
+    round is a run of single resamplings; by Pegden (SIAM J. Discrete Math.
+    2014) these number at most sum mu_e <= n_alive/2 in expectation.
     """
-    check_real("delta", delta, 0, lo_open=True)
     check_int("max_retries", max_retries, 1)
-    w = state.weighting
-    cover = state.cover
-    eligible = w.moderate & state.live_color_mask()
-    probs = np.where(eligible, 2.0 * w.p / delta, 0.0)
-    if probs.size and probs.max() > 1.0:
-        raise DomainError(
-            "inclusion probability exceeds 1; delta is not a valid niceness slack"
-        )
-    n_alive = state.n_alive
-    # The eligible colors in list order, so each holder's colors are
-    # consecutive and ascending, and the matched pairs among them as a CSR
-    # over their positions.
-    slots = np.flatnonzero(eligible[cover.vlist_colors])
-    ids = cover.vlist_colors[slots]
-    holders = np.searchsorted(cover.vlist_ptr, slots, side="right") - 1
-    probs = probs[ids]
-    local = np.full(cover.n_colors, -1, dtype=np.int64)
-    local[ids] = np.arange(ids.size)
-    nbr_ptr, nbr_idx = cover.arrays
-    starts = nbr_ptr[ids]
-    sizes = nbr_ptr[ids + 1] - starts
-    nbrs = local[nbr_idx[_ranges(starts, sizes)]]
-    kept = nbrs >= 0
-    sub_ptr = _ptr(kept)[_ptr(sizes)]
-    sub_idx = nbrs[kept]
-    for attempt in range(1, max_retries + 1):
-        rng = derive_rng(seed, "final-color", attempt)
-        included = rng.random(cover.n_colors)[ids] < probs
-        blocked = kernels.mask_counts(sub_ptr, sub_idx, included) > 0
-        # Survivors are live colors, so the round succeeds when the number of
-        # vertices holding one is the number of live vertices.
-        survivors = np.flatnonzero(included & ~blocked)
-        owners = holders[survivors]
-        lowest = np.ones(survivors.size, dtype=bool)
-        lowest[1:] = owners[1:] != owners[:-1]
-        if int(lowest.sum()) == n_alive:
-            picks = ids[survivors[lowest]].tolist()
-            return dict(zip(owners[lowest].tolist(), picks)), attempt
-    return None, max_retries
+    cover, w = state.cover, state.weighting
+    colors, ptr = cover.vlist_colors, cover.vlist_ptr
+    eligible = (w.moderate & state.live_color_mask())[colors]
+    running = np.cumsum(np.where(eligible, w.p[colors], 0.0))
+    lo, hi = np.concatenate(([0.0], running))[[ptr[:-1], ptr[1:]]]
+    below_hi = np.nextafter(hi, 0.0)
+    live = state.alive_vertices()
+    empty = live[hi[live] <= lo[live]]
+    if empty.size:
+        raise DomainError(f"live vertex {empty[0]} has no moderate color to draw")
+    pick, draw = np.zeros(cover.n_vertices, dtype=np.int64), live
+    for rounds in range(1, max_retries + 1):
+        u = derive_rng(seed, "final-color", rounds).random(cover.n_vertices)[draw]
+        share = np.minimum(lo[draw] + u * (hi[draw] - lo[draw]), below_hi[draw])
+        pick[draw] = colors[np.searchsorted(running, share, side="right")]
+        chosen = np.zeros(cover.n_colors, dtype=bool)
+        chosen[pick[live]] = True
+        # A vertex holds one chosen color, so an edge has at most one bad pair.
+        bad = np.flatnonzero(chosen[cover.pair_x] & chosen[cover.pair_y])
+        edges = np.searchsorted(cover.edge_ptr, bad, side="right") - 1
+        ends = list(zip(cover.edge_u[edges].tolist(), cover.edge_v[edges].tolist()))
+        if not ends:
+            return dict(zip(live.tolist(), pick[live].tolist())), rounds
+        redraw = set()
+        for a, b in ends:
+            if a not in redraw and b not in redraw:
+                redraw.update((a, b))
+        draw = np.array(sorted(redraw), dtype=np.int64)
+    raise RoundingBudgetExceeded(max_retries, len(ends), ends[0])
 
 
 def extend_coloring(
@@ -677,21 +675,23 @@ def run_nibble(
                 )
             nice = check_nice(state)
             if nice.ok:
-                inner, attempts = final_color(
-                    state,
-                    nice.delta,
-                    derive_int_seed(seed, "final", i),
-                    params.max_final_retries,
-                )
-                total_final_attempts += attempts
-                if inner is not None:
-                    return extended(state, inner, nice.delta, None)
-                if end:
-                    return result(
-                        "final-color-exhausted",
-                        nice_delta=nice.delta,
-                        detail=f"rounding failed {params.max_final_retries} times",
+                try:
+                    inner, rounds = final_color(
+                        state,
+                        derive_int_seed(seed, "final", i),
+                        params.max_final_retries,
                     )
+                except RoundingBudgetExceeded as exc:
+                    total_final_attempts += exc.rounds
+                    if end:
+                        return result(
+                            "final-color-exhausted",
+                            nice_delta=nice.delta,
+                            detail=str(exc),
+                        )
+                else:
+                    total_final_attempts += rounds
+                    return extended(state, inner, nice.delta, None)
                 # rounding budget spent this round; keep stepping, more
                 # vertices will drain into the history
             elif end:

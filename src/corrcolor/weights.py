@@ -216,14 +216,12 @@ class NiceCheck:
 
     delta is the maximal admissible slack (the minimum moderate vertex mass)
     when the check passes, else None with the failing quantity spelled out.
-    Passing guarantees, at every surviving vertex, the survival-expectation
-    inequality 2 p_m(v)/delta >= 1 + (4/delta^2) * sum of incident moderate
-    edge masses.
+    Passing guarantees 4 sum_u p_m(uv) <= delta^2 at every surviving vertex,
+    the local-lemma bound that `final_color` rests on.
     """
 
     delta: float | None
     min_moderate_mass: float
-    doubled_max_weight: float
     edge_term: float
     argmin_vertex: int | None
     reason: str | None
@@ -234,26 +232,21 @@ class NiceCheck:
 
 
 def check_nice(state: ReductState) -> NiceCheck:
-    """Test the three moderate-mass conditions and return the witness slack."""
+    """Test the moderate-mass conditions 0 < a and c <= a; return the slack a."""
     live = state.alive
     if not live.any():
         return NiceCheck(
             delta=None,
             min_moderate_mass=0.0,
-            doubled_max_weight=0.0,
             edge_term=0.0,
             argmin_vertex=None,
             reason="no surviving vertices",
         )
-    w = state.weighting
-    pm = moderate_values(w)
+    pm = moderate_values(state.weighting)
     pm_v = vertex_mass_all(state.cover, pm)
     live_idx = np.flatnonzero(live)
     a_pos = live_idx[np.argmin(pm_v[live_idx])]
     a = float(pm_v[a_pos])
-
-    mod_live = w.moderate & state.live_color_mask()
-    b = 2.0 * float(w.p[mod_live].max()) if mod_live.any() else 0.0
 
     pm_uv = live_edge_mass(state.cover, pm, live)
     # Two passes in this order fix the rounding of each vertex's sum.
@@ -265,9 +258,6 @@ def check_nice(state: ReductState) -> NiceCheck:
 
     if a <= 0.0:
         reason = f"vertex {int(a_pos)} has zero moderate mass"
-        delta = None
-    elif b > a:
-        reason = f"a moderate weight exceeds half the minimum moderate mass ({b} > {a})"
         delta = None
     elif c > a:
         reason = (
@@ -281,7 +271,6 @@ def check_nice(state: ReductState) -> NiceCheck:
     return NiceCheck(
         delta=delta,
         min_moderate_mass=a,
-        doubled_max_weight=b,
         edge_term=c,
         argmin_vertex=int(a_pos),
         reason=reason,

@@ -317,41 +317,54 @@ def reference_check_coloring(g: Graph, lists, matchings, coloring, vertices=None
     return None
 
 
-def reference_final_color(lists, matchings, alive, p, p_hat, delta, seed, max_retries):
-    """The nibble's final rounding by plain loops: (coloring, attempts).
+def reference_final_color(lists, matchings, alive, p, p_hat, seed, max_retries):
+    """The nibble's final rounding by plain loops: (coloring, rounds, bad edges).
 
-    Attempt a draws one uniform per color id from the stream
-    ("final-color", a) and includes each moderate (0 < p < p_hat) color of a
-    live vertex when its uniform is below 2 p / delta. Both ends of every
-    jointly included matched pair drop out; the attempt succeeds when every
-    live vertex keeps a color, and each takes its lowest. Returns
-    (None, max_retries) when no attempt succeeds.
+    One running sum adds the moderate (0 < p < p_hat) weights of the live
+    vertices' lists, vertex by vertex in list order; vertex v's share runs
+    from lo[v] to hi[v]. Round r reads u[v] from the stream ("final-color",
+    r), one uniform per vertex id, and v takes the first color of its list
+    whose running sum exceeds lo[v] + u[v] (hi[v] - lo[v]), or the float just
+    below hi[v] if that is less. Round 1 draws at every live vertex. An edge
+    is bad when its two draws are a matched pair; round r + 1 redraws both
+    ends of each bad edge, in (u, v) order, that shares no end with one
+    taken before it. Returns (coloring, r, []) at the first round without a
+    bad edge, else (None, max_retries, the last round's bad edges). A live
+    vertex with no moderate color to draw is a DomainError.
     """
     views = reference_cover_views(lists, matchings)
-    prob = {}
-    for v, lst in enumerate(views["lists"]):
-        if alive[v]:
-            for x in lst:
-                if 0.0 < p[x] < p_hat:
-                    prob[x] = 2.0 * p[x] / delta
-    for attempt in range(1, max_retries + 1):
-        u = derive_rng(seed, "final-color", attempt).random(views["n_colors"])
-        included = {x for x, q in prob.items() if u[x] < q}
-        dropped = set()
-        for pairs in views["matchings"].values():
-            for x, y in pairs:
-                if x in included and y in included:
-                    dropped.update((x, y))
-        coloring = {}
-        for v, lst in enumerate(views["lists"]):
-            if alive[v]:
-                kept = [x for x in lst if x in included and x not in dropped]
-                if not kept:
-                    break
-                coloring[v] = min(kept)
-        else:
-            return coloring, attempt
-    return None, max_retries
+    lists = views["lists"]
+    running, lo, hi = {}, [], []
+    total = 0.0
+    for v, lst in enumerate(lists):
+        lo.append(total)
+        for x in lst:
+            if alive[v] and 0.0 < p[x] < p_hat:
+                total += p[x]
+            running[x] = total
+        hi.append(total)
+        if alive[v] and hi[v] <= lo[v]:
+            raise DomainError(f"live vertex {v} has no moderate color to draw")
+    pick = {}
+    draw = [v for v in range(len(lists)) if alive[v]]
+    for rounds in range(1, max_retries + 1):
+        u = derive_rng(seed, "final-color", rounds).random(len(lists))
+        for v in draw:
+            share = min(lo[v] + u[v] * (hi[v] - lo[v]), math.nextafter(hi[v], 0.0))
+            pick[v] = next(x for x in lists[v] if running[x] > share)
+        bad = [
+            (a, b)
+            for (a, b), pairs in sorted(views["matchings"].items())
+            if a in pick and b in pick and (pick[a], pick[b]) in pairs
+        ]
+        if not bad:
+            return pick, rounds, []
+        taken = set()
+        for a, b in bad:
+            if a not in taken and b not in taken:
+                taken.update((a, b))
+        draw = sorted(taken)
+    return None, max_retries, bad
 
 
 def reference_check_reduct_targets(old, stats, tol, k, ln_d, edge_u, edge_v):

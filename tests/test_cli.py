@@ -128,14 +128,17 @@ def nibble_digest(result) -> str:
 
 
 class TestByteIdentity:
-    """Outputs pinned to digests recorded before covers became arrays, and
-    nibble runs pinned before the analysis constants left NibbleParams,
-    before both nibble modes shared one step loop and before rounding read
-    only the eligible colors; the lower-bound run is pinned from before its
-    tallies were derived from the per-trial counts. The two bernoulli-mode
-    outputs (the third gen-cover case and the lower-bound run) are pinned
-    from when `random_cover` began drawing its whole keep table after all
-    of its permutations; perfect covers kept their stream."""
+    """Outputs pinned to digests recorded before covers became arrays; the
+    lower-bound run is pinned from before its tallies were derived from the
+    per-trial counts. The two bernoulli-mode outputs (the third gen-cover
+    case and the lower-bound run) are pinned from when `random_cover` began
+    drawing its whole keep table after all of its permutations; perfect
+    covers kept their stream. The nibble runs that round are pinned from
+    when the final rounding became Moser-Tardos (one color per live vertex,
+    bad edges redrawn) and niceness dropped its weight condition; the
+    not-nice and step-exhausted runs never round and kept their digests.
+    The drained and round-exhausted exits moved to instances that still
+    reach them under that rounding."""
 
     @pytest.mark.parametrize(
         "flags, digest",
@@ -170,16 +173,17 @@ class TestByteIdentity:
         result = corrcolor.run_nibble(g, cover, corrcolor.relaxed_params(), seed=9)
         assert (result.status, result.steps) == ("success", 7)
         assert nibble_digest(result) == (
-            "a73eefda2ca8fa9274b1b660315c154c27ca74c2fe897b3e06d2b09d74af89bf"
+            "8b37db88d715445fad95aca8c7776b42c9029decb65dde8f60eb9f64ff4ca565"
         )
 
     def test_many_attempt_nibble_digest(self):
         g = corrcolor.gen_random_bipartite_regular(80, 24, seed=1)
         cover = random_cover(g, 48, seed=1)
         result = corrcolor.run_nibble(g, cover, corrcolor.relaxed_params(), seed=0)
-        assert (result.status, result.steps, result.final_attempts) == ("success", 5, 30)
+        # 30 attempts under the former rounding, 2 rounds under the current one
+        assert (result.status, result.steps, result.final_attempts) == ("success", 5, 2)
         assert nibble_digest(result) == (
-            "ea7b2663402cf604d2afb14f60c4543b9a01098dd85ab0229e9e0804b1f1b04b"
+            "fad36645ea8e211bbdc7a80c1194d293979180e402720a5f1a905b1be929d323"
         )
 
     def test_schedule_nibble_digest(self):
@@ -190,7 +194,7 @@ class TestByteIdentity:
         result = corrcolor.run_nibble(g, cover, params, seed=5)
         assert (result.status, result.mode, result.istar) == ("success", "schedule", 1)
         assert nibble_digest(result) == (
-            "30363c9dc0c4031ef099d288b3469038b7e04e693535a4a1337862eb45d5d9b7"
+            "77588614814a82c6a6ac65e274ba7416ff29ec40a9aa19292115e6e0709a855b"
         )
 
     def test_not_nice_nibble_digest(self):
@@ -222,15 +226,15 @@ class TestByteIdentity:
         "shape, k, cover_seed, params, seed, expected, digest",
         [
             (
-                (8, 3, 0), 6, 0, corrcolor.relaxed_params(), 1,
-                ("success", "adaptive", 7),
-                "da68c666d2c94d427c5f165d7512ccdfc2658b8e813129713a90c1eca0865de2",
+                (6, 3, 0), 7, 1, corrcolor.relaxed_params(), 0,
+                ("success", "adaptive", 3),
+                "03d5a0746fa7b0b2a595e48bf1037a9424081fcda71190999f1bbbb726186788",
             ),
             (
-                (12, 4, 2), 10, 2,
-                corrcolor.relaxed_params(max_final_retries=1, max_steps=2), 2,
+                (12, 4, 2), 22, 0,
+                corrcolor.relaxed_params(max_final_retries=1, max_steps=2), 4,
                 ("final-color-exhausted", "adaptive", 2),
-                "891220b6a4de325a8552da89c873866670671c7ad7c1b0db4b708158108290a5",
+                "8c008c493d7d0f429b3b2262f949d442a98d58d3c7e5e39a73cb0ccff1de593f",
             ),
             (
                 (6, 3, 0), 4, 1,
@@ -255,9 +259,9 @@ class TestByteIdentity:
                 corrcolor.paper_params(
                     ck=25, shrink_factor=1.0, tol_scale=0.5, max_final_retries=1
                 ),
-                0,
+                4,
                 ("final-color-exhausted", "schedule", 1),
-                "c4f50f8edc7aaa80fec0d2fbfb688f5e8b679478f183947fce9e9d675b7ccd7d",
+                "d0b589f16f46a96ba3d3db1289c0850d9fcbb7e0fa9298049d073e7517dfede3",
             ),
         ],
         ids=[

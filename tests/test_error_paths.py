@@ -85,12 +85,12 @@ class TestIntegerParameters:
     @pytest.mark.parametrize("value", NON_INTEGERS)
     def test_final_color_max_retries(self, value):
         with refused(f"max_retries must be an integer of at least 1, got {value!r}"):
-            final_color(c6_state(), 1.0, 0, max_retries=value)
+            final_color(c6_state(), 0, max_retries=value)
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_final_color_needs_a_round(self, value):
         with refused(f"max_retries must be an integer of at least 1, got {value}"):
-            final_color(c6_state(), 1.0, 0, max_retries=value)
+            final_color(c6_state(), 0, max_retries=value)
 
     @pytest.mark.parametrize("value", NON_INTEGERS)
     def test_random_cover_k(self, value):
@@ -604,7 +604,8 @@ def test_any_number_ends_in_a_value_or_a_library_error(a, b, c):
         lambda: relaxed_params(max_final_retries=a),
         lambda: relaxed_params(max_steps=a),
         lambda: reduct_step(state, 1, alpha=a),
-        lambda: final_color(state, a, 1, 3),
+        lambda: final_color(state, a, 3),
+        lambda: final_color(state, 1, a),
         lambda: Weighting.uniform(state.cover, 0.1, a),
         lambda: Weighting.uniform(state.cover, a, 0.5),
         lambda: degree_expectation_bound(state, a, 1.0, 1.0),
@@ -635,10 +636,6 @@ def test_any_number_ends_in_a_value_or_a_library_error(a, b, c):
             "alpha must be a finite number above 0, got True",
         ),
         (
-            lambda: final_color(c6_state(), True, 1, 3),
-            "delta must be a finite number above 0, got True",
-        ),
-        (
             lambda: Weighting.uniform(C4_COVER, 0.1, True),
             "p_hat must be a finite number above 0, got True",
         ),
@@ -647,7 +644,7 @@ def test_any_number_ends_in_a_value_or_a_library_error(a, b, c):
             "q must be a finite number from 0 to 1, got True",
         ),
     ],
-    ids=["ck", "alpha", "delta", "p_hat", "q"],
+    ids=["ck", "alpha", "p_hat", "q"],
 )
 def test_bool_is_not_a_real_parameter(call, message):
     with refused(message):

@@ -2,12 +2,18 @@ import dataclasses
 import itertools
 import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corrcolor import (
     Cover,
+    RoundingBudgetExceeded,
+    check_coloring,
     NibbleParams,
     DomainError,
     IstarInfeasibleError,
@@ -87,20 +93,17 @@ class TestFinalColor:
         g = build_graph(5, [])
         cover = random_cover(g, 3, seed=1)
         st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.3, 0.5))
-        nc = check_nice(st)
-        assert nc.ok
-        coloring, attempts = final_color(st, nc.delta, seed=4, max_retries=100)
-        assert coloring is not None
+        assert check_nice(st).ok
+        coloring, rounds = final_color(st, seed=4, max_retries=100)
+        assert rounds == 1
         assert is_valid_coloring(g, cover, coloring)
 
     def test_single_edge_pair_valid(self):
         g = build_graph(2, [(0, 1)])
         cover = random_cover(g, 50, seed=2)
         st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.018, 0.03))
-        nc = check_nice(st)
-        assert nc.ok
-        coloring, _ = final_color(st, nc.delta, seed=9, max_retries=200)
-        assert coloring is not None
+        assert check_nice(st).ok
+        coloring, _ = final_color(st, seed=9, max_retries=200)
         assert is_valid_coloring(g, cover, coloring)
 
     @pytest.mark.parametrize("seed", range(50))
@@ -110,92 +113,133 @@ class TestFinalColor:
         st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.01, 0.02))
         nc = check_nice(st)
         assert nc.ok and nc.delta == pytest.approx(0.7)
-        coloring, attempts = final_color(st, nc.delta, seed=seed, max_retries=100)
-        assert coloring is not None
-        assert attempts <= 100
+        coloring, rounds = final_color(st, seed=seed, max_retries=100)
+        assert rounds <= 100
         assert is_valid_coloring(g, cover, coloring)
 
-    def test_bad_delta_rejected(self):
+    def test_live_vertex_without_moderate_color_rejected(self):
+        # vertex 1's colors sit at 0 and at the cap: it has nothing to draw
         g = build_graph(2, [(0, 1)])
-        cover = random_cover(g, 2, seed=0)
-        st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.25, 0.5))
-        with pytest.raises(DomainError):
-            final_color(st, 0.0, seed=0, max_retries=5)
-        with pytest.raises(DomainError):
-            final_color(st, 0.01, seed=0, max_retries=5)  # probabilities > 1
-
-    @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_nonfinite_delta_rejected(self, delta):
-        g = gen_cycle(4)
-        cover = random_cover(g, 70, seed=0)
-        st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.01, 0.02))
-        msg = f"^delta must be a finite number above 0, got {delta}$"
-        with pytest.raises(DomainError, match=msg):
-            final_color(st, delta, seed=0, max_retries=5)
+        cover = make_cover([[0, 1], [2, 3]], {(0, 1): [(0, 2), (1, 3)]})
+        p = np.array([0.25, 0.25, 0.0, 0.5])
+        st = ReductState.initial(g, cover, Weighting(p=p, p_hat=0.5))
+        with pytest.raises(DomainError, match="^live vertex 1 has no moderate color"):
+            final_color(st, seed=0, max_retries=5)
+        dead = dataclasses.replace(st, alive=np.array([True, False]))
+        assert final_color(dead, seed=0, max_retries=5)[0].keys() == {0}
 
     def test_deterministic(self):
         g = gen_cycle(4)
         cover = random_cover(g, 70, seed=0)
         st = ReductState.initial(g, cover, Weighting.uniform(cover, 0.01, 0.02))
-        a = final_color(st, 0.7, seed=5, max_retries=50)
-        b = final_color(st, 0.7, seed=5, max_retries=50)
+        a = final_color(st, seed=5, max_retries=50)
+        b = final_color(st, seed=5, max_retries=50)
         assert a == b
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["blocks", "shuffled"])
     def test_matches_reference_over_stepped_states(self, shuffled):
         # States after 0, 1 or 3 steps, under a tight and a loose cap, each
-        # rounded under two slacks and two budgets. Shuffled ids interleave
-        # across vertices and leave gaps below the largest id.
+        # rounded under two budgets. Shuffled ids interleave across vertices
+        # and leave gaps below the largest id.
         seen = set()
-        for steps, cap, dmul, budget in itertools.product(
-            (0, 1, 3), (1.5, 3.0), (1.0, 4.0), (1, 30)
-        ):
+        for steps, cap, budget in itertools.product((0, 1, 3), (1.5, 3.0), (1, 30)):
             g = gen_random_bipartite_regular(10, 3, seed=steps)
             lists, matchings = raw_cover(g, 8, seed=steps, shuffled=shuffled)
             cover = make_cover(lists, matchings)
             st = ReductState.initial(g, cover, Weighting.uniform(cover, 1.0 / 8, cap / 8))
             for i in range(steps):
                 st, _ = reduct_step(st, seed=i, alpha=0.6)
+            seen.add(rounds_as_reference(st, lists, matchings, 5, budget))
             w = st.weighting
-            delta = 2.0 * w.p_hat * dmul
-            got = final_color(st, delta, seed=5, max_retries=budget)
-            assert got == reference_final_color(
-                lists, matchings, st.alive.tolist(), w.p.tolist(), w.p_hat,
-                delta, 5, budget,
-            )
             live = st.live_color_mask()
-            seen.add("exhausted" if got[0] is None else "success")
             if not st.alive.all():
                 seen.add("dead")
             if (w.capped & live).any():
                 seen.add("capped")
             if ((w.p == 0.0) & live).any():
                 seen.add("zeroed")
-        assert seen == {"dead", "capped", "zeroed", "success", "exhausted"}
+        # a stepped state may also leave a live vertex nothing to draw
+        assert seen - {"refused"} == {"dead", "capped", "zeroed", "success", "exhausted"}
 
-    def test_rounds_read_only_eligible_pairs(self, monkeypatch):
+    @given(st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_colors_drawn_nice_states_as_the_oracle_does(self, data):
+        n = data.draw(st.integers(2, 12))
+        g = random_triangle_free_graph(data.draw(st.integers(0, 99)), n, 0.4)
+        k = data.draw(st.integers(2, 10))
+        cover_seed = data.draw(st.integers(0, 99))
+        lists, full = raw_cover(g, k, cover_seed, shuffled=data.draw(st.booleans()))
+        # matchings thinned to a share q of their pairs, so more states are nice
+        q = data.draw(st.sampled_from([0.2, 0.4, 0.7, 1.0]))
+        keep = np.random.default_rng(cover_seed).random((len(full), k)) < q
+        matchings = {
+            e: [pair for pair, kept in zip(pairs, row) if kept]
+            for (e, pairs), row in zip(full.items(), keep)
+        }
+        cover = make_cover(lists, matchings)
+        levels = st.sampled_from([0.0, 0.1, 0.2, 0.2, 0.3, 0.5])
+        size = cover.n_colors
+        p = np.array(data.draw(st.lists(levels, min_size=size, max_size=size)))
+        flags = st.sampled_from([True, True, True, False])
+        alive = np.array(data.draw(st.lists(flags, min_size=n, max_size=n)))
+        base = ReductState.initial(g, cover, Weighting(p=p, p_hat=0.5))
+        state = dataclasses.replace(base, alive=alive)
+        assume(check_nice(state).ok)
+        seed = data.draw(st.integers(0, 99))
+        budget = data.draw(st.sampled_from([1, 2, 100]))
+        if rounds_as_reference(state, lists, matchings, seed, budget) == "success":
+            coloring, _ = final_color(state, seed, budget)
+            live = np.flatnonzero(alive).tolist()
+            assert check_coloring(g, cover, coloring, vertices=live) is None
+
+    def test_rounds_read_live_weights_and_pairs_only(self, monkeypatch):
+        # Weights of a removed vertex's colors do not move the draws, and no
+        # round builds the color adjacency or counts through mask_counts.
         g = gen_random_bipartite_regular(10, 3, seed=1)
-        cover = make_cover(*raw_cover(g, 8, seed=1, shuffled=True))
+        lists, matchings = raw_cover(g, 8, seed=1, shuffled=True)
+        cover = make_cover(lists, matchings)
         st = ReductState.initial(g, cover, Weighting.uniform(cover, 1.0 / 8, 1.5 / 8))
         st, _ = reduct_step(st, seed=0, alpha=0.6)
-        eligible = st.weighting.moderate & st.live_color_mask()
-        nbr_ptr, nbr_idx = cover.arrays
-        pairs = sum(
-            int(eligible[nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]]].sum())
-            for x in np.flatnonzero(eligible)
-        )
-        assert 0 < pairs < nbr_idx.size
-        sizes = []
-        mask_counts = kernels.mask_counts
+        dead = ~st.live_color_mask() & (cover.owner >= 0)
+        assert dead.any()
+        p = st.weighting.p.copy()
+        p[dead] = 0.1
+        moved = dataclasses.replace(st, weighting=Weighting(p, st.weighting.p_hat))
 
-        def spy(ptr, idx, mask):
-            sizes.append(idx.size)
-            return mask_counts(ptr, idx, mask)
+        def spy(*args):
+            raise AssertionError("rounding counted through mask_counts")
 
         monkeypatch.setattr(kernels, "mask_counts", spy)
-        _, attempts = final_color(st, 2.0 * st.weighting.p_hat, seed=5, max_retries=30)
-        assert len(sizes) == attempts > 1
-        assert max(sizes) <= pairs
+        fresh = make_cover(lists, matchings)
+        rounded = [
+            final_color(dataclasses.replace(s, cover=fresh), seed=11, max_retries=30)
+            for s in (st, moved)
+        ]
+        assert rounded[0] == rounded[1] and rounded[0][1] > 1
+        assert "arrays" not in vars(fresh)
+
+
+def rounds_as_reference(state, lists, matchings, seed, max_retries) -> str:
+    """Check final_color against reference_final_color; name the outcome."""
+    w = state.weighting
+    try:
+        coloring, rounds, bad = reference_final_color(
+            lists, matchings, state.alive.tolist(), w.p.tolist(), w.p_hat, seed,
+            max_retries,
+        )
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            final_color(state, seed, max_retries)
+        return "refused"
+    if coloring is not None:
+        assert final_color(state, seed, max_retries) == (coloring, rounds)
+        return "success"
+    with pytest.raises(RoundingBudgetExceeded) as exc:
+        final_color(state, seed, max_retries)
+    assert (exc.value.rounds, exc.value.bad_edges, exc.value.lowest) == (
+        rounds, len(bad), bad[0]
+    )
+    return "exhausted"
 
 
 def raw_cover(g, k, seed, shuffled):
@@ -286,13 +330,13 @@ class TestRunNibble:
         assert res.trajectory  # at least one step committed
 
     def test_stepping_resumes_after_rounding_budget_is_spent(self):
-        # One rounding attempt per niceness pass: three passes fail, the
-        # run keeps stepping, and the fourth rounds; all four are counted.
+        # One rounding round per niceness pass: two passes fail, the run
+        # keeps stepping, and the third rounds; all three are counted.
         g = gen_random_bipartite_regular(20, 6, seed=1)
-        cover = random_cover(g, 16, seed=3)
-        res = run_nibble(g, cover, relaxed_params(max_final_retries=1), seed=3)
+        cover = random_cover(g, 22, seed=0)
+        res = run_nibble(g, cover, relaxed_params(max_final_retries=1), seed=0)
         assert res.ok and res.detail is None
-        assert res.final_attempts == 4
+        assert res.final_attempts == 3
         assert is_valid_coloring(g, cover, res.coloring)
 
     def test_trajectory_row_fields(self):
@@ -323,6 +367,20 @@ class TestRunNibble:
         res = run_nibble(g, cover, paper_params(), seed=2)
         assert res.mode == "schedule" and res.istar == 0 and res.steps == 0
         assert res.ok
+        assert is_valid_coloring(g, cover, res.coloring)
+
+    def test_paper_preset_colors_by_rounding_alone(self):
+        # The paper's constants give istar = 0 at desk-scale degrees, so the
+        # initial uniform state must be nice and the rounding must color it.
+        g = gen_random_bipartite_regular(200, 12, seed=1)
+        k = paper_params().k_for(12)
+        cover = random_cover(g, k, seed=1)
+        start = time.perf_counter()
+        res = run_nibble(g, cover, paper_params(), seed=0)
+        assert time.perf_counter() - start < 2.0
+        assert (res.status, res.mode, res.istar, res.steps, k) == (
+            "success", "schedule", 0, 0, 580
+        )
         assert is_valid_coloring(g, cover, res.coloring)
 
     def test_schedule_mode_with_steps(self):

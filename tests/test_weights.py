@@ -248,7 +248,7 @@ class TestModerate:
 class TestNiceness:
     def test_constructed_toy_is_nice(self):
         # 70 colors per vertex at weight 0.01 on a 4-cycle:
-        # min moderate mass 0.7, doubled max weight 0.02,
+        # min moderate mass 0.7,
         # edge term 2 sqrt(2 * 70 * 0.0001) = 0.2366.
         g = gen_cycle(4)
         cover = random_cover(g, 70, seed=0)
@@ -256,7 +256,6 @@ class TestNiceness:
         nc = check_nice(st)
         assert nc.ok
         assert nc.delta == pytest.approx(0.7, rel=1e-12)
-        assert nc.doubled_max_weight == pytest.approx(0.02, rel=1e-12)
         assert nc.edge_term == pytest.approx(
             2 * math.sqrt(2 * 70 * 0.01**2), rel=1e-12
         )
@@ -269,14 +268,16 @@ class TestNiceness:
         assert not nc.ok
         assert "zero moderate mass" in nc.reason
 
-    def test_large_weight_fails_condition_two(self):
+    def test_large_weight_alone_does_not_fail(self):
+        # 2 * 0.4 exceeds the minimum moderate mass 0.45, which the final
+        # rounding does not mind: each vertex draws one color by weight
         g = build_graph(2, [(0, 1)])
-        cover = random_cover(g, 2, seed=1)
+        cover = make_cover([[0, 1], [2, 3]], {(0, 1): [(1, 3)]})
         p = np.array([0.4, 0.05, 0.3, 0.15])
         st = ReductState.initial(g, cover, Weighting(p=p, p_hat=0.6))
         nc = check_nice(st)
-        assert not nc.ok
-        assert "exceeds half" in nc.reason
+        assert nc.ok and nc.delta == pytest.approx(0.45)
+        assert nc.edge_term == pytest.approx(2 * math.sqrt(0.05 * 0.15))
 
     def test_heavy_edges_fail_condition_three(self):
         g = gen_cycle(4)
@@ -315,8 +316,9 @@ class TestNiceness:
         assert checks[0].ok and checks[0].delta == pytest.approx(0.4)
 
     def test_delta_implies_survival_inequality(self):
-        # whenever the check passes, 2 p_m(v)/delta >= 1 + (4/delta^2) * sum
-        # of incident moderate edge masses, recomputed from scratch
+        # whenever the check passes, 4 * sum of incident moderate edge masses
+        # <= delta^2, so 2 p_m(v)/delta >= 1 + (4/delta^2) * that sum,
+        # recomputed from scratch
         for seed in range(8):
             g = gen_cycle(6)
             cover = random_cover(g, 40, seed=seed)
@@ -335,4 +337,5 @@ class TestNiceness:
                     for u in nbrs[v]
                 )
                 p_m = reference_moderate_mass(lists, p, p_hat, v)
+                assert 4 * incident <= d**2 * (1 + 1e-12)
                 assert 2 * p_m / d >= 1 + (4 / d**2) * incident - 1e-12
