@@ -49,6 +49,7 @@ from .graphs import (
     Graph,
     average_degree,
     build_graph,
+    canonical_graph_json,
     gen_complete_bipartite,
     gen_cycle,
     gen_random_bipartite_regular,

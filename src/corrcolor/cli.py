@@ -5,6 +5,7 @@ derived from it through named streams, so identical invocations produce
 byte-identical result JSON. A command's result goes to stdout, or to --out
 with a run manifest (command, parameters, input digests, package version,
 timestamp) next to it; result documents themselves carry no wall-clock values.
+Every document is rendered as bytes and written as it is.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import io
 import json
 import sys
+from contextvars import ContextVar
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +33,12 @@ from .covers import lift_from_lists, random_cover, validate_cover
 from .errors import CorrColorError, DomainError, MalformedInputError, is_integer
 from .firstmoment import run_lb_experiment
 from .graphs import (
+    canonical_graph_json,
     gen_complete_bipartite,
     gen_cycle,
     gen_random_bipartite_regular,
     gen_random_regular,
     graph_from_json_dict,
-    graph_to_json_dict,
     parse_dimacs,
 )
 from .nibble import CSV_HEADER, paper_params, relaxed_params, run_nibble
@@ -51,11 +53,17 @@ from .weights import (
 )
 
 
+# The sha256 of each input file, by path, as one `main` call read it.
+_input_digests: ContextVar[dict[str, str]] = ContextVar("input_digests")
+
+
 def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc.strerror}") from exc
+    _input_digests.get({})[path] = hashlib.sha256(data).hexdigest()
+    return data
 
 
 def _decode(data: bytes, path: str) -> str:
@@ -135,28 +143,28 @@ def _load_weighting(path: str, n_colors: int) -> Weighting:
         raise MalformedInputError(str(exc)) from exc
 
 
-def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _dump_json(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_bytes(path: str, data: bytes) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise MalformedInputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_output(payload: str, args) -> None:
-    """A command's result text to stdout, or to --out with its run manifest."""
+def _write_output(payload: bytes, args) -> None:
+    """A command's result document to stdout, or to --out with its run manifest.
+
+    The manifest's input digests are of the bytes the command read, taken
+    before --out, which may name one of the inputs, is written.
+    """
     if not args.out:
-        sys.stdout.write(payload)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload)
         return
-    flags = ("graph", "cover", "lists", "weights", "restrict")
-    inputs = filter(None, (getattr(args, flag, None) for flag in flags))
-    # Read again here, so no input's bytes are held while the command runs,
-    # and before --out is written, which may name one of the inputs.
-    digests = {p: hashlib.sha256(_read_bytes(p)).hexdigest() for p in inputs}
-    _write_text(args.out, payload)
+    _write_bytes(args.out, payload)
     manifest = {
         "command": args.command,
         "parameters": {
@@ -166,17 +174,17 @@ def _write_output(payload: str, args) -> None:
         },
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "input_digests": digests,
+        "input_digests": _input_digests.get({}),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write_text(args.out + ".manifest.json", _dump_json(manifest))
+    _write_bytes(args.out + ".manifest.json", _dump_json(manifest))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen_graph(args) -> str:
+def _cmd_gen_graph(args) -> bytes:
     if args.kind == "cycle":
         g = gen_cycle(args.n)
     elif args.kind == "complete-bipartite":
@@ -185,16 +193,16 @@ def _cmd_gen_graph(args) -> str:
         g = gen_random_regular(args.n, args.d, args.seed, triangle_free=args.triangle_free)
     else:
         g = gen_random_bipartite_regular(args.n_side, args.d, args.seed)
-    return _dump_json(graph_to_json_dict(g))
+    return canonical_graph_json(g)
 
 
-def _cmd_gen_cover(args) -> str:
+def _cmd_gen_cover(args) -> bytes:
     g = _load_graph(args.graph)
     cover = random_cover(g, args.k, args.seed, mode=args.mode, q=args.q)
     return canonical_cover_json(cover)
 
 
-def _cmd_lift(args) -> str:
+def _cmd_lift(args) -> bytes:
     g = _load_graph(args.graph)
     lists = _load_json(args.lists)
     if not isinstance(lists, list):
@@ -202,7 +210,7 @@ def _cmd_lift(args) -> str:
     return canonical_cover_json(lift_from_lists(g, lists))
 
 
-def _cmd_validate(args) -> str:
+def _cmd_validate(args) -> bytes:
     g = _load_graph(args.graph)
     problems = validate_cover(g, _load_cover(args.cover))
     return _dump_json({"ok": not problems, "violations": problems})
@@ -236,7 +244,7 @@ def _parse_restrict(doc) -> dict[int, list[int]]:
     return restrict
 
 
-def _cmd_solve(args) -> str:
+def _cmd_solve(args) -> bytes:
     g, cover = _load_valid_cover(args)
     restrict = _parse_restrict(_load_json(args.restrict)) if args.restrict else None
     outcome = solve_report(
@@ -245,7 +253,7 @@ def _cmd_solve(args) -> str:
     return _dump_json(outcome.to_json_dict())
 
 
-def _cmd_lb_experiment(args) -> str:
+def _cmd_lb_experiment(args) -> bytes:
     g = _load_graph(args.graph)
     report, witness = run_lb_experiment(
         g,
@@ -258,18 +266,18 @@ def _cmd_lb_experiment(args) -> str:
     )
     if args.witness_out:
         if witness is not None:
-            _write_text(args.witness_out, canonical_cover_json(witness))
+            _write_bytes(args.witness_out, canonical_cover_json(witness))
         else:
             sys.stderr.write("no non-colorable cover found; witness not written\n")
     if args.trials_csv:
         lines = ["trial,count"]
         for i, c in enumerate(report.per_trial_counts):
             lines.append(f"{i},{'' if c is None else c}")
-        _write_text(args.trials_csv, "\n".join(lines) + "\n")
+        _write_bytes(args.trials_csv, ("\n".join(lines) + "\n").encode())
     return _dump_json(report.to_json_dict())
 
 
-def _cmd_stats(args) -> str:
+def _cmd_stats(args) -> bytes:
     g, cover = _load_valid_cover(args)
     w = _load_weighting(args.weights, cover.n_colors)
     state = ReductState.initial(g, cover, w)
@@ -287,7 +295,7 @@ def _cmd_stats(args) -> str:
     return _dump_json(doc)
 
 
-def _cmd_nibble(args) -> str:
+def _cmd_nibble(args) -> bytes:
     g = _load_graph(args.graph)
     cover = _load_cover(args.cover)
     # Each flag overrides the NibbleParams field of the same name.
@@ -299,7 +307,7 @@ def _cmd_nibble(args) -> str:
         lines = [CSV_HEADER]
         for row in result.trajectory:
             lines.append(",".join(map(repr, row.to_json_dict().values())))
-        _write_text(args.trace, "\n".join(lines) + "\n")
+        _write_bytes(args.trace, ("\n".join(lines) + "\n").encode())
     return _dump_json(result.to_json_dict())
 
 
@@ -405,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    token = _input_digests.set({})
     try:
         _write_output(args.func(args), args)
         return 0
@@ -418,6 +427,8 @@ def main(argv=None) -> int:
         # A fault of the program, not of the input: one line, its own code.
         sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         return 3
+    finally:
+        _input_digests.reset(token)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 `cover_to_json_dict` and `cover_from_json_dict` convert between a Cover and
 the decoded document of any valid layout. The CLI writes every cover in one
 canonical layout, `canonical_cover_json`, rendered straight from the flat
-arrays, and `cover_from_canonical_json` reads that layout back into them
-with no Python object per number, or returns None for any other text.
+arrays to bytes in bounded chunks, and `cover_from_canonical_json` reads
+that layout back into them with no Python object per number, or returns
+None for any other text.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ def _layout(sizes: list[int], counts: list[int], slot: str):
     """The canonical cover document with `slot` in place of every number.
 
     `sizes` are the list sizes and `counts` the pair counts of the matchings
-    in key order. Returns (head, blocks, tail): the document is `head`, which
-    ends with the first key's block, then `blocks[c]` for each later count c,
-    then `tail`. Blocks are rendered once per distinct size and count.
+    in key order. Returns (head, blocks, tail) as bytes: the document is
+    `head`, which ends with the first key's block, then `blocks[c]` for each
+    later count c, then `tail`. Blocks are rendered and encoded once per
+    distinct size and count.
     """
     lists = {s: "    " + _json_array([f"      {slot}"] * s, 4) for s in set(sizes)}
     pair = "      " + _json_array([f"        {slot}"] * 2, 6)
@@ -93,21 +95,19 @@ def _layout(sizes: list[int], counts: list[int], slot: str):
         f'{{\n  "k_per_vertex": {k_per_vertex},\n  "lists": {lists_text},\n'
         f'  "matchings": {opening}{first}'
     )
-    return head, blocks, tail
+    blocks = {c: block.encode() for c, block in blocks.items()}
+    return head.encode(), blocks, tail.encode()
 
 
-def canonical_cover_json(cover: Cover) -> str:
-    """The cover document the CLI writes, rendered from the arrays.
+# Matching keys filled by one %-format call of `canonical_cover_json`, so the
+# numbers of a call stay a bounded tuple however large the cover.
+_KEYS_PER_CALL = 1024
 
-    Equal to `json.dumps(cover_to_json_dict(cover), indent=2, sort_keys=True)`
-    plus a newline: matching keys come in string order ("0,10" before "0,2").
-    The layout is filled in one %-format of all numbers in document order.
-    """
-    sizes = _sizes_of(cover.vlist_ptr)
-    keys = [f"{u},{v}" for u, v in zip(cover.edge_u.tolist(), cover.edge_v.tolist())]
-    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+
+def _key_numbers(cover: Cover, order: np.ndarray) -> list[int]:
+    """The numbers of the matching keys `order` in document order: per key,
+    u and v, then its pairs x0, y0, x1, y1, ..."""
     counts = _sizes_of(cover.edge_ptr)[order]
-    # per key in string order: u, v, then its pairs x0, y0, x1, y1, ...
     block = _ptr(2 + 2 * counts)[:-1]
     numbers = np.empty(2 * (counts.size + counts.sum()), dtype=np.int64)
     in_pair = np.ones(numbers.size, dtype=bool)
@@ -115,11 +115,32 @@ def canonical_cover_json(cover: Cover) -> str:
     numbers[block], numbers[block + 1] = cover.edge_u[order], cover.edge_v[order]
     take = _ranges(cover.edge_ptr[order], counts)
     numbers[in_pair] = np.column_stack((cover.pair_x[take], cover.pair_y[take])).ravel()
-    numbers = np.concatenate((sizes, cover.vlist_colors, numbers))
-    counts = counts.tolist()
+    return numbers.tolist()
+
+
+def canonical_cover_json(cover: Cover) -> bytes:
+    """The cover document the CLI writes, rendered from the arrays as bytes.
+
+    Equal to `json.dumps(cover_to_json_dict(cover), indent=2, sort_keys=True)`
+    plus a newline, encoded: matching keys come in string order ("0,10"
+    before "0,2"). The layout is filled in chunks by bytes %-formats, one for
+    the head (list sizes, lists and the first key) and one per run of
+    `_KEYS_PER_CALL` later keys, and the pieces are joined once; no str of the
+    whole document is built.
+    """
+    sizes = _sizes_of(cover.vlist_ptr)
+    keys = [f"{u},{v}" for u, v in zip(cover.edge_u.tolist(), cover.edge_v.tolist())]
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+    counts = _sizes_of(cover.edge_ptr)[order].tolist()
     head, blocks, tail = _layout(sizes.tolist(), counts, "%d")
-    layout = "".join(chain([head], map(blocks.__getitem__, counts[1:]), [tail]))
-    return layout % tuple(numbers.tolist())
+    head_numbers = sizes.tolist() + cover.vlist_colors.tolist()
+    pieces = [head % tuple(head_numbers + _key_numbers(cover, order[:1]))]
+    for i in range(1, len(counts), _KEYS_PER_CALL):
+        run = slice(i, i + _KEYS_PER_CALL)
+        layout = b"".join(map(blocks.__getitem__, counts[run]))
+        pieces.append(layout % tuple(_key_numbers(cover, order[run])))
+    pieces.append(tail)
+    return b"".join(pieces)
 
 
 # Every number of at most 18 digits fits in int64.
@@ -159,10 +180,8 @@ def _is_layout(text: bytes, sizes: np.ndarray, counts: np.ndarray) -> bool:
     and pair counts, compared in place piece by piece as `_layout` gives it."""
     counts = counts.tolist()
     head, blocks, tail = _layout(sizes.tolist(), counts, "")
-    blocks = {c: block.encode() for c, block in blocks.items()}
-    pieces = chain([head.encode()], map(blocks.__getitem__, counts[1:]))
     pos = 0
-    for piece in chain(pieces, [tail.encode()]):
+    for piece in chain([head], map(blocks.__getitem__, counts[1:]), [tail]):
         if not text.startswith(piece, pos):
             return False
         pos += len(piece)

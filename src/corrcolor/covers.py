@@ -181,23 +181,27 @@ class Cover:
         The neighbors of color x are nbr_idx[nbr_ptr[x]:nbr_ptr[x + 1]]: every
         color matched with x on some edge, ascending and without repeats.
         """
-        nc = self.n_colors
-        src = np.concatenate([self.pair_x, self.pair_y])
-        dst = np.concatenate([self.pair_y, self.pair_x])
-        outside = (src < 0) | (src >= nc)
+        nc, x, y = self.n_colors, self.pair_x, self.pair_y
+        key = np.concatenate([x, y])
+        outside = (key < 0) | (key >= nc)
         if outside.any():
             raise DomainError(
-                f"matched color {int(src[outside][0])} is not a list color id"
+                f"matched color {int(key[outside][0])} is not a list color id"
                 f" in 0..{nc - 1}"
             )
-        key = np.sort(src * nc + dst)
-        if key.size:
-            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-            nbr_ptr = _ptr(np.bincount(key // nc, minlength=nc))
-            nbr_idx = key % nc
-        else:
-            nbr_ptr, nbr_idx = np.zeros(nc + 1, dtype=np.int64), key
-        return _freeze(nbr_ptr), _freeze(nbr_idx)
+        # each pair in both directions, packed in place as x * nc + y
+        key *= nc
+        key[: x.size] += y
+        key[x.size :] += x
+        key.sort()
+        distinct = key[1:] != key[:-1]
+        if not distinct.all():
+            key = key[np.concatenate(([True], distinct))]
+        # color x's keys are x * nc + y, so its run starts where x * nc would go
+        base = np.arange(nc + 1, dtype=np.int64) * nc
+        nbr_ptr = np.searchsorted(key, base)
+        key -= np.repeat(base[:-1], _sizes_of(nbr_ptr))
+        return _freeze(nbr_ptr), _freeze(key)
 
     @property
     def lists(self) -> tuple[tuple[int, ...], ...]:

@@ -270,6 +270,31 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": g.edges.tolist()}
 
 
+# Edges filled by one %-format call of `canonical_graph_json`.
+_EDGES_PER_CALL = 1024
+_EDGE = b"    [\n      %d,\n      %d\n    ]"
+
+
+def canonical_graph_json(g: Graph) -> bytes:
+    """The graph document the CLI writes, rendered from the edge array as bytes.
+
+    Equal to `json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True)`
+    plus a newline, encoded. Each run of `_EDGES_PER_CALL` edges is filled by
+    one bytes %-format, and the pieces are joined once.
+    """
+    ends = g.edges.ravel()
+    if ends.size == 0:
+        return b'{\n  "edges": [],\n  "n": %d\n}\n' % g.n
+    step = 2 * _EDGES_PER_CALL
+    pieces = [b'{\n  "edges": [\n']
+    for i in range(0, ends.size, step):
+        run = ends[i : i + step].tolist()
+        pieces += [b",\n".join([_EDGE] * (len(run) // 2)) % tuple(run), b",\n"]
+    # the separator after the last run gives way to the tail
+    pieces[-1] = b'\n  ],\n  "n": %d\n}\n' % g.n
+    return b"".join(pieces)
+
+
 def graph_from_json_dict(doc) -> Graph:
     """Read a graph document; ids must be JSON integers, as in cover documents."""
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:

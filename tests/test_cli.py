@@ -138,7 +138,42 @@ class TestByteIdentity:
     bad edges redrawn) and niceness dropped its weight condition; the
     not-nice and step-exhausted runs never round and kept their digests.
     The drained and round-exhausted exits moved to instances that still
-    reach them under that rounding."""
+    reach them under that rounding. The gen-graph outputs are pinned from
+    before graph documents were rendered to bytes in chunks; the last one
+    crosses a chunk boundary."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["cycle", "--n", "7"],
+                "9cabb6a367f3d43ec2082c60734813e09c5a858ca470db19f2493f4982ecc3f6",
+            ),
+            (
+                ["complete-bipartite", "--a", "3", "--b", "4"],
+                "ee1e6353d1a8ed5c872b938af57bac2b3a1f30a0f0b788d3d20c0f0dd9f19da6",
+            ),
+            (
+                ["random-regular", "--n", "12", "--d", "3", "--seed", "2",
+                 "--triangle-free"],
+                "066f9828ccde1fb9b8859ed3bc980f8049df1419349f67b6e33797873e71f27b",
+            ),
+            (
+                ["random-bipartite-regular", "--n-side", "180", "--d", "6",
+                 "--seed", "4"],
+                "b49f832e7bdf6d418ba827626819f6916dbc58b0b66e4a9c3b8d01bdf5612730",
+            ),
+        ],
+        ids=[
+            "cycle", "complete-bipartite", "random-regular", "random-bipartite-regular"
+        ],
+    )
+    def test_gen_graph_digest(self, tmp_path, capsys, argv, digest):
+        path = tmp_path / "g.json"
+        assert main(["gen-graph", *argv, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert main(["gen-graph", *argv]) == 0
+        assert capsys.readouterr().out.encode() == path.read_bytes()
 
     @pytest.mark.parametrize(
         "flags, digest",

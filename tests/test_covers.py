@@ -34,6 +34,7 @@ from corrcolor import (
     validate_cover,
 )
 from corrcolor.cli import main
+from corrcolor.coverjson import _KEYS_PER_CALL
 from corrcolor.rng import derive_int_seed, derive_rng
 
 from .conftest import (
@@ -693,22 +694,43 @@ ANY_IDS = st.one_of(st.integers(-3, 40), st.integers(-(2**63), 2**63 - 1))
 @given(_covers(ANY_IDS, (-1, *KEY_VERTICES)))
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_writer_matches_json_dumps(cover):
-    assert canonical_cover_json(cover) == _dumps_doc(cover_to_json_dict(cover))
+    assert canonical_cover_json(cover) == _dumps_doc(cover_to_json_dict(cover)).encode()
 
 
 @given(_covers(READABLE_IDS))
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_reader_reads_writer_output(cover):
-    assert cover_from_canonical_json(canonical_cover_json(cover).encode()) == cover
+    assert cover_from_canonical_json(canonical_cover_json(cover)) == cover
 
 
-@given(_covers(ANY_IDS, (-1, *KEY_VERTICES)), st.data())
-@settings(max_examples=200, derandomize=True, deadline=None)
-def test_validate_matches_reference_on_any_ids(cover, data):
-    n = cover.n_vertices
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    g = build_graph(n, edges)
+@given(
+    st.sampled_from([0, 1, _KEYS_PER_CALL, _KEYS_PER_CALL + 1]),
+    st.sampled_from([(0, 40), (-(2**63), 2**63 - 1)]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=16, derandomize=True, deadline=None)
+def test_writer_matches_json_dumps_across_calls(n_keys, id_range, seed):
+    # the writer fills its keys in runs of _KEYS_PER_CALL after the first
+    rng = np.random.default_rng(seed)
+    lo, hi = id_range
+
+    def ids(size):
+        return rng.integers(lo, hi, size, endpoint=True).tolist()
+
+    pairs = list(itertools.combinations(range(50), 2))
+    keys = [pairs[i] for i in rng.choice(len(pairs), n_keys, replace=False)]
+    lists = [ids(rng.integers(0, 4)) for _ in range(50)]
+    sizes = rng.integers(0, 3, n_keys)
+    matchings = {key: list(zip(ids(c), ids(c))) for key, c in zip(keys, sizes)}
+    cover = make_cover(lists, matchings)
+    text = canonical_cover_json(cover)
+    assert text == _dumps_doc(cover_to_json_dict(cover)).encode()
+    if lo == 0:
+        assert cover_from_canonical_json(text) == cover
+
+
+def _raw_views(cover):
+    """The lists and matchings of a cover, sliced from its arrays as lists."""
     colors = cover.vlist_colors.tolist()
     ptr = cover.vlist_ptr.tolist()
     lists = [colors[a:b] for a, b in zip(ptr, ptr[1:])]
@@ -719,7 +741,59 @@ def test_validate_matches_reference_on_any_ids(cover, data):
             cover.edge_u.tolist(), cover.edge_v.tolist(), edge_ptr, edge_ptr[1:]
         )
     }
-    assert validate_cover(g, cover) == reference_validate(g, lists, matchings)
+    return lists, matchings
+
+
+@given(_covers(ANY_IDS, (-1, *KEY_VERTICES)), st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_validate_matches_reference_on_any_ids(cover, data):
+    n = cover.n_vertices
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = build_graph(n, edges)
+    assert validate_cover(g, cover) == reference_validate(g, *_raw_views(cover))
+
+
+# Dense, negative and sparse ids.
+ADJACENCY_IDS = st.one_of(st.integers(-2, 12), st.integers(0, 10**5))
+
+
+@st.composite
+def _raw_covers(draw):
+    """Raw lists and matchings: drawn outright, or sliced from a random cover
+    with perfect (valid) or bernoulli (partial) matchings. Drawn matchings
+    take either listed ids alone, so pairs repeat within and across keys, or
+    any ids, so some lie outside 0..n_colors-1."""
+    if draw(st.booleans()):
+        lists = draw(st.lists(st.lists(ADJACENCY_IDS, max_size=6), max_size=5))
+        colors = [x for lst in lists for x in lst]
+        listed = colors and draw(st.booleans())
+        ids = st.sampled_from(colors) if listed else ADJACENCY_IDS
+        key = st.tuples(st.sampled_from(KEY_VERTICES), st.sampled_from(KEY_VERTICES))
+        pairs = st.lists(st.tuples(ids, ids), max_size=6)
+        return lists, draw(st.dictionaries(key, pairs, max_size=6))
+    g = random_graph(draw(st.integers(0, 2**16)), draw(st.integers(1, 8)), 0.5)
+    mode = draw(st.sampled_from(["perfect", "bernoulli"]))
+    k, seed = draw(st.integers(1, 5)), draw(st.integers(0, 99))
+    cover = random_cover(g, k, seed=seed, mode=mode)
+    return _raw_views(cover)
+
+
+@given(_raw_covers())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_arrays_match_plain_adjacency(raw):
+    cover = make_cover(*raw)
+    ref = reference_cover_views(*raw)
+    if ref["nbr_ptr"] is None:
+        nc = ref["n_colors"]
+        first = next(x for x in ref["pair_x"] + ref["pair_y"] if not 0 <= x < nc)
+        msg = f"matched color {first} is not a list color id in 0..{nc - 1}"
+        with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
+            cover.arrays
+        return
+    nbr_ptr, nbr_idx = cover.arrays
+    assert nbr_ptr.dtype == nbr_idx.dtype == np.int64
+    assert (nbr_ptr.tolist(), nbr_idx.tolist()) == (ref["nbr_ptr"], ref["nbr_idx"])
 
 
 def test_writer_and_reader_on_empty_covers():
@@ -727,10 +801,10 @@ def test_writer_and_reader_on_empty_covers():
         make_cover([], {}), make_cover([[]], {}), make_cover([[0], []], {(0, 1): []})
     ):
         text = canonical_cover_json(cover)
-        assert text == _dumps_doc(cover_to_json_dict(cover))
-        assert cover_from_canonical_json(text.encode()) == cover
+        assert text == _dumps_doc(cover_to_json_dict(cover)).encode()
+        assert cover_from_canonical_json(text) == cover
     assert canonical_cover_json(make_cover([], {})) == (
-        '{\n  "k_per_vertex": [],\n  "lists": [],\n  "matchings": {}\n}\n'
+        b'{\n  "k_per_vertex": [],\n  "lists": [],\n  "matchings": {}\n}\n'
     )
 
 
@@ -782,7 +856,7 @@ def _mutate(text: bytes, kind: str, draw) -> bytes:
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_reader_is_sound_on_mutated_documents(kind, cover, data):
     # Declining is always allowed; a Cover must be the one json.loads gives.
-    mutated = _mutate(canonical_cover_json(cover).encode(), kind, data.draw)
+    mutated = _mutate(canonical_cover_json(cover), kind, data.draw)
     read = cover_from_canonical_json(mutated)
     if read is not None:
         assert read == cover_from_json_dict(json.loads(mutated))
@@ -826,7 +900,7 @@ SMALL = make_cover(
     ],
 )
 def test_reader_declines_other_layouts(old, new):
-    text = canonical_cover_json(SMALL)
+    text = canonical_cover_json(SMALL).decode()
     assert old in text
     assert cover_from_canonical_json(text.replace(old, new).encode("utf-8")) is None
 
@@ -834,7 +908,7 @@ def test_reader_declines_other_layouts(old, new):
 def test_reader_is_sound_under_every_one_byte_edit():
     # a digit or a space put in, or a byte taken out, at every position:
     # only edits of a number are read, as json.loads reads them
-    text = canonical_cover_json(SMALL).encode()
+    text = canonical_cover_json(SMALL)
     edits = [text[:i] + b + text[i:] for i in range(len(text)) for b in (b"7", b" ")]
     edits += [text[:i] + text[i + 1 :] for i in range(len(text))]
     accepted = 0
@@ -855,7 +929,7 @@ def test_reader_reads_every_digit_place():
     ids = [int(str(d) * places) for d in range(1, 10) for places in (1, 3, 5, 18)]
     ids += [300, 1000, 65536, 123456789012345678, 10**18 - 1]
     cover = make_cover([ids], {(0, 1): list(zip(ids, ids[::-1]))})
-    read = cover_from_canonical_json(canonical_cover_json(cover).encode())
+    read = cover_from_canonical_json(canonical_cover_json(cover))
     assert read == cover
     assert read.vlist_colors.tolist() == sorted(ids)
 
@@ -875,13 +949,13 @@ def test_reader_declines_other_layouts_unscanned(monkeypatch):
     for text in (json.dumps(doc), json.dumps(doc, indent=4, sort_keys=True)):
         assert cover_from_canonical_json(text.encode()) is None
     assert scanned == []
-    assert cover_from_canonical_json(canonical_cover_json(SMALL).encode()) == SMALL
+    assert cover_from_canonical_json(canonical_cover_json(SMALL)) == SMALL
     assert scanned == [1]
 
 
 def test_reader_turns_reversed_keys_round():
-    text = canonical_cover_json(SMALL).replace('"0,1"', '"1,0"')
-    read = cover_from_canonical_json(text.encode())
+    text = canonical_cover_json(SMALL).replace(b'"0,1"', b'"1,0"')
+    read = cover_from_canonical_json(text)
     assert read == cover_from_json_dict(json.loads(text)) != SMALL
     assert read.matchings[(0, 1)] == ((12, 1), (13, 0))
 

@@ -820,6 +820,6 @@ class TestUnreachedErrorPaths:
             expected_colorings(0, 1, 2)
 
     def test_canonical_reader_declines_a_trailing_digit(self):
-        data = canonical_cover_json(random_cover(gen_cycle(4), 2, seed=0)).encode()
+        data = canonical_cover_json(random_cover(gen_cycle(4), 2, seed=0))
         assert cover_from_canonical_json(data) is not None
         assert cover_from_canonical_json(data + b"7") is None

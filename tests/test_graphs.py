@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 
@@ -12,6 +13,7 @@ from corrcolor import (
     MalformedInputError,
     average_degree,
     build_graph,
+    canonical_graph_json,
     gen_complete_bipartite,
     gen_cycle,
     gen_random_bipartite_regular,
@@ -326,6 +328,23 @@ class TestIO:
         g = random_graph(11, 13, 0.35)
         doc = graph_to_json_dict(g)
         assert graph_from_json_dict(json.loads(json.dumps(doc))) == g
+
+    @given(
+        st.sampled_from([0, 1, graphs._EDGES_PER_CALL, graphs._EDGES_PER_CALL + 1]),
+        st.sampled_from([0, 50, graphs.MAX_VERTICES]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=16, derandomize=True, deadline=None)
+    def test_writer_matches_json_dumps(self, m, n, seed):
+        # edges are filled in runs of _EDGES_PER_CALL
+        rng = np.random.default_rng(seed)
+        ids = np.unique(np.r_[n - 1, rng.choice(n, 50, replace=False)]) if n else ()
+        pairs = list(itertools.combinations(ids, 2))
+        m = min(m, len(pairs))  # n=0 has no edges
+        g = build_graph(n, [pairs[i] for i in rng.choice(len(pairs), m, replace=False)])
+        assert g.m == m
+        want = json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True) + "\n"
+        assert canonical_graph_json(g) == want.encode()
 
     def test_json_schema_errors(self):
         with pytest.raises(MalformedInputError):
