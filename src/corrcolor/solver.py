@@ -2,16 +2,24 @@
 
 The backtracking search uses forward checking: assigning a color deletes its
 matched partners from the domains of undecided neighbors, and the assignment
-stops as soon as one of those domains is wiped out (Haralick & Elliott 1980).
-Each domain is a bitmask, and its size is the mask's popcount, kept in a
-bytearray (capped at 255, where it is recomputed from the mask). The next
-vertex is chosen by minimum remaining values, ties going to the lowest vertex
-id, found by searching the sizes for 1, 2, ... in turn; colors are tried in
+is refused as soon as one of those domains is wiped out (Haralick & Elliott
+1980). All domains live in one Python int, the state, as fields of w bits, w
+being the largest domain size plus one (Warren, Hacker's Delight, 2002, ch. 2
+and 5). A vertex's field holds its colors as bits in ascending id order under
+a guard bit that stays 0, and lower vertex ids sit in higher fields. An
+assignment is one AND with a mask cached per color; the guard bits of the
+undecided vertices then show, after one subtraction, whether any field is
+empty. The next vertex is chosen by minimum remaining values, ties going to
+the lowest vertex id: the lowest bit of every field is peeled until some
+field empties, and the highest emptied field is the pick. Colors are tried in
 ascending id order, so results are deterministic for a fixed instance. The
-search state is the masks, the sizes and an explicit stack of frames, one per
-decided vertex, each holding its vertex's untried colors as bits, so the
-vertex count is not limited by Python's recursion limit. A node budget
-separates "no coloring" from "gave up".
+search keeps an explicit stack of frames, one per decided vertex, each
+holding its vertex's untried colors as bits and the state it was picked in,
+so undoing an assignment is taking that state again, and the vertex count is
+not limited by Python's recursion limit. Each int operation is linear in the
+state's n*w bits, n*(k+1) for lists of k colors, and so is a node's work; a
+frame or a cached mask holds up to that many bits. A node budget separates
+"no coloring" from "gave up".
 
 Conflicts come from the cover's matched-color adjacency, the
 (`nbr_ptr`, `nbr_idx`) pair in `Cover.arrays`, and domains from its list
@@ -210,19 +218,19 @@ def _search(
     if any(not dom for dom in domains):
         return SolveOutcome("not-colorable", None, 0 if count_all else None, 0)
 
-    # Vertices become local indices 0..n-1 in id order, and colors become bit
-    # positions in their vertex's domain, in ascending id order; color_bit[y]
-    # is 0 for a color in no domain. conflicts[i][a] lists (j, bit) for each
-    # neighbor color that color a of vertex i rules out. Only these lists
-    # are built lazily, when vertex i is first picked. The rest of the set-up
-    # reads the whole cover however few nodes are explored: the list arrays
-    # in `_prepared_domains`, `cover.arrays`, `owner` and `color_bit`.
-    nbr_ptr, nbr_idx = cover.arrays
+    # Vertex i (a local index, in id order) owns a field of w bits at offset
+    # (n-1-i)*w of one int, the state: bit a of the field is color a of its
+    # sorted domain, and the top bit is a guard that stays 0. So the lowest id
+    # sits highest. place[y] is the state bit of color y, -1 for a color in
+    # no domain. keep[i][bit] is the state's mask without the bits that color
+    # `bit` of vertex i rules out and without i's own field, built the first
+    # time that color is tried.
+    n = len(verts)
+    w = max(map(len, domains), default=0) + 1
+    field, full = (1 << w) - 1, (1 << n * w) - 1
     owner = cover.owner.tolist()
-    local = [-1] * g.n
-    color_bit = [0] * cover.n_colors
+    place = [-1] * cover.n_colors
     for i, (v, dom) in enumerate(zip(verts, domains)):
-        local[v] = i
         for a, x in enumerate(dom):
             # A color in two lists would need two bits; refuse such a cover
             # rather than miscount it.
@@ -231,88 +239,75 @@ def _search(
                     f"invalid cover: color {x} at vertex {v} is negative or in"
                     " another list too"
                 )
-            color_bit[x] = 1 << a
-    conflicts = [None] * len(verts)
+            place[x] = (n - 1 - i) * w + a
+    nbr_ptr, nbr_idx = cover.arrays
+    keep = [{} for _ in range(n)]
 
-    # The search state is the masks, the sizes and the stack. size[i] is the
-    # popcount of an undecided vertex's mask, capped at 255 so a bytearray
-    # holds it (a capped size is recomputed from the mask when hit). A decided
-    # vertex has mask 0 (saved in its frame), so assignments skip it, and size
-    # 0, so the MRV pick skips it; the stack holds one frame per decided vertex.
-    mask = [(1 << len(dom)) - 1 for dom in domains]
-    size = bytearray(min(len(dom), 255) for dom in domains)
+    # und holds the guard bits of the undecided vertices and one the lowest
+    # bit of their fields. Subtracting one from s | und leaves a field's guard
+    # set iff the field is not empty, and its colors with the lowest removed.
+    # A frame [vertex, untried bits, state] holds the state its vertex was
+    # picked in, so undoing an assignment is taking that state again.
+    s = int("0" + "".join(f"{(1 << len(dom)) - 1:0{w}b}" for dom in domains), 2)
+    one = full // field
+    und = one << w - 1
+    r = (s | und) - one
     nodes = 0
     count = 0
     first: Coloring | None = None
-    stack = []  # frames [vertex, untried bits, removed, mask]
+    stack = []
 
     while True:
         # Each pass first handles the node just reached: a leaf, or a new
         # frame for the MRV vertex.
-        if len(stack) == len(verts):
+        if len(stack) == n:
             count += 1
             if first is None:
-                first = {
-                    verts[i]: domains[i][(m ^ rest).bit_length() - 1]
-                    for i, rest, _, m in stack
-                }
+                first = {}
+                for i, rest, base in stack:
+                    tried = (base >> (n - 1 - i) * w & field) ^ rest
+                    first[verts[i]] = domains[i][tried.bit_length() - 1]
             if not count_all:
                 break
         else:
-            # No undecided size is 0 here: an assignment that wipes out a
-            # domain is undone before the search goes deeper. find returns
-            # the lowest id among the smallest sizes, unless all are capped.
-            s = 1
-            while (v := size.find(s)) < 0:
-                s += 1
-            if s == 255:
-                capped = [i for i, c in enumerate(size) if c == 255]
-                v = min(capped, key=lambda i: mask[i].bit_count())
-            size[v] = 0
-            if conflicts[v] is None:
-                conflicts[v] = [
-                    [
-                        (local[owner[y]], color_bit[y])
-                        for y in nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]].tolist()
-                        if color_bit[y]
-                    ]
-                    for x in domains[v]
-                ]
-            m = mask[v]
-            mask[v] = 0
-            stack.append([v, m, (), m])
-        # Then undo the top frame's last color and try its lowest untried
-        # one, popping exhausted frames, until an assignment leaves no domain
-        # empty.
+            # No undecided field is empty here, and r is still the test's
+            # (s | und) - one, so s & r is s with one color peeled from each
+            # field. Peeling empties the fields of the smallest size first,
+            # and the highest of them is the lowest id.
+            t = s & r
+            while (r := (t | und) - one) & und == und:
+                t &= r
+            v = n - (und ^ r & und).bit_length() // w
+            off = (n - 1 - v) * w
+            und ^= 1 << off + w - 1
+            one ^= 1 << off
+            stack.append([v, s >> off & field, s])
+        # Then try the top frame's lowest untried color, popping exhausted
+        # frames, until an assignment leaves no domain empty.
         while stack:
             frame = stack[-1]
-            v, rest, removed, m = frame
-            for j, bit in removed:
-                mask[j] |= bit
-                if size[j] < 255:
-                    size[j] += 1
+            v, rest, base = frame
             if not rest:
                 stack.pop()
-                mask[v] = m
-                size[v] = min(m.bit_count(), 255)
+                off = (n - 1 - v) * w
+                und |= 1 << off + w - 1
+                one |= 1 << off
                 continue
-            low = rest & -rest
-            frame[1] = rest ^ low
+            bit = rest & -rest
+            frame[1] = rest ^ bit
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetExceeded(nodes, node_budget)
-            removed = frame[2] = []
-            for hit in conflicts[v][low.bit_length() - 1]:
-                j, bit = hit
-                mj = mask[j]
-                if mj & bit:
-                    mask[j] = mj ^ bit
-                    s = size[j]
-                    size[j] = s - 1 if s < 255 else min(mj.bit_count() - 1, 255)
-                    removed.append(hit)
-                    if mj == bit:
-                        break
-            else:
+            k = keep[v].get(bit)
+            if k is None:
+                x = domains[v][bit.bit_length() - 1]
+                ruled = field << (n - 1 - v) * w
+                for y in nbr_idx[nbr_ptr[x] : nbr_ptr[x + 1]].tolist():
+                    if place[y] >= 0:
+                        ruled |= 1 << place[y]
+                k = keep[v][bit] = full ^ ruled
+            s = base & k
+            if (r := (s | und) - one) & und == und:
                 break
         else:
             break

@@ -295,8 +295,8 @@ def test_matches_reference_search(seed):
 @pytest.mark.parametrize("mode", ["perfect", "bernoulli"])
 @pytest.mark.parametrize("seed", range(30))
 def test_domains_beyond_a_byte_match_reference_search(seed, mode):
-    # Domain sizes on both sides of 255, where the search caps its stored
-    # sizes, mixed with small domains that are decided first.
+    # Domains wider than a byte, with sizes on both sides of 255, mixed with
+    # small domains that are decided first, pinned against reference_search.
     rng = derive_rng(seed, "big-domains")
     g = random_graph(seed, 6, 0.5)
     cover = random_cover(g, 300, seed=seed, mode=mode)
@@ -313,10 +313,12 @@ def test_domains_beyond_a_byte_match_reference_search(seed, mode):
 
 @pytest.mark.parametrize("count", [False, True])
 def test_capped_sizes_survive_backtracking(count):
-    # Vertices 0-2 are a triangle whose first try at vertex 0 is undone,
-    # after taking a color from vertex 3 (255 colors) on the way. Vertex 4
-    # (254 colors) must still come before vertex 3, in the first coloring
-    # and, after the count backtracks over both, in the node total.
+    # Domains at a byte's edge (254 and 255 colors), pinned against
+    # reference_search through backtracking. Vertices 0-2 are a triangle whose
+    # first try at vertex 0 is undone, after taking a color from vertex 3 (255
+    # colors) on the way. Vertex 4 (254 colors) must still come before vertex 3,
+    # in the first coloring and, after the count backtracks over both, in the
+    # node total.
     g = build_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3)])
     cover = lift_from_lists(g, [[0, 300], [0, 1], [0, 1], range(255), range(254)])
     status, coloring, n, nodes = reference_search(g, cover, count=count)
@@ -334,6 +336,28 @@ def test_deep_refutations_keep_their_trees(seed, nodes):
     cover = random_cover(g, 4, seed=seed)
     out = solve_report(g, cover, count=True)
     assert (out.count, out.nodes_explored) == (0, nodes)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        solve_report(g, cover, count=True, node_budget=nodes - 1)
+    assert exc.value.nodes_explored == nodes
+
+
+@pytest.mark.parametrize("count", [False, True])
+def test_empty_vertex_sets_have_one_empty_coloring(count):
+    # No vertex and no domain: the empty coloring is the only leaf, reached
+    # without a node, so even a budget of 0 is enough.
+    want = ("colorable", {}, 1 if count else None, 0)
+    g = gen_cycle(6)
+    cover = random_cover(g, 3, seed=1)
+    empty = build_graph(0, [])
+    empty_cover = random_cover(empty, 3, seed=1)
+    for out in (
+        _search(g, cover, None, [], 0, count_all=count),
+        solve_report(empty, empty_cover, count=count, node_budget=0),
+    ):
+        assert (out.status, out.coloring, out.count, out.nodes_explored) == want
+    assert count_colorings(g, cover, vertices=[], node_budget=0) == 1
+    assert count_colorings(empty, empty_cover, node_budget=0) == 1
+    assert solve_exact(g, cover, vertices=[], node_budget=0) == {}
 
 
 class TestCount:
