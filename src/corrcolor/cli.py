@@ -17,7 +17,9 @@ import hashlib
 import io
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from contextvars import ContextVar
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from . import __version__
 from .coverjson import (
     _vertex_id,
-    canonical_cover_json,
+    canonical_cover_pieces,
     cover_from_canonical_json,
     cover_from_json_dict,
 )
@@ -147,24 +149,28 @@ def _dump_json(doc) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+def _write_bytes(path: str, pieces: Iterable[bytes]) -> None:
+    """Write the pieces of a document to `path` as they come."""
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as f:
+            f.writelines(pieces)
     except OSError as exc:
         raise MalformedInputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_output(payload: bytes, args) -> None:
+def _write_output(payload: bytes | Iterable[bytes], args) -> None:
     """A command's result document to stdout, or to --out with its run manifest.
 
+    The document is bytes or, for a cover, the pieces it is rendered in.
     The manifest's input digests are of the bytes the command read, taken
     before --out, which may name one of the inputs, is written.
     """
+    pieces = [payload] if isinstance(payload, bytes) else payload
     if not args.out:
         sys.stdout.flush()
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.writelines(pieces)
         return
-    _write_bytes(args.out, payload)
+    _write_bytes(args.out, pieces)
     manifest = {
         "command": args.command,
         "parameters": {
@@ -177,7 +183,7 @@ def _write_output(payload: bytes, args) -> None:
         "input_digests": _input_digests.get({}),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write_bytes(args.out + ".manifest.json", _dump_json(manifest))
+    _write_bytes(args.out + ".manifest.json", [_dump_json(manifest)])
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +202,18 @@ def _cmd_gen_graph(args) -> bytes:
     return canonical_graph_json(g)
 
 
-def _cmd_gen_cover(args) -> bytes:
+def _cmd_gen_cover(args) -> Iterator[bytes]:
     g = _load_graph(args.graph)
     cover = random_cover(g, args.k, args.seed, mode=args.mode, q=args.q)
-    return canonical_cover_json(cover)
+    return canonical_cover_pieces(cover)
 
 
-def _cmd_lift(args) -> bytes:
+def _cmd_lift(args) -> Iterator[bytes]:
     g = _load_graph(args.graph)
     lists = _load_json(args.lists)
     if not isinstance(lists, list):
         raise MalformedInputError("lists document must be a JSON array of label arrays")
-    return canonical_cover_json(lift_from_lists(g, lists))
+    return canonical_cover_pieces(lift_from_lists(g, lists))
 
 
 def _cmd_validate(args) -> bytes:
@@ -266,14 +272,14 @@ def _cmd_lb_experiment(args) -> bytes:
     )
     if args.witness_out:
         if witness is not None:
-            _write_bytes(args.witness_out, canonical_cover_json(witness))
+            _write_bytes(args.witness_out, canonical_cover_pieces(witness))
         else:
             sys.stderr.write("no non-colorable cover found; witness not written\n")
     if args.trials_csv:
         lines = ["trial,count"]
         for i, c in enumerate(report.per_trial_counts):
             lines.append(f"{i},{'' if c is None else c}")
-        _write_bytes(args.trials_csv, ("\n".join(lines) + "\n").encode())
+        _write_bytes(args.trials_csv, [("\n".join(lines) + "\n").encode()])
     return _dump_json(report.to_json_dict())
 
 
@@ -307,7 +313,7 @@ def _cmd_nibble(args) -> bytes:
         lines = [CSV_HEADER]
         for row in result.trajectory:
             lines.append(",".join(map(repr, row.to_json_dict().values())))
-        _write_bytes(args.trace, ("\n".join(lines) + "\n").encode())
+        _write_bytes(args.trace, [("\n".join(lines) + "\n").encode()])
     return _dump_json(result.to_json_dict())
 
 
@@ -316,6 +322,7 @@ def _cmd_nibble(args) -> bytes:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line; `main` parses with one per process."""
     parser = argparse.ArgumentParser(
         prog="corrcolor",
         description="Correspondence-coloring toolkit: exact solving, random-cover"
@@ -410,9 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser as it was, so every `main` call shares this one.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     token = _input_digests.set({})
     try:
         _write_output(args.func(args), args)

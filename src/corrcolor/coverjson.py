@@ -2,15 +2,17 @@
 
 `cover_to_json_dict` and `cover_from_json_dict` convert between a Cover and
 the decoded document of any valid layout. The CLI writes every cover in one
-canonical layout, `canonical_cover_json`, rendered straight from the flat
-arrays to bytes in bounded chunks, and `cover_from_canonical_json` reads
-that layout back into them with no Python object per number, or returns
+canonical layout, rendered straight from the flat arrays to bytes in
+bounded chunks: `canonical_cover_pieces` yields them for a writer and
+`canonical_cover_json` joins them. `cover_from_canonical_json` reads that
+layout back into the arrays with no Python object per number, or returns
 None for any other text.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from itertools import chain, islice
 
 import numpy as np
@@ -118,29 +120,36 @@ def _key_numbers(cover: Cover, order: np.ndarray) -> list[int]:
     return numbers.tolist()
 
 
-def canonical_cover_json(cover: Cover) -> bytes:
-    """The cover document the CLI writes, rendered from the arrays as bytes.
+def canonical_cover_pieces(cover: Cover) -> Iterator[bytes]:
+    """The cover document the CLI writes, rendered from the arrays as bytes
+    and yielded piece by piece, so a writer holds one piece at a time.
 
-    Equal to `json.dumps(cover_to_json_dict(cover), indent=2, sort_keys=True)`
-    plus a newline, encoded: matching keys come in string order ("0,10"
-    before "0,2"). The layout is filled in chunks by bytes %-formats, one for
-    the head (list sizes, lists and the first key) and one per run of
-    `_KEYS_PER_CALL` later keys, and the pieces are joined once; no str of the
-    whole document is built.
+    Joined, the pieces equal
+    `json.dumps(cover_to_json_dict(cover), indent=2, sort_keys=True)` plus a
+    newline, encoded: matching keys come in string order ("0,10" before
+    "0,2"). The layout is filled in chunks by bytes %-formats, one for the
+    head (list sizes, lists and the first key) and one per run of
+    `_KEYS_PER_CALL` later keys; no str of the whole document is built.
     """
     sizes = _sizes_of(cover.vlist_ptr)
     keys = [f"{u},{v}" for u, v in zip(cover.edge_u.tolist(), cover.edge_v.tolist())]
     order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+    del keys
     counts = _sizes_of(cover.edge_ptr)[order].tolist()
     head, blocks, tail = _layout(sizes.tolist(), counts, "%d")
     head_numbers = sizes.tolist() + cover.vlist_colors.tolist()
-    pieces = [head % tuple(head_numbers + _key_numbers(cover, order[:1]))]
+    yield head % tuple(head_numbers + _key_numbers(cover, order[:1]))
+    del head_numbers
     for i in range(1, len(counts), _KEYS_PER_CALL):
         run = slice(i, i + _KEYS_PER_CALL)
         layout = b"".join(map(blocks.__getitem__, counts[run]))
-        pieces.append(layout % tuple(_key_numbers(cover, order[run])))
-    pieces.append(tail)
-    return b"".join(pieces)
+        yield layout % tuple(_key_numbers(cover, order[run]))
+    yield tail
+
+
+def canonical_cover_json(cover: Cover) -> bytes:
+    """The whole document of `canonical_cover_pieces`, joined once."""
+    return b"".join(canonical_cover_pieces(cover))
 
 
 # Every number of at most 18 digits fits in int64.

@@ -223,14 +223,55 @@ def gen_random_regular(
     )
 
 
+def _matching_keys(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Keys i * n + j of a simple d-regular bipartite graph, 2d <= n + 2.
+
+    Row t of a table of d random permutations matches i with sigma_t(i).
+    A stable sort of the keys finds every later copy of a repeated edge;
+    each is repaired by swapping sigma_t(i) with the sigma_t(i2) of a
+    random i2 whose two new edges are both absent. At most d - 1 values of
+    i2 give i a neighbour it has and at most d - 1 give sigma_t(i) one,
+    i2 = i among both, so 2d - 3 < n refusals leave a choice.
+    """
+    left = np.tile(np.arange(n, dtype=np.int64), d)
+    right = rng.permuted(left.reshape(d, n), axis=1).ravel()
+    keys = left * n + right
+    order = np.argsort(keys, kind="stable")
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if later.size == 0:
+        return keys
+    count = dict.fromkeys(keys.tolist(), 1)  # copies of each edge
+    for key in keys[later].tolist():
+        count[key] += 1
+    right = right.tolist()
+    for p in np.sort(later).tolist():
+        i, row = p % n, p - p % n  # row: where p's matching starts
+        key = i * n + right[p]
+        if count[key] == 1:
+            continue  # an earlier swap took away a copy of this edge
+        while True:
+            q = row + int(rng.integers(n))
+            a, b = i * n + right[q], (q - row) * n + right[p]
+            if q != p and not count.get(a) and not count.get(b):
+                break
+        count[key] -= 1
+        count[(q - row) * n + right[q]] -= 1
+        count[a] = count[b] = 1
+        right[p], right[q] = right[q], right[p]
+    return left * n + np.array(right, dtype=np.int64)
+
+
 def gen_random_bipartite_regular(n_side: int, d: int, seed: int) -> Graph:
     """d-regular bipartite graph on n_side + n_side vertices.
 
-    Union of d perfect matchings between the sides, each built by a random
-    greedy pass that avoids already-used edges (restarting just that
-    matching when it gets stuck). Bipartite, hence triangle-free, at any
-    degree; this is the generator to use when rejection sampling for
-    triangle-freeness cannot finish (expected triangle counts grow like d^3).
+    Union of d random perfect matchings between the sides, repeated edges
+    repaired by switches within their matching (`_matching_keys`, after
+    McKay & Wormald's switchings); for 2d > n_side it is the bipartite
+    complement of such an (n_side - d)-regular graph. Valid, not exactly
+    uniform, samples in O(n_side * d) expected time. Bipartite, hence
+    triangle-free, at any degree; this is the generator to use when
+    rejection sampling for triangle-freeness cannot finish (expected
+    triangle counts grow like d^3).
     """
     check_int("n_side", n_side, 0, MAX_VERTICES // 2)
     check_int("d", d, 0)
@@ -238,32 +279,14 @@ def gen_random_bipartite_regular(n_side: int, d: int, seed: int) -> Graph:
         raise DomainError(f"infeasible bipartite degree: n_side={n_side}, d={d}")
     check_int("2 * n_side * d", 2 * n_side * d, 0, ARRAY_MAX)
     rng = derive_rng(seed, "random-bipartite-regular", n_side, d)
-    nbrs: list[set[int]] = [set() for _ in range(n_side)]
-    for _ in range(d):
-        for _ in range(PAIRING_ATTEMPT_CAP):
-            order = rng.permutation(n_side)
-            free = set(range(n_side))
-            match: list[tuple[int, int]] = []
-            for i in order:
-                i = int(i)
-                options = sorted(free - nbrs[i])
-                if not options:
-                    break
-                j = options[int(rng.integers(len(options)))]
-                free.discard(j)
-                match.append((i, j))
-            if len(match) == n_side:
-                for i, j in match:
-                    nbrs[i].add(j)
-                break
-        else:
-            raise DomainError(
-                f"no admissible matching found in {PAIRING_ATTEMPT_CAP} attempts"
-                f" (n_side={n_side}, d={d})"
-            )
-    u = np.repeat(np.arange(n_side, dtype=np.int64), d)
-    v = np.fromiter((n_side + j for a in nbrs for j in sorted(a)), np.int64, u.size)
-    return Graph(n=2 * n_side, edges=_freeze(np.column_stack([u, v])))
+    if 2 * d <= n_side:
+        keys = _matching_keys(n_side, d, rng)
+    else:
+        absent = np.ones(n_side * n_side, dtype=bool)
+        absent[_matching_keys(n_side, n_side - d, rng)] = False
+        keys = np.flatnonzero(absent)
+    u, v = np.divmod(keys, n_side)
+    return _canonical(2 * n_side, u, n_side + v)
 
 
 def graph_to_json_dict(g: Graph) -> dict:

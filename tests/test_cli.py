@@ -140,7 +140,11 @@ class TestByteIdentity:
     The drained and round-exhausted exits moved to instances that still
     reach them under that rounding. The gen-graph outputs are pinned from
     before graph documents were rendered to bytes in chunks; the last one
-    crosses a chunk boundary."""
+    crosses a chunk boundary. Every output built on a random bipartite
+    regular graph is pinned from when that generator became d permutations
+    plus switch repair; the adaptive round- and step-exhausted exits and
+    the many-attempt run moved to graph seeds that still reach what they
+    pin."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -161,7 +165,7 @@ class TestByteIdentity:
             (
                 ["random-bipartite-regular", "--n-side", "180", "--d", "6",
                  "--seed", "4"],
-                "b49f832e7bdf6d418ba827626819f6916dbc58b0b66e4a9c3b8d01bdf5612730",
+                "65bba31d673e71622ff7b04b903590cacffdfbb8f8a5158d7b6f1d7b8d00960a",
             ),
         ],
         ids=[
@@ -180,17 +184,18 @@ class TestByteIdentity:
         [
             (
                 ["--seed", "1"],
-                "465126222fd2f852a89e4715baa0185af1baf5d482d9b9a0668d3b81b8660c8c",
+                "67d7011ee86aeab6dfa832b36ebf53cad33c862e26f411e6f944b0b51225dd70",
             ),
             (
                 ["--seed", "2"],
-                "0ffda721fb3598ee072f3caf739d2f370abecac28f7f9c2fef8b297e54f74e72",
+                "a6a7bc18dbd7b72e0c6272cb64bb26bf122ac76db6f096a62f9d5ae13be2b931",
             ),
             (
                 ["--seed", "3", "--mode", "bernoulli", "--q", "0.4"],
-                "ebeeda365ec735f4a790969f94014f318ac2b9e1ec6f0e389321ee2e00af0652",
+                "11510a7a36353e5b114a02ce8e0530c39766456f4d422fd4057bca8f3503d9b4",
             ),
         ],
+        ids=["seed-1", "seed-2", "bernoulli"],
     )
     def test_gen_cover_digest(self, tmp_path, capsys, flags, digest):
         gpath, cpath = str(tmp_path / "g.json"), str(tmp_path / "c.json")
@@ -202,23 +207,36 @@ class TestByteIdentity:
         assert main(argv) == 0
         assert hashlib.sha256(Path(cpath).read_bytes()).hexdigest() == digest
 
+    def test_gen_cover_writes_every_piece(self, tmp_path, capsys):
+        # 1080 matching keys: the head and two runs of keys are written as
+        # they are rendered, to the file and to stdout
+        g = corrcolor.gen_random_bipartite_regular(180, 6, seed=4)
+        gpath, cpath = tmp_path / "g.json", str(tmp_path / "c.json")
+        gpath.write_bytes(corrcolor.canonical_graph_json(g))
+        argv = ["gen-cover", "--graph", str(gpath), "--k", "3", "--seed", "1"]
+        want = corrcolor.canonical_cover_json(random_cover(g, 3, seed=1))
+        assert main([*argv, "--out", cpath]) == 0
+        assert Path(cpath).read_bytes() == want
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == want
+
     def test_readme_nibble_digest(self):
         g = corrcolor.gen_random_bipartite_regular(100, 12, seed=7)
         cover = random_cover(g, 30, seed=8)
         result = corrcolor.run_nibble(g, cover, corrcolor.relaxed_params(), seed=9)
-        assert (result.status, result.steps) == ("success", 7)
+        assert (result.status, result.steps) == ("success", 5)
         assert nibble_digest(result) == (
-            "8b37db88d715445fad95aca8c7776b42c9029decb65dde8f60eb9f64ff4ca565"
+            "9fa31735591a26ced77e7a1dc7697f5780f78a1362f395e292af004e096e83d7"
         )
 
     def test_many_attempt_nibble_digest(self):
-        g = corrcolor.gen_random_bipartite_regular(80, 24, seed=1)
+        g = corrcolor.gen_random_bipartite_regular(80, 24, seed=2)
         cover = random_cover(g, 48, seed=1)
         result = corrcolor.run_nibble(g, cover, corrcolor.relaxed_params(), seed=0)
-        # 30 attempts under the former rounding, 2 rounds under the current one
-        assert (result.status, result.steps, result.final_attempts) == ("success", 5, 2)
+        # a run that rounds more than once
+        assert (result.status, result.steps, result.final_attempts) == ("success", 8, 2)
         assert nibble_digest(result) == (
-            "fad36645ea8e211bbdc7a80c1194d293979180e402720a5f1a905b1be929d323"
+            "8dfac40bf70a03c6c281faf095c4d41c6b14f255a6a4089fdc2db9db77726a88"
         )
 
     def test_schedule_nibble_digest(self):
@@ -229,7 +247,7 @@ class TestByteIdentity:
         result = corrcolor.run_nibble(g, cover, params, seed=5)
         assert (result.status, result.mode, result.istar) == ("success", "schedule", 1)
         assert nibble_digest(result) == (
-            "77588614814a82c6a6ac65e274ba7416ff29ec40a9aa19292115e6e0709a855b"
+            "68efbb9479bd84eea24cddbb71a566855c1be8b99177bdd369152be11ec0fa6f"
         )
 
     def test_not_nice_nibble_digest(self):
@@ -242,7 +260,7 @@ class TestByteIdentity:
         assert (result.status, result.steps) == ("not-nice", 1)
         assert "entry conditions: {'vertex_mass_ok'" in result.detail
         assert nibble_digest(result) == (
-            "39fa8b3a41e128d1cabb978c4f1cf104051e068fc307f68f8740a42e5587f12c"
+            "47f44586b3b8243b7df5de8a10806863f897ef811241904090c7de5e7d1c5af3"
         )
 
     def test_stuck_vertex_nibble_digest(self):
@@ -251,10 +269,10 @@ class TestByteIdentity:
         result = corrcolor.run_nibble(g, cover, corrcolor.relaxed_params(), seed=0)
         assert (result.status, result.steps) == ("not-nice", 1)
         assert result.detail == (
-            "vertex 0 has no moderate color left and can never get one"
+            "vertex 2 has no moderate color left and can never get one"
         )
         assert nibble_digest(result) == (
-            "20774a5ad7714348ecb940dfa16bbfa22ce35453a7609b0f37531043320861ee"
+            "45c5e3bbbb0c572988e530dcce0c9aa897162acc1ec91fcbde73baaf3c8cd0a5"
         )
 
     @pytest.mark.parametrize(
@@ -263,16 +281,16 @@ class TestByteIdentity:
             (
                 (6, 3, 0), 7, 1, corrcolor.relaxed_params(), 0,
                 ("success", "adaptive", 3),
-                "03d5a0746fa7b0b2a595e48bf1037a9424081fcda71190999f1bbbb726186788",
+                "8956f5f947b2d60248ecbdf94a1a54e294dcb7125abe1f040db4f63ced32d2f5",
             ),
             (
-                (12, 4, 2), 22, 0,
+                (12, 4, 17), 22, 0,
                 corrcolor.relaxed_params(max_final_retries=1, max_steps=2), 4,
                 ("final-color-exhausted", "adaptive", 2),
-                "8c008c493d7d0f429b3b2262f949d442a98d58d3c7e5e39a73cb0ccff1de593f",
+                "5935dbbd9fb983e924b8a04b1d23b5571fb959c44c2530ee842e4680a29eb644",
             ),
             (
-                (6, 3, 0), 4, 1,
+                (6, 3, 4), 4, 1,
                 corrcolor.paper_params(ck=10, shrink_factor=1.0, tol_scale=1.0), 1,
                 ("step-retries-exhausted", "adaptive", 0),
                 "0c6d0b7aaf1c487fd0bc27fa1905be173d2212ee8cddb26b3819f8e237647455",
@@ -281,7 +299,7 @@ class TestByteIdentity:
                 (6, 3, 0), 4, 0,
                 corrcolor.relaxed_params(tol_scale=0.01, max_retries_per_step=1), 0,
                 ("step-retries-exhausted", "schedule", 0),
-                "f62f5c15ea631e7b5172018401f0effefade0bbc35ecdd8f28631ec2e103b532",
+                "f2d618e226362180f2aabccba6082d0f5b4227d750c9ce251300421dcb626664",
             ),
             (
                 (6, 3, 0), 4, 0,
@@ -296,7 +314,7 @@ class TestByteIdentity:
                 ),
                 4,
                 ("final-color-exhausted", "schedule", 1),
-                "d0b589f16f46a96ba3d3db1289c0850d9fcbb7e0fa9298049d073e7517dfede3",
+                "809fcdfd4bd10c53653e930937aaf946bd26a3acf4ad571e000ac91e8504ce45",
             ),
         ],
         ids=[
@@ -692,9 +710,9 @@ class TestNibbleCli:
         lines = open(tpath).read().strip().splitlines()
         assert lines[0] == "step,min_pv,max_pv,min_Q,max_deg,removed,retries"
         assert len(lines) == len(doc["trajectory"]) + 1
-        # pinned before the CSV columns were derived from TrajectoryRow
+        # pinned since the bipartite generator's switch repair
         assert hashlib.sha256(Path(tpath).read_bytes()).hexdigest() == (
-            "38a0a388affdcf7220f5553346d545ab4378419f6326b128d2d3324fc18fdd0e"
+            "fca58dbb2389fb65edac51412019c05319e566e9de548c47b4065214bfc1f997"
         )
         if doc["status"] == "success":
             g = graph_from_json_dict(json.loads(open(gpath).read()))

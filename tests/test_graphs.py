@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -291,6 +292,61 @@ class TestGenerators:
 
     def test_bipartite_regular_deterministic(self):
         assert gen_random_bipartite_regular(15, 5, 3) == gen_random_bipartite_regular(15, 5, 3)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_bipartite_regular_property(self, data):
+        n_side = data.draw(st.integers(0, 60))
+        # 2d in {n_side - 1, n_side, n_side + 1}: where the switch repair
+        # is tightest and where the complement takes over
+        near = sorted({n_side // 2, (n_side + 1) // 2})
+        d = data.draw(st.one_of(st.sampled_from(near), st.integers(0, n_side)))
+        seed = data.draw(st.integers(0, 2**32))
+        g = gen_random_bipartite_regular(n_side, d, seed)
+        assert g.n == 2 * n_side and g.m == n_side * d
+        assert (np.bincount(g.edges.ravel(), minlength=g.n) == d).all()
+        u, v = g.edges.T
+        assert ((u < n_side) & (v >= n_side)).all()
+        keys = u * g.n + v
+        assert (np.diff(keys) > 0).all()  # sorted, so no edge repeats
+        assert g == gen_random_bipartite_regular(n_side, d, seed)
+
+    @pytest.mark.parametrize("n_side", range(1, 41))
+    def test_bipartite_regular_dense_degrees(self, n_side):
+        # From 3 per side on both degrees go through the complement, and
+        # d = n_side has one answer.
+        g = gen_random_bipartite_regular(n_side, n_side - 1, seed=0)
+        assert g.m == n_side * (n_side - 1)
+        assert (np.bincount(g.edges.ravel(), minlength=g.n) == n_side - 1).all()
+        full = gen_random_bipartite_regular(n_side, n_side, seed=0)
+        assert full == gen_complete_bipartite(n_side, n_side)
+
+    def test_bipartite_regular_dense_at_100(self):
+        assert gen_random_bipartite_regular(100, 100, 0) == gen_complete_bipartite(100, 100)
+        assert gen_random_bipartite_regular(100, 99, 0).m == 9900
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bipartite_regular_uniform_on_three_per_side(self, d):
+        # Six graphs are d-regular on 3 + 3 vertices: the perfect matchings
+        # (d = 1, one permutation) and their complements (d = 2). Over 600
+        # seeds each count is Binomial(600, 1/6), mean 100; the band holds
+        # all but 1e-6 of that law.
+        from scipy.stats import binom
+
+        seen = {}
+        for seed in range(600):
+            key = gen_random_bipartite_regular(3, d, seed).edges.tobytes()
+            seen[key] = seen.get(key, 0) + 1
+        lo, hi = binom.interval(1 - 1e-6, 600, 1 / 6)
+        assert len(seen) == 6
+        assert all(lo <= c <= hi for c in seen.values()), sorted(seen.values())
+
+    def test_bipartite_regular_at_ten_thousand_per_side(self):
+        t0 = time.perf_counter()
+        g = gen_random_bipartite_regular(10_000, 30, seed=0)
+        assert time.perf_counter() - t0 < 3.0
+        assert g.m == 300_000
+        assert (np.bincount(g.edges.ravel(), minlength=g.n) == 30).all()
 
     def test_random_regular_deterministic(self):
         assert gen_random_regular(10, 3, 9) == gen_random_regular(10, 3, 9)

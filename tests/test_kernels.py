@@ -325,7 +325,7 @@ class TestReductCoreExact:
 
 class TestLiveEdgeMass:
     def test_equals_edge_mass_all_at_live_edges(self):
-        g = gen_random_bipartite_regular(6, 3, seed=1)
+        g = gen_random_bipartite_regular(6, 3, seed=3)
         cover = random_cover(g, 8, seed=1)
         values = derive_rng(1, "live-edges").uniform(0.0, 0.2, cover.n_colors)
         full = edge_mass_all(cover, values)

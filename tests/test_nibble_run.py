@@ -332,8 +332,8 @@ class TestRunNibble:
     def test_stepping_resumes_after_rounding_budget_is_spent(self):
         # One rounding round per niceness pass: two passes fail, the run
         # keeps stepping, and the third rounds; all three are counted.
-        g = gen_random_bipartite_regular(20, 6, seed=1)
-        cover = random_cover(g, 22, seed=0)
+        g = gen_random_bipartite_regular(20, 6, seed=13)
+        cover = random_cover(g, 22, seed=2)
         res = run_nibble(g, cover, relaxed_params(max_final_retries=1), seed=0)
         assert res.ok and res.detail is None
         assert res.final_attempts == 3

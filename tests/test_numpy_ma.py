@@ -17,6 +17,7 @@ import corrcolor as cc
 from corrcolor.cli import main
 
 g = cc.gen_random_bipartite_regular(30, 6, seed=1)
+cc.gen_random_bipartite_regular(20, 15, seed=1)  # built as a complement
 cover = cc.random_cover(g, 16, seed=2)
 assert cc.run_nibble(g, cover, cc.relaxed_params(), seed=3).ok
 cc.run_lb_experiment(cc.gen_complete_bipartite(3, 3), 2, 5, seed=4)

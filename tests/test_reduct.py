@@ -408,7 +408,7 @@ class TestTargets:
         # the initial state. This one commits three, and its later checks trip
         # entropy targets, whose bounds read the degrees and entropies that a
         # committed step handed on.
-        g = gen_random_bipartite_regular(60, 12, seed=3)
+        g = gen_random_bipartite_regular(60, 12, seed=26)
         cover = random_cover(g, 40, seed=3)
         params = relaxed_params(tol_scale=0.3)
         result, checked = self.run_against_oracle(monkeypatch, g, cover, params, 1)

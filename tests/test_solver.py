@@ -328,7 +328,9 @@ def test_capped_sizes_survive_backtracking(count):
     assert list(out.coloring)[3:] == [4, 3]
 
 
-@pytest.mark.parametrize("seed, nodes", [(0, 24528), (1, 34884), (2, 24464)])
+@pytest.mark.parametrize(
+    "seed, nodes", [(0, 27103), (1, 24139), (2, 41089)], ids=["seed-0", "seed-1", "seed-2"]
+)
 def test_deep_refutations_keep_their_trees(seed, nodes):
     # Lower-bound shaped instances, refuted after tens of thousands of
     # backtracking nodes: the node count pins the search tree.
