@@ -43,7 +43,7 @@ from .graphs import (
     graph_from_json_dict,
     parse_dimacs,
 )
-from .nibble import CSV_HEADER, paper_params, relaxed_params, run_nibble
+from .nibble import paper_params, relaxed_params, run_nibble
 from .solver import DEFAULT_NODE_BUDGET, solve_report
 from .weights import (
     ReductState,
@@ -275,11 +275,6 @@ def _cmd_lb_experiment(args) -> bytes:
             _write_bytes(args.witness_out, canonical_cover_pieces(witness))
         else:
             sys.stderr.write("no non-colorable cover found; witness not written\n")
-    if args.trials_csv:
-        lines = ["trial,count"]
-        for i, c in enumerate(report.per_trial_counts):
-            lines.append(f"{i},{'' if c is None else c}")
-        _write_bytes(args.trials_csv, [("\n".join(lines) + "\n").encode()])
     return _dump_json(report.to_json_dict())
 
 
@@ -301,119 +296,111 @@ def _cmd_stats(args) -> bytes:
     return _dump_json(doc)
 
 
+# The NibbleParams fields that `corrcolor nibble` can override, each by the
+# flag of the same name, with their types; an unset flag keeps the preset's.
+NIBBLE_OVERRIDES = {
+    "ck": float,
+    "tol_scale": float,
+    "max_steps": int,
+    "max_retries_per_step": int,
+    "max_final_retries": int,
+}
+
+
 def _cmd_nibble(args) -> bytes:
     g = _load_graph(args.graph)
     cover = _load_cover(args.cover)
-    # Each flag overrides the NibbleParams field of the same name.
-    names = ("ck", "tol_scale", "max_steps", "max_retries_per_step", "max_final_retries")
-    overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+    overrides = {
+        name: getattr(args, name)
+        for name in NIBBLE_OVERRIDES
+        if getattr(args, name) is not None
+    }
     params = (paper_params if args.preset == "paper" else relaxed_params)(**overrides)
-    result = run_nibble(g, cover, params, args.seed)
-    if args.trace:
-        lines = [CSV_HEADER]
-        for row in result.trajectory:
-            lines.append(",".join(map(repr, row.to_json_dict().values())))
-        _write_bytes(args.trace, [("\n".join(lines) + "\n").encode()])
-    return _dump_json(result.to_json_dict())
+    return _dump_json(run_nibble(g, cover, params, args.seed).to_json_dict())
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are malformed input: `main` reports them
+    in one line with exit code 2, as it reports a bad input file."""
+
+    def error(self, message):
+        raise MalformedInputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the command line; `main` parses with one per process."""
-    parser = argparse.ArgumentParser(
+    """A new parser of the command line; `main` parses with one per process.
+
+    A flag that several commands take is declared once, in a parent parser
+    that each of those commands includes.
+    """
+    parser = _Parser(
         prog="corrcolor",
         description="Correspondence-coloring toolkit: exact solving, random-cover"
         " experiments, and the randomized nibble.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-graph", help="generate a graph document")
-    kinds = p.add_subparsers(dest="kind", required=True)
-    k_cycle = kinds.add_parser("cycle")
-    k_cycle.add_argument("--n", type=int, required=True)
-    k_cb = kinds.add_parser("complete-bipartite")
-    k_cb.add_argument("--a", type=int, required=True)
-    k_cb.add_argument("--b", type=int, required=True)
-    k_rr = kinds.add_parser("random-regular")
-    k_rr.add_argument("--n", type=int, required=True)
-    k_rr.add_argument("--d", type=int, required=True)
-    k_rr.add_argument("--seed", type=int, default=0)
-    k_rr.add_argument("--triangle-free", action="store_true")
-    k_rb = kinds.add_parser("random-bipartite-regular")
-    k_rb.add_argument("--n-side", type=int, required=True)
-    k_rb.add_argument("--d", type=int, required=True)
-    k_rb.add_argument("--seed", type=int, default=0)
-    for sp in (k_cycle, k_cb, k_rr, k_rb):
-        sp.add_argument("--out")
-    p.set_defaults(func=_cmd_gen_graph)
+    def parent(*parents):
+        return _Parser(add_help=False, parents=list(parents))
 
-    p = sub.add_parser("gen-cover", help="random cover over a graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["perfect", "bernoulli"], default="perfect")
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen_cover)
+    out = parent()
+    out.add_argument("--out")
+    seed = parent()
+    seed.add_argument("--seed", type=int, default=0)
+    graph = parent()
+    graph.add_argument("--graph", required=True)
+    cover = parent(graph)
+    cover.add_argument("--cover", required=True)
+    sampling = parent()
+    sampling.add_argument("--k", type=int, required=True)
+    sampling.add_argument("--mode", choices=["perfect", "bernoulli"], default="perfect")
+    sampling.add_argument("--q", type=float, default=0.5)
+    budget = parent()
+    budget.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
 
-    p = sub.add_parser("lift", help="cover from a list assignment")
-    p.add_argument("--graph", required=True)
+    def command(subparsers, name, func, *parents, **kwargs):
+        p = subparsers.add_parser(name, parents=[*parents, out], **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    gen_graph = sub.add_parser("gen-graph", help="generate a graph document")
+    kinds = gen_graph.add_subparsers(dest="kind", required=True)
+    for kind, sizes, parents in [
+        ("cycle", ["--n"], []),
+        ("complete-bipartite", ["--a", "--b"], []),
+        ("random-regular", ["--n", "--d"], [seed]),
+        ("random-bipartite-regular", ["--n-side", "--d"], [seed]),
+    ]:
+        p = command(kinds, kind, _cmd_gen_graph, *parents)
+        for flag in sizes:
+            p.add_argument(flag, type=int, required=True)
+    kinds.choices["random-regular"].add_argument("--triangle-free", action="store_true")
+
+    command(sub, "gen-cover", _cmd_gen_cover, graph, sampling, seed,
+            help="random cover over a graph")
+    p = command(sub, "lift", _cmd_lift, graph, help="cover from a list assignment")
     p.add_argument("--lists", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("validate", help="check the cover conditions")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("solve", help="decide or count colorings exactly")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--cover", required=True)
+    command(sub, "validate", _cmd_validate, cover, help="check the cover conditions")
+    p = command(sub, "solve", _cmd_solve, cover, budget,
+                help="decide or count colorings exactly")
     p.add_argument("--count", action="store_true")
     p.add_argument("--restrict")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("lb-experiment", help="random-cover lower-bound experiment")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command(sub, "lb-experiment", _cmd_lb_experiment, graph, sampling, seed, budget,
+                help="random-cover lower-bound experiment")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["perfect", "bernoulli"], default="perfect")
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--witness-out")
-    p.add_argument("--trials-csv")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_lb_experiment)
-
-    p = sub.add_parser("stats", help="masses, entropy, and niceness of a weighting")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--cover", required=True)
+    p = command(sub, "stats", _cmd_stats, cover,
+                help="masses, entropy, and niceness of a weighting")
     p.add_argument("--weights", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("nibble", help="randomized nibble coloring run")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--cover", required=True)
+    p = command(sub, "nibble", _cmd_nibble, cover, seed,
+                help="randomized nibble coloring run")
     p.add_argument("--preset", choices=["paper", "relaxed"], default="relaxed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ck", type=float)
-    p.add_argument("--tol-scale", type=float)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--max-retries-per-step", type=int)
-    p.add_argument("--max-final-retries", type=int)
-    p.add_argument("--trace")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_nibble)
-
+    for name, kind in NIBBLE_OVERRIDES.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
     return parser
 
 
@@ -422,9 +409,9 @@ _parser = cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     token = _input_digests.set({})
     try:
+        args = _parser().parse_args(argv)
         _write_output(args.func(args), args)
         return 0
     except MalformedInputError as exc:

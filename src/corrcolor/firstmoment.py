@@ -71,18 +71,24 @@ def expected_colorings(n: int, m: int, k: int) -> float | None:
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    """Aggregate of one sampling experiment; JSON-serializable and seed-complete."""
+    """Aggregate of one sampling experiment; JSON-serializable by `asdict`.
+
+    Seed-complete: trial i drew `random_cover(g, k, derive_int_seed(seed,
+    "lb-trial", i), mode, q)` and counted it within `node_budget` nodes.
+    """
 
     n: int
     m: int
     avg_degree: float
     k: int
     mode: str
+    q: float
     alon_bound: float | None
     first_moment_bound: float | None
     bound_below_one: bool
     expected_colorings_exact: float | None
     trials: int
+    node_budget: int
     colorable_count: int
     noncolorable_count: int
     cap_exceeded_count: int
@@ -90,12 +96,11 @@ class LowerBoundReport:
     std_error_mean: float | None
     witness_trial: int | None
     seed: int
-    per_trial_counts: tuple = field(repr=False, default=())
+    # The count of each trial, None where the search hit node_budget.
+    per_trial_counts: tuple[int | None, ...] = field(repr=False)
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        del doc["per_trial_counts"]
-        return doc
+        return asdict(self)
 
 
 def run_lb_experiment(
@@ -142,11 +147,13 @@ def run_lb_experiment(
         avg_degree=d,
         k=k,
         mode=mode,
+        q=q,
         alon_bound=alon_bound(d) if d >= MIN_AVERAGE_DEGREE else None,
         first_moment_bound=fm.bound,
         bound_below_one=fm.below_one,
         expected_colorings_exact=expected_colorings(g.n, g.m, k),
         trials=trials,
+        node_budget=node_budget,
         colorable_count=len(valid) - valid.count(0),
         noncolorable_count=valid.count(0),
         cap_exceeded_count=trials - len(valid),

@@ -21,7 +21,7 @@ values and keep their own message.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -517,12 +517,6 @@ class TrajectoryRow:
     max_deg: int
     removed: int
     retries: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-CSV_HEADER = ",".join(f.name for f in fields(TrajectoryRow))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import gc
 import hashlib
 import json
@@ -14,6 +16,7 @@ import pytest
 import corrcolor
 from corrcolor import (
     InternalConsistencyError,
+    NibbleParams,
     cover_from_json_dict,
     cover_to_json_dict,
     gen_cycle,
@@ -21,7 +24,7 @@ from corrcolor import (
     random_cover,
     solve_exact,
 )
-from corrcolor.cli import main
+from corrcolor.cli import NIBBLE_OVERRIDES, build_parser, main
 
 from .conftest import fsum_by_color
 
@@ -129,22 +132,22 @@ def nibble_digest(result) -> str:
 
 class TestByteIdentity:
     """Outputs pinned to digests recorded before covers became arrays; the
-    lower-bound run is pinned from before its tallies were derived from the
-    per-trial counts. The two bernoulli-mode outputs (the third gen-cover
-    case and the lower-bound run) are pinned from when `random_cover` began
-    drawing its whole keep table after all of its permutations; perfect
-    covers kept their stream. The nibble runs that round are pinned from
-    when the final rounding became Moser-Tardos (one color per live vertex,
-    bad edges redrawn) and niceness dropped its weight condition; the
-    not-nice and step-exhausted runs never round and kept their digests.
-    The drained and round-exhausted exits moved to instances that still
-    reach them under that rounding. The gen-graph outputs are pinned from
-    before graph documents were rendered to bytes in chunks; the last one
-    crosses a chunk boundary. Every output built on a random bipartite
-    regular graph is pinned from when that generator became d permutations
-    plus switch repair; the adaptive round- and step-exhausted exits and
-    the many-attempt run moved to graph seeds that still reach what they
-    pin."""
+    lower-bound report without q, node_budget and the per-trial counts is
+    pinned from before its tallies were derived from those counts. The two
+    bernoulli-mode outputs (the third gen-cover case and the lower-bound
+    run) are pinned from when `random_cover` began drawing its whole keep
+    table after all of its permutations; perfect covers kept their stream.
+    The nibble runs that round are pinned from when the final rounding
+    became Moser-Tardos (one color per live vertex, bad edges redrawn) and
+    niceness dropped its weight condition; the not-nice and step-exhausted
+    runs never round and kept their digests. The drained and
+    round-exhausted exits moved to instances that still reach them under
+    that rounding. The gen-graph outputs are pinned from before graph
+    documents were rendered to bytes in chunks; the last one crosses a
+    chunk boundary. Every output built on a random bipartite regular graph
+    is pinned from when that generator became d permutations plus switch
+    repair; the adaptive round- and step-exhausted exits and the
+    many-attempt run moved to graph seeds that still reach what they pin."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -335,9 +338,10 @@ class TestByteIdentity:
 
     def test_lb_experiment_digest(self, tmp_path):
         # colorable, refuted and budget-capped trials, so every tally, the
-        # witness index, the mean and the SEM are read
+        # witness index, the mean and the SEM are read; the whole report is
+        # pinned from when it began to carry q, node_budget and the counts
         gpath, out = tmp_path / "g.json", tmp_path / "r.json"
-        witness, trials = tmp_path / "w.json", tmp_path / "t.csv"
+        witness = tmp_path / "w.json"
         assert main([
             "gen-graph", "complete-bipartite", "--a", "3", "--b", "3",
             "--out", str(gpath),
@@ -345,8 +349,7 @@ class TestByteIdentity:
         assert main([
             "lb-experiment", "--graph", str(gpath), "--k", "2", "--trials", "20",
             "--seed", "5", "--mode", "bernoulli", "--q", "0.8",
-            "--node-budget", "10", "--witness-out", str(witness),
-            "--trials-csv", str(trials), "--out", str(out),
+            "--node-budget", "10", "--witness-out", str(witness), "--out", str(out),
         ]) == 0
         report = json.loads(out.read_text())
         assert (
@@ -355,14 +358,33 @@ class TestByteIdentity:
             report["cap_exceeded_count"],
             report["witness_trial"],
             report["mean_colorings_empirical"],
-        ) == (6, 9, 5, 6, 7 / 15)
+            report["q"],
+            report["node_budget"],
+        ) == (6, 9, 5, 6, 7 / 15, 0.8, 10)
+        # the counts are those once written as a "trial,count" CSV, with an
+        # empty count for a capped trial; the other keys are as pinned before
+        csv = "trial,count\n" + "".join(
+            f"{i},{'' if c is None else c}\n"
+            for i, c in enumerate(report["per_trial_counts"])
+        )
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "cb06c1d564c5057baa1f323548cef5ddd03cef30a455dca3a51b1c7b9977355f"
+        )
+        older = {
+            key: value
+            for key, value in report.items()
+            if key not in ("per_trial_counts", "q", "node_budget")
+        }
+        older = (json.dumps(older, indent=2, sort_keys=True) + "\n").encode()
+        assert hashlib.sha256(older).hexdigest() == (
+            "5dc0a24db3739bd13bd213295dd3099feef2c3c34533b9de65e742286b671792"
+        )
         digests = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in (out, trials, witness)
+            for path in (out, witness)
         }
         assert digests == {
-            "r.json": "5dc0a24db3739bd13bd213295dd3099feef2c3c34533b9de65e742286b671792",
-            "t.csv": "cb06c1d564c5057baa1f323548cef5ddd03cef30a455dca3a51b1c7b9977355f",
+            "r.json": "ae8d7119e36ae0bd99114f965bdf9c81223953b9ca4011c440423593cbd2a7d9",
             "w.json": "a0ae8af0c5c503aa9492ef80b5b27bd1198b3ad1964ff18bed2029f377423652",
         }
 
@@ -593,10 +615,10 @@ class TestStats:
 
 class TestLbExperiment:
     def test_witness_and_csv(self, tmp_path, capsys):
+        # the per-trial counts, once a CSV file, are in the report
         gpath = str(tmp_path / "g.json")
         main(["gen-graph", "complete-bipartite", "--a", "4", "--b", "4", "--out", gpath])
         wpath = str(tmp_path / "w.json")
-        csvpath = str(tmp_path / "t.csv")
         outpath = str(tmp_path / "r.json")
         code = main(
             [
@@ -611,8 +633,6 @@ class TestLbExperiment:
                 "3",
                 "--witness-out",
                 wpath,
-                "--trials-csv",
-                csvpath,
                 "--out",
                 outpath,
             ]
@@ -621,9 +641,9 @@ class TestLbExperiment:
         assert code == 0
         report = json.loads(open(outpath).read())
         assert report["trials"] == 20
-        lines = open(csvpath).read().strip().splitlines()
-        assert lines[0] == "trial,count"
-        assert len(lines) == 21
+        counts = report["per_trial_counts"]
+        assert len(counts) == 20
+        assert counts.count(0) == report["noncolorable_count"]
         if report["noncolorable_count"] > 0:
             witness = cover_from_json_dict(json.loads(open(wpath).read()))
             g = graph_from_json_dict(json.loads(open(gpath).read()))
@@ -672,9 +692,9 @@ class TestLbExperiment:
 
 class TestNibbleCli:
     def test_run_with_trace(self, tmp_path, capsys):
+        # the trajectory, once also a trace CSV file, is in the result
         gpath = str(tmp_path / "g.json")
         cpath = str(tmp_path / "c.json")
-        tpath = str(tmp_path / "trace.csv")
         outpath = str(tmp_path / "res.json")
         main(
             ["gen-graph", "random-bipartite-regular", "--n-side", "20", "--d", "6",
@@ -692,8 +712,6 @@ class TestNibbleCli:
                 "relaxed",
                 "--seed",
                 "4",
-                "--trace",
-                tpath,
                 "--out",
                 outpath,
             ]
@@ -707,11 +725,14 @@ class TestNibbleCli:
             "final-color-exhausted",
             "step-retries-exhausted",
         )
-        lines = open(tpath).read().strip().splitlines()
-        assert lines[0] == "step,min_pv,max_pv,min_Q,max_deg,removed,retries"
-        assert len(lines) == len(doc["trajectory"]) + 1
-        # pinned since the bipartite generator's switch repair
-        assert hashlib.sha256(Path(tpath).read_bytes()).hexdigest() == (
+        columns = ["step", "min_pv", "max_pv", "min_Q", "max_deg", "removed", "retries"]
+        assert all(sorted(row) == sorted(columns) for row in doc["trajectory"])
+        lines = [",".join(columns)] + [
+            ",".join(repr(row[c]) for c in columns) for row in doc["trajectory"]
+        ]
+        # the trace CSV's digest, pinned since the bipartite generator's
+        # switch repair
+        assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == (
             "fca58dbb2389fb65edac51412019c05319e566e9de548c47b4065214bfc1f997"
         )
         if doc["status"] == "success":
@@ -839,6 +860,74 @@ class TestNibbleCli:
         assert "triangle" in err
 
 
+# Every flag of every command, by the words that name the command.
+CLI_FLAGS = {
+    "gen-graph cycle": "--n --out",
+    "gen-graph complete-bipartite": "--a --b --out",
+    "gen-graph random-regular": "--n --d --seed --triangle-free --out",
+    "gen-graph random-bipartite-regular": "--n-side --d --seed --out",
+    "gen-cover": "--graph --k --mode --q --seed --out",
+    "lift": "--graph --lists --out",
+    "validate": "--graph --cover --out",
+    "solve": "--graph --cover --count --restrict --node-budget --out",
+    "lb-experiment": "--graph --k --mode --q --seed --trials --node-budget"
+    " --witness-out --out",
+    "stats": "--graph --cover --weights --out",
+    "nibble": "--graph --cover --preset --seed --ck --tol-scale --max-steps"
+    " --max-retries-per-step --max-final-retries --out",
+}
+
+
+def command_parsers(parser, words=()):
+    """Each command's parser, by the words that name the command."""
+    subparsers = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    if not subparsers:
+        yield " ".join(words), parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from command_parsers(sub, (*words, name))
+
+
+class TestCliSurface:
+    """The flags of the command line, pinned so that no refactor of the
+    parser drops, adds or renames one."""
+
+    def test_commands(self):
+        parsers = dict(command_parsers(build_parser()))
+        assert list(parsers) == list(CLI_FLAGS)
+        assert sum(len(flags.split()) for flags in CLI_FLAGS.values()) == 55
+
+    @pytest.mark.parametrize("command", list(CLI_FLAGS))
+    def test_flags(self, command):
+        parser = dict(command_parsers(build_parser()))[command]
+        flags = [s for a in parser._actions for s in a.option_strings]
+        assert sorted(flags) == sorted(["-h", "--help", *CLI_FLAGS[command].split()])
+
+    def test_nibble_overrides_are_params_fields(self):
+        # each override flag sets the NibbleParams field of its name and type;
+        # shrink_factor is set only by the presets
+        types = {f.name: type(f.default) for f in dataclasses.fields(NibbleParams)}
+        del types["shrink_factor"]
+        assert types == NIBBLE_OVERRIDES
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lb-experiment", "--graph", "g", "--k", "2", "--trials", "1",
+             "--trials-csv", "t.csv"],
+            ["nibble", "--graph", "g", "--cover", "c", "--trace", "t.csv"],
+        ],
+        ids=["trials-csv", "trace"],
+    )
+    def test_removed_flag_is_exit_2(self, capsys, argv):
+        # the per-trial counts and the trajectory are in the result document
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: corrcolor: unrecognized arguments: {argv[-2]} t.csv\n"
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize(
         "command",
@@ -906,7 +995,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("target", ["missing-dir", "dir"])
     @pytest.mark.parametrize(
         "flag",
-        ["gen-graph --out", "solve --out", "--witness-out", "--trials-csv", "--trace"],
+        ["gen-graph --out", "solve --out", "--witness-out"],
     )
     def test_unwritable_output_is_exit_2(
         self, tmp_path, capsys, c6_files, flag, target
@@ -921,8 +1010,6 @@ class TestErrorPaths:
             "gen-graph --out": ["gen-graph", "cycle", "--n", "4", "--out", path],
             "solve --out": ["solve", "--graph", gpath, "--cover", cpath, "--out", path],
             "--witness-out": [*lb, "--witness-out", path],
-            "--trials-csv": [*lb, "--trials-csv", path],
-            "--trace": ["nibble", "--graph", gpath, "--cover", cpath, "--trace", path],
         }[flag]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -975,10 +1062,31 @@ class TestErrorPaths:
         capsys.readouterr()
         assert (code, during, after) == (expected, [False], enabled)
 
-    def test_unknown_flag_is_exit_2(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen-graph", "cycle", "--n", "6", "--wat"],
+             "corrcolor: unrecognized arguments: --wat"),
+            (["solve", "--graph", "g", "--cover", "c", "--node-budget", "abc"],
+             "corrcolor solve: argument --node-budget: invalid int value: 'abc'"),
+            (["solve", "--graph", "g"],
+             "corrcolor solve: the following arguments are required: --cover"),
+            (["wat"], "corrcolor: argument command: invalid choice: 'wat'"),
+            ([], "corrcolor: the following arguments are required: command"),
+        ],
+        ids=["unknown-flag", "bad-int", "missing-flag", "unknown-command", "no-command"],
+    )
+    def test_unknown_flag_is_exit_2(self, capsys, argv, message):
+        # a usage error is one line and exit 2, as a malformed input file is
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_help_is_exit_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["gen-graph", "cycle", "--n", "6", "--wat"])
-        assert exc.value.code == 2
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: corrcolor solve ")
 
     def test_solve_rejects_invalid_cover(self, tmp_path, capsys):
         gpath = write(tmp_path, "g.json", {"n": 2, "edges": [[0, 1]]})

@@ -180,6 +180,35 @@ class TestExperiment:
             cover = random_cover(g, 2, seed=derive_int_seed(13, "lb-trial", i))
             assert count_colorings(g, cover) == report.per_trial_counts[i]
 
+    def test_report_replays_every_trial(self):
+        # the report's own fields rebuild the bernoulli witness and re-count
+        # every trial within the recorded budget, capped trials included
+        from corrcolor import SearchBudgetExceeded, count_colorings, random_cover
+        from corrcolor.rng import derive_int_seed
+
+        g = gen_complete_bipartite(3, 3)
+        report, witness = run_lb_experiment(
+            g, 2, trials=20, seed=5, mode="bernoulli", q=0.8, node_budget=10
+        )
+        doc = report.to_json_dict()
+
+        def trial_cover(i):
+            seed = derive_int_seed(doc["seed"], "lb-trial", i)
+            return random_cover(g, doc["k"], seed, doc["mode"], doc["q"])
+
+        assert trial_cover(doc["witness_trial"]) == witness
+        counts = []
+        for i in range(doc["trials"]):
+            try:
+                counts.append(
+                    count_colorings(g, trial_cover(i), node_budget=doc["node_budget"])
+                )
+            except SearchBudgetExceeded:
+                counts.append(None)
+        assert counts == list(doc["per_trial_counts"])
+        # capped, refuted and colorable trials
+        assert {None, 0} < set(counts)
+
     def test_colorable_fraction_below_bound_plus_three_sigma(self):
         # first-moment bound dominates the empirical colorability estimate
         for g, k, trials in (
