@@ -164,24 +164,38 @@ def _digit_runs(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     is_digit = (buf - np.uint8(ord("0"))) < 10  # non-digits wrap to 10 and above
     if is_digit[-1]:
         return None
-    change = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    change = is_digit[1:] != is_digit[:-1]
+    del is_digit
+    change = np.flatnonzero(change)
+    change += 1
     return change[0::2], change[1::2]
 
 
-def _digit_values(buf: np.ndarray, ends: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The numbers written by the digit runs ending before `ends`, as int64."""
-    # Each digit is widened before any arithmetic: numpy 1.x casts by value,
-    # so a uint8 digit times an int64 scalar of 100 would be a uint8 product.
-    values = buf[ends - 1].astype(np.int64) - ord("0")
-    scale = 1
-    for place in range(2, int(length.max(initial=0)) + 1):
-        scale *= 10
-        # a shorter run reads bytes before it: masked out
-        place_digit = buf[ends - place].astype(np.int64) - ord("0")
-        place_digit[length < place] = 0
-        place_digit *= scale
-        values += place_digit
-    return values
+# The digit bytes of a word whose last d bytes (d = 0..8) end a run, and steps that
+# fold eight digits, the first most significant, into their number (Langdale and
+# Lemire, "Parsing Gigabytes of JSON per Second"), as uint64: numpy 1.x casts by value.
+_WORD_DIGITS = np.array([0x0F0F0F0F0F0F0F0F >> b << b for b in range(64, -1, -8)], "u8")
+_FOLDS = np.array(
+    [(10 << 8 | 1, 8, 0xFF00FF00FF00FF), (100 << 16 | 1, 16, 0xFFFF0000FFFF),
+     (10**4 << 32 | 1, 32, 0xFFFFFFFF)], "u8"
+)  # (multiply, shift, mask): lanes of 1, 2 and 4 digits join in pairs
+
+
+def _digit_values(data: bytes, ends: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The numbers of the digit runs ending before `ends`, as uint64, eight digits
+    to a word from a run's end. Runs start at byte >= len(_PREFIX) = 20, and a
+    run of L digits is read from end - 8 * ceil(L / 8) >= start - 7 >= 13 on."""
+    word = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))[ends - 8]
+    word &= np.take(_WORD_DIGITS, length, mode="clip")
+    for mul, shift, keep in _FOLDS:
+        word *= mul
+        word >>= shift
+        word &= keep
+    long = np.flatnonzero(length > 8)
+    if long.size:  # the digits before the last eight, times 10**8
+        high = _digit_values(data, ends[long] - 8, length[long] - 8)
+        word[long] += high * np.uint64(10**8)
+    return word
 
 
 def _is_layout(text: bytes, sizes: np.ndarray, counts: np.ndarray) -> bool:
@@ -247,15 +261,16 @@ def _canonical_arrays(data: bytes) -> tuple[np.ndarray, ...] | None:
     if lists_at < 0 or matchings_at < 0:
         return None
     n, n_listed = np.searchsorted(starts, (lists_at, matchings_at)).tolist()
-    values = _digit_values(buf, ends, length)
+    values = _digit_values(data, ends, length).view(np.int64)
+    del starts, ends, length, before, after, key_v, value  # freed before the compare
     sizes = values[:n]
     if sizes.max(initial=0) > n_listed - n or sizes.sum() != n_listed - n:
         return None
     # Each key's runs are u, v and two per pair; with one run per number of
     # the layout, every number of the layout has its run.
     first = np.flatnonzero(key_u[n_listed:])
-    counts = np.diff(first, append=starts.size - n_listed) // 2 - 1
-    if n_listed + 2 * (counts.size + counts.sum()) != starts.size:
+    counts = np.diff(first, append=values.size - n_listed) // 2 - 1
+    if n_listed + 2 * (counts.size + counts.sum()) != values.size:
         return None
     if not _is_layout(data.translate(None, b"0123456789"), sizes, counts):
         return None

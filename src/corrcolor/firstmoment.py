@@ -51,7 +51,7 @@ def first_moment_bound(n: int, m: int, k: int) -> FirstMoment:
     check_int("n", n, 1, INT64_MAX)
     check_int("m", m, 0, INT64_MAX)
     check_int("k", k, 1, INT64_MAX)
-    return FirstMoment(_exp(n * math.log(k) - m / k), k * math.log(k) < m / n)
+    return FirstMoment(_exp(n * math.log(k) - m / k), bool(k * math.log(k) < m / n))
 
 
 def expected_colorings(n: int, m: int, k: int) -> float | None:
@@ -145,21 +145,21 @@ def run_lb_experiment(
         n=g.n,
         m=g.m,
         avg_degree=d,
-        k=k,
+        k=int(k),
         mode=mode,
-        q=q,
+        q=float(q),
         alon_bound=alon_bound(d) if d >= MIN_AVERAGE_DEGREE else None,
         first_moment_bound=fm.bound,
         bound_below_one=fm.below_one,
         expected_colorings_exact=expected_colorings(g.n, g.m, k),
-        trials=trials,
-        node_budget=node_budget,
+        trials=int(trials),
+        node_budget=int(node_budget),
         colorable_count=len(valid) - valid.count(0),
         noncolorable_count=valid.count(0),
-        cap_exceeded_count=trials - len(valid),
+        cap_exceeded_count=int(trials) - len(valid),
         mean_colorings_empirical=mean,
         std_error_mean=sem,
         witness_trial=None if witness is None else counts.index(0),
-        seed=seed,
+        seed=int(seed),
         per_trial_counts=tuple(counts),
     ), witness

@@ -615,7 +615,7 @@ def run_nibble(
             final_attempts=total_final_attempts,
             k=k,
             max_deg=dmax,
-            seed=seed,
+            seed=int(seed),
             detail=detail,
         )
 

@@ -924,14 +924,57 @@ def test_reader_is_sound_under_every_one_byte_edit():
 
 
 def test_reader_reads_every_digit_place():
-    # each of the 18 places holds every digit 1-9 somewhere; a product that
-    # wrapped in a narrow dtype would change one of these numbers
-    ids = [int(str(d) * places) for d in range(1, 10) for places in (1, 3, 5, 18)]
+    # each of the 18 places holds every digit 1-9 somewhere, and runs fill an
+    # 8-byte word with 7, 8 or 9 digits and a word after the first with 7, 8
+    # or 9 more; a product that wrapped in a narrow dtype, or a digit byte
+    # masked off or left in, would change one of these numbers
+    places = (1, 3, 5, 7, 8, 9, 15, 16, 17, 18)
+    ids = [int(str(d) * p) for d in range(1, 10) for p in places]
     ids += [300, 1000, 65536, 123456789012345678, 10**18 - 1]
+    ids += [10**7, 10**8, 10**16, 10**17 + 1]
     cover = make_cover([ids], {(0, 1): list(zip(ids, ids[::-1]))})
     read = cover_from_canonical_json(canonical_cover_json(cover))
     assert read == cover
     assert read.vlist_colors.tolist() == sorted(ids)
+
+
+# Ids of every length from 1 to 18 digits, so that each word a run is read
+# from holds from one digit to eight.
+SPREAD_IDS = st.integers(1, 18).flatmap(
+    lambda places: st.integers(10 ** (places - 1) if places > 1 else 0, 10**places - 1)
+)
+
+
+@given(_covers(SPREAD_IDS))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_reader_reads_ids_of_every_length(cover):
+    assert cover_from_canonical_json(canonical_cover_json(cover)) == cover
+
+
+def test_reader_declines_every_truncation():
+    # b"" and prefixes shorter than one 8-byte word included
+    text = canonical_cover_json(SMALL)
+    for end in range(len(text)):
+        assert cover_from_canonical_json(text[:end]) is None
+
+
+def test_reader_peak_memory_is_bounded():
+    # the reader's transient arrays at their highest, the cover it returns
+    # included, stay below 2.8 times the document
+    import tracemalloc
+
+    g = gen_random_bipartite_regular(60, 20, seed=1)
+    doc = canonical_cover_json(random_cover(g, 40, seed=2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        read = cover_from_canonical_json(doc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert read == cover_from_json_dict(json.loads(doc))
+    assert peak <= 2.8 * len(doc)
 
 
 def test_reader_declines_other_layouts_unscanned(monkeypatch):

@@ -1,7 +1,9 @@
+import json
 import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corrcolor import (
@@ -208,6 +210,15 @@ class TestExperiment:
         assert counts == list(doc["per_trial_counts"])
         # capped, refuted and colorable trials
         assert {None, 0} < set(counts)
+
+    @pytest.mark.parametrize("name", ["k", "trials", "seed", "node_budget", "q"])
+    def test_numpy_argument_gives_plain_report(self, name):
+        # a numpy scalar passes the checks; the report holds the Python number
+        args = {"k": 2, "trials": 3, "seed": 3, "node_budget": 1000, "q": 0.5}
+        plain, _ = run_lb_experiment(gen_cycle(4), **args)
+        args[name] = np.float32(args[name]) if name == "q" else np.int64(args[name])
+        report, _ = run_lb_experiment(gen_cycle(4), **args)
+        assert json.dumps(report.to_json_dict()) == json.dumps(plain.to_json_dict())
 
     def test_colorable_fraction_below_bound_plus_three_sigma(self):
         # first-moment bound dominates the empirical colorability estimate

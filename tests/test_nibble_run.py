@@ -304,6 +304,13 @@ class TestRunNibble:
         with pytest.raises(DomainError, match="invalid cover"):
             run_nibble(g, bad, relaxed_params(), seed=0)
 
+    def test_numpy_seed_gives_plain_result(self):
+        g = gen_cycle(6)
+        cover = random_cover(g, 3, seed=0)
+        result = run_nibble(g, cover, relaxed_params(), np.int64(3))
+        plain = run_nibble(g, cover, relaxed_params(), 3)
+        assert json.dumps(result.to_json_dict()) == json.dumps(plain.to_json_dict())
+
     def test_c6_relaxed_valid_if_success(self):
         g = gen_cycle(6)
         for seed in range(6):
