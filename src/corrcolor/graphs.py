@@ -18,7 +18,7 @@ from ._arrays import _freeze, _int_array, _pair_array, _ptr, _ranges
 from .errors import ARRAY_MAX, DomainError, MalformedInputError, check_int
 from .rng import derive_rng
 
-PAIRING_ATTEMPT_CAP = 10_000
+SWITCH_REFUSAL_CAP = 10_000
 # Edge keys u * n + v must fit in int64.
 MAX_VERTICES = 2**31 - 1
 # Most vertex pairs `is_triangle_free` looks up at once (8 bytes each per array).
@@ -73,11 +73,11 @@ class Graph:
         return self.edges.shape[0]
 
 
-def _canonical(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-    """The graph on n vertices of the edges (u[i], v[i]), all of them valid."""
+def _canonical(n: int, keys: np.ndarray) -> Graph:
+    """The graph on n vertices of the edge keys u * n + v, u < v, all valid."""
     # Sorted distinct keys without np.unique, which imports numpy.ma.
-    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    keys = np.sort(keys)
+    keys = np.append(keys[:1], keys[1:][keys[1:] != keys[:-1]])
     return Graph(n=n, edges=_freeze(np.column_stack(np.divmod(keys, n))))
 
 
@@ -95,7 +95,7 @@ def _graph_of_pairs(n: int, pairs: np.ndarray) -> Graph:
         if a == b:
             raise DomainError(f"self-loop at vertex {a}")
         raise DomainError(f"edge ({a},{b}) out of range for n={n}")
-    return _canonical(n, u, v)
+    return _canonical(n, np.minimum(u, v) * n + np.maximum(u, v))
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -172,7 +172,7 @@ def is_triangle_free(g: Graph) -> bool:
 def gen_cycle(n: int) -> Graph:
     check_int("n", n, 3, MAX_VERTICES)
     i = np.arange(n, dtype=np.int64)
-    return _canonical(n, i, (i + 1) % n)
+    return _graph_of_pairs(n, np.column_stack((i, (i + 1) % n)))
 
 
 def gen_complete_bipartite(a: int, b: int) -> Graph:
@@ -181,97 +181,116 @@ def gen_complete_bipartite(a: int, b: int) -> Graph:
     check_int("a + b", a + b, 2, MAX_VERTICES)
     check_int("2 * a * b", 2 * a * b, 2, ARRAY_MAX)
     u, v = np.divmod(np.arange(a * b, dtype=np.int64), b)
-    return _canonical(a + b, u, a + v)
+    return _canonical(a + b, u * (a + b) + a + v)
 
 
-def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> Graph | None:
-    """One pairing of n*d shuffled stubs, or None on a loop or a repeated edge."""
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    rng.shuffle(stubs)
-    u, v = stubs.reshape(-1, 2).T
-    if (u == v).any():
-        return None
-    g = _canonical(n, u, v)
-    return g if g.m == u.size else None
+def _switch_repair(u, v, n: int, block: int, rng, triangle_free: bool = False):
+    """Keys u * n + v of a simple graph repaired from the pairs (u[p], v[p]), u <= v.
+
+    A pair is bad if it is a loop, one of several copies of an edge or, with
+    `triangle_free`, on a triangle. The pairs are visited in position order
+    (without `triangle_free` only the loops and the later copies that a
+    stable sort finds), and each one still bad swaps its v with the v of a
+    random pair of its block, the `block` positions from p - p % block. A
+    switch is refused while a new pair is a loop or an edge present or, with
+    `triangle_free`, closes a triangle, so it makes no pair bad, but two loops
+    may become two copies of one edge whose later copy is still to visit.
+    After McKay & Wormald; SWITCH_REFUSAL_CAP refusals in a row raise DomainError.
+    """
+    keys = u * n + v
+    order = np.argsort(keys, kind="stable")
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    loops = np.flatnonzero(u == v)
+    if later.size == loops.size == 0 and not triangle_free:
+        return keys
+    kl = keys.tolist()
+    count = dict.fromkeys(kl, 1)  # copies of each pair
+    for key in keys[later].tolist():
+        count[key] += 1
+    if triangle_free:
+        adj = [set() for _ in range(n)]  # the simple graph of the pairs
+
+        def relink(drop, add):
+            for pairs, op in ((drop, set.discard), (add, set.add)):
+                for s, t in pairs:
+                    if s != t:
+                        op(adj[s], t), op(adj[t], s)
+
+        relink((), zip(u.tolist(), v.tolist()))
+    draw, get, refusals = rng.integers, count.get, range(SWITCH_REFUSAL_CAP)
+    for p in range(len(kl)) if triangle_free else np.sort(np.append(later, loops)).tolist():
+        key = kl[p]
+        x, y = divmod(key, n)
+        if count[key] == 1 and x != y and (not triangle_free or adj[x].isdisjoint(adj[y])):
+            continue  # good, or mended by an earlier switch
+        row = p - p % block
+        for _ in refusals:
+            q = row + int(draw(block))
+            x2, y2 = divmod(kl[q], n)
+            a = x * n + y2 if x < y2 else y2 * n + x
+            b = x2 * n + y if x2 < y else y * n + x2
+            if get(a) or get(b) or x == y2 or x2 == y:
+                continue
+            if not triangle_free:
+                break
+            gone = [divmod(k, n) for k in (key, kl[q]) if count[k] == 1]
+            relink(gone, [(x, y2), (x2, y)])
+            if adj[x].isdisjoint(adj[y2]) and adj[x2].isdisjoint(adj[y]):
+                break
+            relink([(x, y2), (x2, y)], gone)
+        else:
+            msg = f"switch repair refused {SWITCH_REFUSAL_CAP} switches in a row"
+            raise DomainError(f"{msg} at the pair ({x}, {y}) (SWITCH_REFUSAL_CAP)")
+        count[key] -= 1
+        count[kl[q]] -= 1
+        count[a] = 1
+        count[b] = get(b, 0) + 1  # a == b where two loops meet
+        kl[p], kl[q] = a, b
+    return np.array(kl, dtype=np.int64)
 
 
 def gen_random_regular(
     n: int, d: int, seed: int, triangle_free: bool = False
 ) -> Graph:
-    """d-regular simple graph via the pairing model.
+    """d-regular simple graph from one pairing of n * d shuffled stubs.
 
-    Resamples from scratch on any loop or repeated edge; with
-    `triangle_free`, additionally resamples until the result has no
-    triangle. Gives valid (not exactly uniform) samples.
+    Loops, repeated edges and, with `triangle_free`, triangle edges are
+    repaired by switches between pairs (`_switch_repair`). Without
+    `triangle_free`, 2d >= n builds the (n - 1 - d)-regular graph and returns
+    its complement. Gives valid (not exactly uniform) samples.
     """
     check_int("n", n, 0, MAX_VERTICES)
     check_int("d", d, 0)
-    if d >= n or (n * d) % 2 != 0:
+    if d >= max(n, 1) or (n * d) % 2 != 0:
         raise DomainError(f"infeasible degree sequence: n={n}, d={d}")
+    if triangle_free and 2 * d > n:
+        msg = f"no triangle-free graph on {n} vertices is {d}-regular"
+        raise DomainError(f"{msg}: by Mantel's bound it has at most n*n/4 edges")
     check_int("n * d", n * d, 0, ARRAY_MAX)
     rng = derive_rng(seed, "random-regular", n, d)
-    for _ in range(PAIRING_ATTEMPT_CAP):
-        g = _pairing_attempt(n, d, rng)
-        if g is None:
-            continue
-        if triangle_free and not is_triangle_free(g):
-            continue
-        return g
-    raise DomainError(
-        f"no admissible pairing found in {PAIRING_ATTEMPT_CAP} attempts (n={n}, d={d},"
-        f" triangle_free={triangle_free})"
-    )
-
-
-def _matching_keys(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Keys i * n + j of a simple d-regular bipartite graph, 2d <= n + 2.
-
-    Row t of a table of d random permutations matches i with sigma_t(i).
-    A stable sort of the keys finds every later copy of a repeated edge;
-    each is repaired by swapping sigma_t(i) with the sigma_t(i2) of a
-    random i2 whose two new edges are both absent. At most d - 1 values of
-    i2 give i a neighbour it has and at most d - 1 give sigma_t(i) one,
-    i2 = i among both, so 2d - 3 < n refusals leave a choice.
-    """
-    left = np.tile(np.arange(n, dtype=np.int64), d)
-    right = rng.permuted(left.reshape(d, n), axis=1).ravel()
-    keys = left * n + right
-    order = np.argsort(keys, kind="stable")
-    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    if later.size == 0:
-        return keys
-    count = dict.fromkeys(keys.tolist(), 1)  # copies of each edge
-    for key in keys[later].tolist():
-        count[key] += 1
-    right = right.tolist()
-    for p in np.sort(later).tolist():
-        i, row = p % n, p - p % n  # row: where p's matching starts
-        key = i * n + right[p]
-        if count[key] == 1:
-            continue  # an earlier swap took away a copy of this edge
-        while True:
-            q = row + int(rng.integers(n))
-            a, b = i * n + right[q], (q - row) * n + right[p]
-            if q != p and not count.get(a) and not count.get(b):
-                break
-        count[key] -= 1
-        count[(q - row) * n + right[q]] -= 1
-        count[a] = count[b] = 1
-        right[p], right[q] = right[q], right[p]
-    return left * n + np.array(right, dtype=np.int64)
+    k = n - 1 - d if 2 * d >= n > 0 and not triangle_free else d
+    stubs = np.repeat(np.arange(n, dtype=np.int64), k)
+    rng.shuffle(stubs)
+    u, v = stubs.reshape(-1, 2).T
+    keys = _switch_repair(np.minimum(u, v), np.maximum(u, v), n, u.size, rng, triangle_free)
+    if k < d:
+        absent = np.triu(np.ones((n, n), dtype=bool), 1).ravel()
+        absent[keys] = False
+        keys = np.flatnonzero(absent)
+    return _canonical(n, keys)
 
 
 def gen_random_bipartite_regular(n_side: int, d: int, seed: int) -> Graph:
     """d-regular bipartite graph on n_side + n_side vertices.
 
     Union of d random perfect matchings between the sides, repeated edges
-    repaired by switches within their matching (`_matching_keys`, after
-    McKay & Wormald's switchings); for 2d > n_side it is the bipartite
-    complement of such an (n_side - d)-regular graph. Valid, not exactly
-    uniform, samples in O(n_side * d) expected time. Bipartite, hence
-    triangle-free, at any degree; this is the generator to use when
-    rejection sampling for triangle-freeness cannot finish (expected
-    triangle counts grow like d^3).
+    repaired by switches within their matching (`_switch_repair`); for
+    2d > n_side it is the bipartite complement of such an
+    (n_side - d)-regular graph. At most d - 1 partners give a pair's left
+    end a neighbour it has and at most d - 1 its right end, the pair itself
+    among both, so 2d - 3 < n_side refusals leave a switch. Valid, not
+    exactly uniform, samples in O(n_side * d) expected time. Bipartite,
+    hence triangle-free, at any degree.
     """
     check_int("n_side", n_side, 0, MAX_VERTICES // 2)
     check_int("d", d, 0)
@@ -279,14 +298,15 @@ def gen_random_bipartite_regular(n_side: int, d: int, seed: int) -> Graph:
         raise DomainError(f"infeasible bipartite degree: n_side={n_side}, d={d}")
     check_int("2 * n_side * d", 2 * n_side * d, 0, ARRAY_MAX)
     rng = derive_rng(seed, "random-bipartite-regular", n_side, d)
-    if 2 * d <= n_side:
-        keys = _matching_keys(n_side, d, rng)
-    else:
-        absent = np.ones(n_side * n_side, dtype=bool)
-        absent[_matching_keys(n_side, n_side - d, rng)] = False
+    n, k = 2 * n_side, min(d, n_side - d)
+    left = np.tile(np.arange(n_side, dtype=np.int64), k)
+    right = rng.permuted(left.reshape(k, n_side), axis=1).ravel()
+    keys = _switch_repair(left, n_side + right, n, n_side, rng)
+    if k < d:
+        absent = np.tile(np.arange(n) >= n_side, n_side)
+        absent[keys] = False
         keys = np.flatnonzero(absent)
-    u, v = np.divmod(keys, n_side)
-    return _canonical(2 * n_side, u, n_side + v)
+    return _canonical(n, keys)
 
 
 def graph_to_json_dict(g: Graph) -> dict:

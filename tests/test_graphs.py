@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import re
@@ -271,11 +272,79 @@ class TestGenerators:
         with pytest.raises(DomainError, match="infeasible"):
             gen_random_regular(4, 4, seed=0)
 
-    def test_random_regular_cap_exhausted(self):
-        # 6-regular on 10 vertices exceeds the triangle-free edge maximum, so
-        # the rejection loop must give up.
-        with pytest.raises(DomainError, match="attempts"):
-            gen_random_regular(10, 6, seed=0, triangle_free=True)
+    def test_random_regular_mantel_bound(self, capsys):
+        # No triangle-free graph on n vertices has more than n*n/4 edges, so
+        # 2d > n fails before anything is drawn, even where n * d stubs would
+        # not fit in memory.
+        for n, d in [(10, 6), (5, 4), (2**30, 2**29 + 2)]:
+            with pytest.raises(DomainError, match="Mantel's bound"):
+                gen_random_regular(n, d, seed=0, triangle_free=True)
+        argv = ["gen-graph", "random-regular", "--n", "10", "--d", "6", "--triangle-free"]
+        assert main(argv) == 1
+        assert "Mantel's bound" in capsys.readouterr().err
+
+    def test_random_regular_empty_graph(self):
+        g = gen_random_regular(0, 0, seed=3)
+        assert g == build_graph(0, []) == gen_random_bipartite_regular(0, 0, 3)
+
+    @pytest.mark.parametrize(
+        "n, d, triangle_free",
+        [(100, 8, False), (100, 12, False), (1000, 8, False), (100, 5, True), (1000, 6, True)],
+    )
+    def test_random_regular_where_redrawing_failed(self, n, d, triangle_free):
+        # Redrawing the whole pairing gave up on each of these after 10 000 draws.
+        g = gen_random_regular(n, d, seed=0, triangle_free=triangle_free)
+        assert g.m == n * d // 2
+        assert (np.bincount(g.edges.ravel(), minlength=n) == d).all()
+        assert is_triangle_free(g) or not triangle_free
+
+    def test_random_regular_at_ten_thousand(self):
+        for triangle_free, limit in [(False, 1.0), (True, 3.0)]:
+            t0 = time.perf_counter()
+            g = gen_random_regular(10_000, 30, seed=0, triangle_free=triangle_free)
+            assert time.perf_counter() - t0 < limit
+            assert (np.bincount(g.edges.ravel(), minlength=g.n) == 30).all()
+            assert is_triangle_free(g) or not triangle_free
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_random_regular_property(self, data):
+        n = data.draw(st.integers(0, 60))
+        d = data.draw(st.sampled_from([d for d in range(max(n, 1)) if n * d % 2 == 0]))
+        triangle_free = data.draw(st.booleans())
+        seed = data.draw(st.integers(0, 2**32))
+        if triangle_free and 2 * d > n:
+            with pytest.raises(DomainError, match="Mantel's bound"):
+                gen_random_regular(n, d, seed, triangle_free)
+            return
+        try:
+            g = gen_random_regular(n, d, seed, triangle_free)
+        except DomainError as exc:
+            # only the triangle repair may stall, and it names its budget
+            assert triangle_free and "SWITCH_REFUSAL_CAP" in str(exc)
+            return
+        assert g.n == n and g.m == n * d // 2
+        assert (np.bincount(g.edges.ravel(), minlength=n) == d).all()
+        u, v = g.edges.T
+        assert (u < v).all() and (np.diff(u * n + v) > 0).all()  # no loop, no repeat
+        assert is_triangle_free(g) or not triangle_free
+        assert g == gen_random_regular(n, d, seed, triangle_free)
+        # A first pairing that needs no repair is the graph (dense degrees
+        # without triangle_free draw the complement's pairing instead).
+        if triangle_free or 2 * d < n:
+            stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+            derive_rng(seed, "random-regular", n, d).shuffle(stubs)
+            pairs = stubs.reshape(-1, 2)
+            if (pairs[:, 0] != pairs[:, 1]).all():
+                first = build_graph(n, pairs)
+                if first.m == len(pairs) and (is_triangle_free(first) or not triangle_free):
+                    assert g == first
+
+    def test_random_regular_reaches_every_two_regular_graph_on_six(self):
+        # 70 labelled 2-regular graphs have 6 vertices: 60 hexagons and 10
+        # pairs of triangles. The samples are valid, not exactly uniform.
+        seen = {gen_random_regular(6, 2, seed).edges.tobytes() for seed in range(500)}
+        assert len(seen) == 70
 
     def test_handshake_identity(self):
         for g in (gen_cycle(9), gen_complete_bipartite(3, 5), gen_random_regular(12, 4, 1)):
@@ -340,6 +409,22 @@ class TestGenerators:
         lo, hi = binom.interval(1 - 1e-6, 600, 1 / 6)
         assert len(seen) == 6
         assert all(lo <= c <= hi for c in seen.values()), sorted(seen.values())
+
+    def test_bipartite_regular_stream(self):
+        # One digest over a grid of calls, pinned from when each matching's
+        # repeated edges were first repaired by switches; dense degrees go
+        # through the complement.
+        digest = hashlib.sha256()
+        calls = [
+            *((n_side, d, seed) for n_side in range(41) for d in range(n_side + 1)
+              for seed in range(3)),
+            *((n_side, d, seed) for n_side, d in [(100, 12), (120, 30), (1000, 30), (36, 12)]
+              for seed in range(5)),
+        ]
+        for n_side, d, seed in calls:
+            digest.update(gen_random_bipartite_regular(n_side, d, seed).edges.tobytes())
+        want = "7a36e0fb1f187e313ed570ba483af54f196a7465c6cc868a8e85400b21ea4aed"
+        assert digest.hexdigest() == want
 
     def test_bipartite_regular_at_ten_thousand_per_side(self):
         t0 = time.perf_counter()
