@@ -88,22 +88,19 @@ def reduct_core(p, p_hat, alpha, nbr_ptr, nbr_idx, u_sample, u_promote):
     ap = alpha * p
     in_s = (~in_b) & (u_sample < ap)
     sampled = np.flatnonzero(in_s)
-    hit = nbr_idx[_segment_entries(nbr_ptr, sampled)]
-    s_count = np.bincount(hit, minlength=p.size)
+    nbrs_of_s = nbr_idx[_segment_entries(nbr_ptr, sampled)]
+    s_count = np.bincount(nbrs_of_s, minlength=p.size)
     k_factor = segment_prod(np.where(in_b, 1.0, 1.0 - ap)[nbr_idx], nbr_ptr)
     ratio = p / k_factor
-    case4 = (~in_b) & (s_count > 0) & (ratio > p_hat)
-    if np.any(case4 & (k_factor >= 1.0)):
+    # the four cases as masked writes, the capped colors last
+    p_prime = np.minimum(ratio, p_hat)
+    hit = (~in_b) & (s_count > 0)
+    p_prime[hit] = 0.0
+    cand = np.flatnonzero(hit & (ratio > p_hat))
+    k = k_factor[cand]
+    if (k >= 1.0).any():
         raise InternalConsistencyError("promotion branch reached with K(x) >= 1")
-    denom = np.where(case4, 1.0 - k_factor, 1.0)
-    q = np.where(case4, (p / p_hat - k_factor) / denom, 0.0)
-    p_prime = np.where(
-        in_b,
-        p_hat,
-        np.where(
-            s_count == 0,
-            np.minimum(ratio, p_hat),
-            np.where(ratio <= p_hat, 0.0, np.where(u_promote < q, p_hat, 0.0)),
-        ),
-    )
+    q = (p[cand] / p_hat - k) / (1.0 - k)
+    p_prime[cand[u_promote[cand] < q]] = p_hat
+    p_prime[in_b] = p_hat
     return p_prime, in_s, s_count, k_factor

@@ -174,6 +174,10 @@ class Cover:
         own[own == n] = -1
         return _freeze(own)
 
+    def colors_of(self, vertex_mask: np.ndarray) -> np.ndarray:
+        """Mask of the colors the masked vertices own; an id in no list counts for none."""
+        return vertex_mask[self.owner] & (self.owner >= 0)
+
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The matched-color adjacency as read-only (nbr_ptr, nbr_idx) int64 arrays.

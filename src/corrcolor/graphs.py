@@ -263,9 +263,14 @@ def gen_random_regular(
     check_int("d", d, 0)
     if d >= max(n, 1) or (n * d) % 2 != 0:
         raise DomainError(f"infeasible degree sequence: n={n}, d={d}")
+    msg = f"no triangle-free graph on {n} vertices is {d}-regular"
     if triangle_free and 2 * d > n:
-        msg = f"no triangle-free graph on {n} vertices is {d}-regular"
         raise DomainError(f"{msg}: by Mantel's bound it has at most n*n/4 edges")
+    if triangle_free and n % 2 and 5 * d > 2 * n:
+        raise DomainError(
+            f"{msg}: by Andrásfai, Erdős and Sós it would be bipartite, as its"
+            " degree passes 2n/5, and a regular bipartite graph has even n"
+        )
     check_int("n * d", n * d, 0, ARRAY_MAX)
     rng = derive_rng(seed, "random-regular", n, d)
     k = n - 1 - d if 2 * d >= n > 0 and not triangle_free else d

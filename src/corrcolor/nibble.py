@@ -220,9 +220,7 @@ def reduct_step(
 
     post_alive = state.alive & ~removed_mask
     new_p = p_prime.copy()
-    # An id in no list (owner -1) belongs to no removed vertex.
-    owner = cover.owner
-    new_p[removed_mask[owner] & (owner >= 0)] = 0.0
+    new_p[cover.colors_of(removed_mask)] = 0.0
     new_state = state.with_step(Weighting(new_p, w.p_hat), post_alive, record)
     return new_state, StepStats(p_prime, in_s)
 

@@ -130,8 +130,7 @@ class ReductState:
 
     def live_color_mask(self) -> np.ndarray:
         """Colors in the list of a surviving vertex; an id in no list is not live."""
-        owner = self.cover.owner
-        return self.alive[owner] & (owner >= 0)
+        return self.cover.colors_of(self.alive)
 
     def live_edge_mask(self) -> np.ndarray:
         return self.alive[self.cover.edge_u] & self.alive[self.cover.edge_v]

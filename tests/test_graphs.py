@@ -283,6 +283,20 @@ class TestGenerators:
         assert main(argv) == 1
         assert "Mantel's bound" in capsys.readouterr().err
 
+    def test_random_regular_andrasfai_erdos_sos(self, capsys):
+        # A triangle-free graph whose minimum degree passes 2n/5 is bipartite,
+        # and a regular bipartite graph has an even number of vertices, so odd
+        # n with 5d > 2n fails before anything is drawn.
+        for n, d in [(9, 4), (59, 24), (401, 162), (2**30 + 1, 2**29 - 2)]:
+            with pytest.raises(DomainError, match="Andrásfai, Erdős and Sós"):
+                gen_random_regular(n, d, seed=0, triangle_free=True)
+        argv = ["gen-graph", "random-regular", "--n", "9", "--d", "4", "--triangle-free"]
+        assert main(argv) == 1
+        assert "Andrásfai, Erdős and Sós" in capsys.readouterr().err
+        # 5d = 2n is allowed: the 5-cycle is triangle-free and not bipartite
+        g = gen_random_regular(5, 2, seed=0, triangle_free=True)
+        assert g.m == 5 and is_triangle_free(g)
+
     def test_random_regular_empty_graph(self):
         g = gen_random_regular(0, 0, seed=3)
         assert g == build_graph(0, []) == gen_random_bipartite_regular(0, 0, 3)
@@ -315,6 +329,10 @@ class TestGenerators:
         seed = data.draw(st.integers(0, 2**32))
         if triangle_free and 2 * d > n:
             with pytest.raises(DomainError, match="Mantel's bound"):
+                gen_random_regular(n, d, seed, triangle_free)
+            return
+        if triangle_free and n % 2 and 5 * d > 2 * n:
+            with pytest.raises(DomainError, match="Andrásfai, Erdős and Sós"):
                 gen_random_regular(n, d, seed, triangle_free)
             return
         try:

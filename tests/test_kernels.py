@@ -272,7 +272,7 @@ class TestReductCoreExact:
         nbr_ptr, nbr_idx = cover.arrays
         p, u1, u2 = self._weights(cover.n_colors, seed)
         assert (p == 0.0).any() and (p == self.P_HAT).any()
-        _, in_s, s_count, _ = assert_core_exact(
+        p_prime, in_s, s_count, k_factor = assert_core_exact(
             p, self.P_HAT, self.ALPHA, nbr_ptr, nbr_idx, u1, u2
         )
         if kind == "sparse":
@@ -282,6 +282,19 @@ class TestReductCoreExact:
             assert nbr_idx.size == 0 and in_s.any()
         else:
             assert (s_count > 0).any()
+        if kind == "perfect":
+            self._assert_every_case(p, p_prime, s_count, k_factor)
+
+    def _assert_every_case(self, p, p_prime, s_count, k_factor):
+        capped = p == self.P_HAT
+        hit = ~capped & (s_count > 0)
+        unhit = ~capped & (s_count == 0)
+        candidate = hit & (p / k_factor > self.P_HAT)
+        assert (p_prime[capped] == self.P_HAT).all()
+        assert (unhit & (p_prime > p)).any()  # rescaled by 1 / K
+        assert (hit & ~candidate & (p_prime == 0.0)).any()
+        assert (candidate & (p_prime == self.P_HAT)).any()  # promoted
+        assert (candidate & (p_prime == 0.0)).any()  # left at 0
 
     @pytest.mark.parametrize("kind", ["perfect", "sparse"])
     def test_isolated_colors_at_the_end(self, kind):

@@ -336,6 +336,21 @@ class TestRunNibble:
         assert len(res.coloring) == g.n
         assert res.trajectory  # at least one step committed
 
+    def test_every_vertex_drained_by_one_step(self):
+        # The 4-cycle with 2-lists: one step removes all four vertices, so the
+        # coloring comes from the removal records alone and the trajectory row
+        # reads the no-survivor zeros.
+        g = gen_random_bipartite_regular(2, 2, seed=1)
+        cover = random_cover(g, 2, seed=2)
+        res = run_nibble(g, cover, paper_params(ck=1.0), seed=11)
+        assert res.ok and res.mode == "adaptive" and res.steps == 1
+        assert res.detail == "all vertices drained into removal records"
+        (row,) = res.trajectory
+        assert (row.removed, row.retries, row.max_deg) == (4, 13, 0)
+        assert row.min_pv == row.max_pv == row.min_Q == 0.0
+        assert len(res.coloring) == g.n
+        assert check_coloring(g, cover, res.coloring) is None
+
     def test_stepping_resumes_after_rounding_budget_is_spent(self):
         # One rounding round per niceness pass: two passes fail, the run
         # keeps stepping, and the third rounds; all three are counted.
