@@ -88,7 +88,6 @@ from .solver import (
 )
 from .weights import (
     NiceCheck,
-    ReductRecord,
     ReductState,
     Weighting,
     check_nice,

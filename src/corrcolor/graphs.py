@@ -257,7 +257,10 @@ def gen_random_regular(
     Loops, repeated edges and, with `triangle_free`, triangle edges are
     repaired by switches between pairs (`_switch_repair`). Without
     `triangle_free`, 2d >= n builds the (n - 1 - d)-regular graph and returns
-    its complement. Gives valid (not exactly uniform) samples.
+    its complement. With `triangle_free` and 5d > 2n the graph must be
+    bipartite with equal sides, so it is `gen_random_bipartite_regular`'s
+    graph of the same seed with its vertices relabelled at random. Gives
+    valid (not exactly uniform) samples.
     """
     check_int("n", n, 0, MAX_VERTICES)
     check_int("d", d, 0)
@@ -272,6 +275,10 @@ def gen_random_regular(
             " degree passes 2n/5, and a regular bipartite graph has even n"
         )
     check_int("n * d", n * d, 0, ARRAY_MAX)
+    if triangle_free and 5 * d > 2 * n:
+        sides = gen_random_bipartite_regular(n // 2, d, seed).edges
+        relabel = derive_rng(seed, "random-regular-relabel", n, d).permutation(n)
+        return _graph_of_pairs(n, relabel[sides])
     rng = derive_rng(seed, "random-regular", n, d)
     k = n - 1 - d if 2 * d >= n > 0 and not triangle_free else d
     stubs = np.repeat(np.arange(n, dtype=np.int64), k)

@@ -1,7 +1,7 @@
 """The randomized nibble: weight-update steps, schedules, and the final coloring.
 
 One step samples a small random set of colors, removes the vertices whose
-sampled colors are pairwise unmatched (they keep those colors for later
+sampled colors are pairwise unmatched (each keeps the lowest for later
 extension), zeroes the weights of colors that were hit, and rescales the
 survivors so every color's expected weight is exactly preserved. Iterating
 drives degrees down until the niceness conditions hold, at which point a
@@ -41,7 +41,6 @@ from .graphs import Graph, is_triangle_free, max_degree
 from .rng import derive_int_seed, derive_rng
 from .solver import check_coloring, coloring_to_json
 from .weights import (
-    ReductRecord,
     ReductState,
     Weighting,
     check_nice,
@@ -161,7 +160,7 @@ class StepStats:
 
     `p_prime` holds the updated weight of every color, a removed vertex's
     too; the new state zeroes those. `sampled` marks the sampled set S. The
-    new state's `alive`, `stats` and `history[-1].removed` give the rest.
+    new state's `alive`, `stats` and `history[-1]` give the rest.
     """
 
     p_prime: np.ndarray
@@ -193,7 +192,7 @@ def reduct_step(
     cap); a hit color drops to zero, except that a color whose rescaled
     value would overshoot the cap is instead promoted to the cap with
     exactly the probability that preserves its expectation. Vertices whose
-    sampled colors are all unhit leave the graph, carrying those colors.
+    sampled colors are all unhit leave the graph, each keeping the lowest.
     """
     alpha = _resolve_alpha(state, alpha)
     cover = state.cover
@@ -211,12 +210,10 @@ def reduct_step(
         vlist_ptr, vlist_colors, in_s & hit
     )
     removed_mask = state.alive & (sampled_per_vertex > 0) & (hit_sampled_per_vertex == 0)
-    removed = tuple(int(v) for v in np.flatnonzero(removed_mask))
-    forced = {}
-    for v in removed:
+    record = {}
+    for v in np.flatnonzero(removed_mask).tolist():
         colors = vlist_colors[vlist_ptr[v] : vlist_ptr[v + 1]]
-        forced[v] = tuple(colors[in_s[colors]].tolist())
-    record = ReductRecord(removed=removed, forced=forced)
+        record[v] = int(colors[in_s[colors]].min())
 
     post_alive = state.alive & ~removed_mask
     new_p = p_prime.copy()
@@ -442,24 +439,17 @@ def final_color(
 
 
 def extend_coloring(
-    inner: dict[int, int], history: tuple[ReductRecord, ...]
+    inner: dict[int, int], history: tuple[dict[int, int], ...]
 ) -> dict[int, int]:
-    """Replay removal records newest-first, adding one forced color per vertex.
-
-    Forced sets may hold several colors; the lowest id is used, which keeps
-    exactly one color per vertex.
-    """
+    """Replay removal records newest-first, adding each removed vertex's color."""
     out = dict(inner)
     for record in reversed(history):
-        for v in record.removed:
+        for v, x in record.items():
             if v in out:
                 raise InternalConsistencyError(
                     f"vertex {v} colored both inside and by a removal record"
                 )
-            forced = record.forced.get(v)
-            if not forced:
-                raise InternalConsistencyError(f"empty forced set for vertex {v}")
-            out[v] = min(forced)
+            out[v] = x
     return out
 
 
@@ -564,7 +554,7 @@ def _trajectory_row(step: int, state: ReductState, retries: int) -> TrajectoryRo
         max_pv=max_pv,
         min_Q=min_Q,
         max_deg=max_deg,
-        removed=len(state.history[-1].removed),
+        removed=len(state.history[-1]),
         retries=retries,
     )
 

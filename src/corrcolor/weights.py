@@ -20,7 +20,7 @@ that made it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,19 +67,6 @@ class Weighting:
         return cls(p=np.zeros(cover.n_colors, dtype=np.float64), p_hat=p_hat)
 
 
-@dataclass(frozen=True)
-class ReductRecord:
-    """Vertices removed by one step, with the sampled colors that forced them.
-
-    The forced sets are nonempty, pairwise unmatched (they sit inside an
-    independent set of sampled colors), and strictly between 0 and the cap
-    at recording time, which is what makes later extension valid.
-    """
-
-    removed: tuple[int, ...]
-    forced: dict[int, tuple[int, ...]] = field(hash=False)
-
-
 @dataclass(frozen=True, eq=False)
 class ReductState:
     """Immutable snapshot: surviving vertices, current weights, removal history.
@@ -88,13 +75,16 @@ class ReductState:
     vertices and weights of removed colors are zeroed. `max_deg` is the
     degree bound parameter (at least the true maximum degree) and `k` the
     uniform list size; both may be None for states used only by `check_nice`.
+    Each `history` entry maps the vertices one step removed to the color each
+    keeps: the lowest of its sampled colors, all of which were unhit, so the
+    kept colors are pairwise unmatched and strictly between 0 and the cap.
     """
 
     graph: Graph
     cover: Cover
     weighting: Weighting
     alive: np.ndarray
-    history: tuple[ReductRecord, ...] = ()
+    history: tuple[dict[int, int], ...] = ()
     max_deg: int | None = None
     k: int | None = None
 

@@ -17,6 +17,7 @@ import corrcolor
 from corrcolor import (
     InternalConsistencyError,
     NibbleParams,
+    canonical_graph_json,
     cover_from_json_dict,
     cover_to_json_dict,
     gen_cycle,
@@ -61,16 +62,20 @@ class TestGenerate:
         assert doc["n"] == 6 and len(doc["edges"]) == 6
         assert graph_from_json_dict(doc) == gen_cycle(6)
 
-    @pytest.mark.parametrize("flags", [[], ["--triangle-free"]], ids=["plain", "tf"])
-    def test_gen_random_regular(self, capsys, flags):
+    @pytest.mark.parametrize(
+        "n, d, flags",
+        [(10, 3, []), (10, 3, ["--triangle-free"]), (12, 6, ["--triangle-free"])],
+        ids=["plain", "tf", "tf-bipartite"],
+    )
+    def test_gen_random_regular(self, capsys, n, d, flags):
         code, out, _ = run_cli(
-            capsys, "gen-graph", "random-regular", "--n", "10", "--d", "3",
+            capsys, "gen-graph", "random-regular", "--n", str(n), "--d", str(d),
             "--seed", "2", *flags,
         )
         assert code == 0
         g = graph_from_json_dict(json.loads(out))
-        assert g.n == 10 and g.m == 15
-        assert g == corrcolor.gen_random_regular(10, 3, 2, triangle_free=bool(flags))
+        assert g.n == n and g.m == n * d // 2
+        assert g == corrcolor.gen_random_regular(n, d, 2, triangle_free=bool(flags))
         if flags:
             assert corrcolor.is_triangle_free(g)
 
@@ -1272,18 +1277,32 @@ def test_all_names_public_objects_only():
     assert not any(hasattr(corrcolor.weights, name) for name in removed)
 
 
+def run_module(*argv, **env_vars):
+    """`python -m corrcolor.cli` in a child process, this package first on its path."""
+    src = str(Path(corrcolor.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "corrcolor.cli", *argv],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+
+
 def test_help_ignores_stale_backend_variable():
     # This variable once chose a kernel backend at import time, and an
     # unavailable choice killed every command before argument parsing.
-    src = str(Path(corrcolor.__file__).resolve().parents[1])
-    env = dict(os.environ, CORRCOLOR_BACKEND="numba")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "corrcolor.cli", "--help"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_module("--help", CORRCOLOR_BACKEND="numba")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage:")
+    assert proc.stdout.startswith(b"usage:")
+
+
+def test_module_entry_point_exit_codes():
+    proc = run_module("gen-graph", "cycle", "--n", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == canonical_graph_json(gen_cycle(4))
+    proc = run_module("gen-graph", "cycle")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

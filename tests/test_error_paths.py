@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from corrcolor import (
     CorrColorError,
     DomainError,
-    InternalConsistencyError,
     IstarInfeasibleError,
     MalformedInputError,
-    ReductRecord,
     alon_bound,
     build_graph,
     canonical_cover_json,
@@ -28,7 +26,6 @@ from corrcolor import (
     degree_expectation_bound,
     expected_colorings,
     expected_pprime,
-    extend_coloring,
     final_color,
     first_moment_bound,
     gen_complete_bipartite,
@@ -779,12 +776,6 @@ class TestUnreachedErrorPaths:
             check_reduct_hypotheses(c6_state(), relaxed_params())
         with pytest.raises(DomainError, match="needs the state's max_deg"):
             degree_expectation_bound(c6_state(), 0.1, 0.5, 0.5, alpha=0.5)
-
-    @pytest.mark.parametrize("forced", [{3: ()}, {}], ids=["empty", "missing"])
-    def test_extend_without_a_forced_color(self, forced):
-        record = ReductRecord(removed=(3,), forced=forced)
-        with pytest.raises(InternalConsistencyError, match="forced set for vertex 3"):
-            extend_coloring({0: 1}, (record,))
 
     def test_lift_wrong_number_of_lists(self):
         with pytest.raises(DomainError, match="^expected 4 label lists, got 3$"):

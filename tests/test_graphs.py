@@ -297,6 +297,17 @@ class TestGenerators:
         g = gen_random_regular(5, 2, seed=0, triangle_free=True)
         assert g.m == 5 and is_triangle_free(g)
 
+    def test_random_regular_dense_triangle_free_is_bipartite(self):
+        # For even n and 5d > 2n every triangle-free d-regular graph is
+        # bipartite with equal sides (Andrásfai, Erdős and Sós), and each of
+        # these 208 calls returns one.
+        for n in range(4, 61, 2):
+            for d in range(2 * n // 5 + 1, n // 2 + 1):
+                for seed in (0, 1):
+                    g = gen_random_regular(n, d, seed, triangle_free=True)
+                    assert g.m == n * d // 2 and is_triangle_free(g)
+                    assert (np.bincount(g.edges.ravel(), minlength=n) == d).all()
+
     def test_random_regular_empty_graph(self):
         g = gen_random_regular(0, 0, seed=3)
         assert g == build_graph(0, []) == gen_random_bipartite_regular(0, 0, 3)
@@ -335,11 +346,12 @@ class TestGenerators:
             with pytest.raises(DomainError, match="Andrásfai, Erdős and Sós"):
                 gen_random_regular(n, d, seed, triangle_free)
             return
+        bipartite = triangle_free and 5 * d > 2 * n  # even n: equal sides
         try:
             g = gen_random_regular(n, d, seed, triangle_free)
         except DomainError as exc:
             # only the triangle repair may stall, and it names its budget
-            assert triangle_free and "SWITCH_REFUSAL_CAP" in str(exc)
+            assert triangle_free and not bipartite and "SWITCH_REFUSAL_CAP" in str(exc)
             return
         assert g.n == n and g.m == n * d // 2
         assert (np.bincount(g.edges.ravel(), minlength=n) == d).all()
@@ -347,9 +359,14 @@ class TestGenerators:
         assert (u < v).all() and (np.diff(u * n + v) > 0).all()  # no loop, no repeat
         assert is_triangle_free(g) or not triangle_free
         assert g == gen_random_regular(n, d, seed, triangle_free)
+        if bipartite:
+            # the bipartite generator's graph of the same seed, relabelled
+            sides = gen_random_bipartite_regular(n // 2, d, seed).edges
+            relabel = derive_rng(seed, "random-regular-relabel", n, d).permutation(n)
+            assert g == build_graph(n, relabel[sides])
         # A first pairing that needs no repair is the graph (dense degrees
         # without triangle_free draw the complement's pairing instead).
-        if triangle_free or 2 * d < n:
+        elif triangle_free or 2 * d < n:
             stubs = np.repeat(np.arange(n, dtype=np.int64), d)
             derive_rng(seed, "random-regular", n, d).shuffle(stubs)
             pairs = stubs.reshape(-1, 2)

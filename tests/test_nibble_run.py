@@ -75,6 +75,14 @@ class TestIstar:
         with pytest.raises(DomainError):
             compute_istar(2, paper_params())
 
+    def test_iteration_cap(self):
+        # A shrink of 1e-9 per step still lowers the left side at every
+        # step, so only ISTAR_CAP ends the search.
+        params = paper_params(shrink_factor=1e-9, tol_scale=1e-12)
+        msg = "^no iteration count up to 1000000 works for max_deg=1000000$"
+        with pytest.raises(IstarInfeasibleError, match=msg):
+            compute_istar(10**6, params)
+
     def test_relaxed_small_degree_infeasible(self):
         with pytest.raises(IstarInfeasibleError):
             compute_istar(12, relaxed_params())

@@ -73,7 +73,7 @@ class TestStepBasics:
         st = ReductState.initial(g, cover, Weighting.zeros(cover, 0.4), max_deg=4, k=3)
         st2, stats = reduct_step(st, seed=0, alpha=0.3)
         assert not stats.sampled.any()
-        assert st2.history[-1].removed == ()
+        assert st2.history[-1] == {}
         assert np.array_equal(st2.alive, st.alive)
         assert np.array_equal(st2.weighting.p, st.weighting.p)
 
@@ -87,7 +87,7 @@ class TestStepBasics:
         for seed in range(40):
             st2, stats = reduct_step(st, seed=seed, alpha=0.9)
             sampled = stats.sampled.any()
-            assert (0 in st2.history[-1].removed) == sampled
+            assert (0 in st2.history[-1]) == sampled
             # survival product over an empty neighborhood is 1, so an unhit
             # color keeps its weight exactly
             keep = stats.p_prime[~stats.sampled & (st.weighting.p > 0)]
@@ -141,7 +141,7 @@ class TestStepBasics:
         a2, s2 = reduct_step(st, seed=77)
         assert np.array_equal(s1.p_prime, s2.p_prime)
         assert np.array_equal(s1.sampled, s2.sampled)
-        assert a1.history[-1].removed == a2.history[-1].removed
+        assert a1.history[-1] == a2.history[-1]
         assert np.array_equal(a1.weighting.p, a2.weighting.p)
 
     def test_alpha_validation(self):
@@ -156,7 +156,7 @@ class TestStepBasics:
         lists = cover.lists
         for seed in range(30):
             st2, _ = reduct_step(st, seed=seed)
-            for v in st2.history[-1].removed:
+            for v in st2.history[-1]:
                 assert all(st2.weighting.p[x] == 0.0 for x in lists[v])
 
     def test_ids_in_no_list_are_not_zeroed(self):
@@ -176,7 +176,7 @@ class TestStepBasics:
         removed = set()
         for seed in range(8):
             st2, _ = reduct_step(st, seed=seed, alpha=1.0)
-            removed.update(st2.history[-1].removed)
+            removed.update(st2.history[-1])
             assert st2.weighting.p[[2, 3]].tolist() == [0.3, 0.3]
         assert {0, 3} <= removed
 
@@ -189,19 +189,25 @@ class TestStepBasics:
 
 
 class TestForcedSets:
+    """The sampled colors of the removed vertices, and the one each keeps."""
+
     @pytest.mark.parametrize("seed", range(25))
     def test_nonempty_unmatched_and_strictly_moderate(self, seed):
         g, cover, st = random_state(seed)
         st2, stats = reduct_step(st, seed=derive_int_seed(seed, "step"), alpha=0.5)
         record = st2.history[-1]
+        removed = np.flatnonzero(st.alive & ~st2.alive).tolist()
+        assert list(record) == removed
         p, p_hat = st.weighting.p, st.weighting.p_hat
-        forced_all = [x for xs in record.forced.values() for x in xs]
         lists, color_neighbors = cover.lists, cover.color_neighbors
-        for v in record.removed:
-            assert record.forced[v]
-            for x in record.forced[v]:
-                assert x in lists[v]
+        forced_all = []
+        for v in removed:
+            forced = [x for x in lists[v] if stats.sampled[x]]
+            assert forced
+            assert record[v] == min(forced)
+            for x in forced:
                 assert 0.0 < p[x] < p_hat
+            forced_all += forced
         forced_set = set(forced_all)
         for x in forced_all:
             assert not forced_set & set(color_neighbors[x])
@@ -487,7 +493,7 @@ class TestCarriedStats:
         assert len(made) == len(committed) and sum(committed) == result.steps > 0
         for st, want in made:
             assert all(map(np.array_equal, st.stats, want))
-        assert any(len(st.history[-1].removed) for st, _ in made)
+        assert any(st.history[-1] for st, _ in made)
         sizes = np.diff(cover.edge_ptr)
         if kind == "perfect":
             assert not all(committed)
@@ -502,10 +508,8 @@ class TestExtend:
         assert extend_coloring({0: 5}, ()) == {0: 5}
 
     def test_collision_raises(self):
-        from corrcolor.weights import ReductRecord
-
         with pytest.raises(InternalConsistencyError):
-            extend_coloring({0: 5}, (ReductRecord(removed=(0,), forced={0: (1,)}),))
+            extend_coloring({0: 5}, ({0: 1},))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_one_step_extension_valid(self, seed):
